@@ -54,6 +54,7 @@ from .numrange import (
     zero_unit_vector,
 )
 from .orthogonality import (
+    LatticeProfile,
     OrthogonalityReport,
     StatementResult,
     limit_relations_check,

@@ -8,6 +8,7 @@ violation, 3 input error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -99,13 +100,7 @@ def _min_lambda_dict(a: np.ndarray, b: np.ndarray, cfg: ToleranceConfig) -> dict
 
 def _numrange_dict(a: np.ndarray, cfg: ToleranceConfig, angles: int | None) -> dict:
     if angles is not None:
-        cfg = ToleranceConfig(
-            eps_eq=cfg.eps_eq,
-            eps_opt=cfg.eps_opt,
-            eps_rank=cfg.eps_rank,
-            phase_grid=angles,
-            rng_seed=cfg.rng_seed,
-        )
+        cfg = dataclasses.replace(cfg, phase_grid=angles)
     bound = range_boundary(a, cfg)
     return {
         "kind": "numrange",

@@ -41,6 +41,9 @@ class ToleranceConfig:
     eps_rank    relative singular-value cutoff for numeric rank
     phase_grid  number of angles for phase / support-function scans
     rng_seed    seed for every derived pseudo-random draw
+
+    ``lattice_negation`` is derived, not set: entry i is the index of
+    -lambda_lattice[i], so sigma(x - lam y) is a permutation of sigma(x + lam y).
     """
 
     eps_eq: float = 1e-9
@@ -52,6 +55,7 @@ class ToleranceConfig:
     lattice_phases: int = 24
     lattice_random: int = 64
     lambda_lattice: tuple[complex, ...] = field(default=(), repr=False)
+    lattice_negation: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if min(self.eps_eq, self.eps_opt, self.eps_rank) <= 0:
@@ -67,9 +71,12 @@ class ToleranceConfig:
         if not self.lambda_lattice:
             raise ValueError("lambda lattice must be nonempty")
         pts = np.asarray(self.lambda_lattice)
-        dists = np.abs(pts[:, None] + pts[None, :]).min(axis=1)
-        if dists.max() > 1e-12 * (1.0 + np.abs(pts).max()):
+        sums = np.abs(pts[:, None] + pts[None, :])
+        negation = sums.argmin(axis=1)
+        if sums[np.arange(pts.size), negation].max() > 1e-12 * (1.0 + np.abs(pts).max()):
             raise ValueError("lambda lattice must be closed under negation")
+        negation.flags.writeable = False
+        object.__setattr__(self, "lattice_negation", negation)
 
     def rng(self, *extra_keys: int) -> np.random.Generator:
         """Deterministic generator derived from the seed plus context keys."""

@@ -245,12 +245,24 @@ def zero_unit_vector(
         if best is None or cand[0] < best[0]:
             best = cand
             best_phi = float(phi)
-    res = minimize_scalar(
-        lambda p: eval_phi(p)[0],
-        bracket=(best_phi - 0.05, best_phi, best_phi + 0.05),
-        method="brent",
-        options={"xtol": 1e-12},
-    )
+    lo, hi = best_phi - 0.05, best_phi + 0.05
+    f_best = eval_phi(best_phi)[0]
+    if f_best < eval_phi(lo)[0] and f_best < eval_phi(hi)[0]:
+        res = minimize_scalar(
+            lambda p: eval_phi(p)[0],
+            bracket=(lo, best_phi, hi),
+            method="brent",
+            options={"xtol": 1e-12},
+        )
+    else:
+        # the scan minimum is not strict (a flat or tied residual), so Brent's
+        # bracket is invalid; the bounded search needs no interior minimum
+        res = minimize_scalar(
+            lambda p: eval_phi(p)[0],
+            bounds=(lo, hi),
+            method="bounded",
+            options={"xatol": 1e-12},
+        )
     cand = eval_phi(float(res.x))
     if cand[0] < best[0]:
         best = cand

@@ -25,7 +25,7 @@ from .linalg import (
     top_eigenspace,
     top_right_singular_subspace,
 )
-from .normopt import HypothesisViolation, _batched_norms, bj_orthogonal
+from .normopt import HypothesisViolation, bj_orthogonal
 from .numrange import range_contains, zero_unit_vector
 from .states import (
     DensityState,
@@ -222,11 +222,7 @@ def norm_additivity_report(
     statements = {
         "gram_sum_norm": _eq(spectral_norm(gx + gy), nx**2 + ny**2, tol, nx**2 + ny**2),
         "modulus_product_norm": _eq(
-            spectral_norm(modulus(xm, cfg) @ modulus(ym, cfg)) if xm.shape[0] == xm.shape[1] else
-            spectral_norm(modulus(xm, cfg) @ modulus(ym, cfg)),
-            nx * ny,
-            tol,
-            nx * ny,
+            spectral_norm(modulus(xm, cfg) @ modulus(ym, cfg)), nx * ny, tol, nx * ny
         ),
         "maximizers_meet": StatementResult(meet, 0.0),
         "product_in_range": StatementResult(
@@ -521,38 +517,75 @@ def scaled_pythagoras_report(
 # lattice-quantified orthogonality notions
 # ---------------------------------------------------------------------------
 
+class LatticeProfile:
+    """Every singular value of x + lam y over the lambda lattice, from one
+    batched SVD, plus ||x|| and ||y||.
+
+    Each lattice-quantified statement about the pair reads this one profile.
+    The lattice is closed under negation, so sigma_max(x - lam_i y) is row
+    ``cfg.lattice_negation[i]`` of the same profile.  ``norms`` passes in
+    (||x||, ||y||) when the caller already has them.
+    """
+
+    def __init__(
+        self,
+        x: np.ndarray,
+        y: np.ndarray,
+        cfg: ToleranceConfig = DEFAULT_CONFIG,
+        norms: tuple[float, float] | None = None,
+    ) -> None:
+        xm, ym = _pair(x, y)
+        self.cfg = cfg
+        self.lams = np.asarray(cfg.lambda_lattice)
+        stack = xm[None, :, :] + self.lams[:, None, None] * ym[None, :, :]
+        self.svals = np.linalg.svd(stack, compute_uv=False)
+        self.nx, self.ny = norms if norms is not None else (spectral_norm(xm), spectral_norm(ym))
+
+    @property
+    def norms(self) -> np.ndarray:
+        """||x + lam y|| at each lattice point."""
+        return self.svals[:, 0]
+
+    def definition(self) -> StatementResult:
+        """Pythagoras: ||x + lam y||^2 = ||x||^2 + |lam|^2 ||y||^2 on the lattice."""
+        lhs = self.norms**2
+        rhs = self.nx**2 + np.abs(self.lams) ** 2 * self.ny**2
+        resid = float(np.max(np.abs(lhs - rhs) / (1.0 + rhs)))
+        return StatementResult(resid <= self.cfg.eps_opt, resid)
+
+    def roberts(self) -> bool:
+        """Roberts: ||x + lam y|| = ||x - lam y|| on the lattice."""
+        plus = self.norms
+        minus = plus[self.cfg.lattice_negation]
+        scale = self.nx + np.abs(self.lams) * self.ny
+        return bool(np.all(np.abs(plus - minus) <= self.cfg.eps_eq * (1.0 + scale)))
+
+    def parallelogram(self) -> bool:
+        """||x+lam y||^2 + ||x-lam y||^2 = 2(||x||^2 + |lam|^2 ||y||^2) on the lattice."""
+        plus = self.norms**2
+        minus = plus[self.cfg.lattice_negation]
+        rhs = 2 * (self.nx**2 + np.abs(self.lams) ** 2 * self.ny**2)
+        return bool(np.all(np.abs(plus + minus - rhs) <= self.cfg.eps_eq * (1.0 + rhs)))
+
+    def rank_gate(self) -> bool:
+        """Some x + lam y on the four innermost magnitude rings has numeric rank > 1."""
+        svals = self.svals[: 4 * self.cfg.lattice_phases]
+        ranks = (svals > self.cfg.eps_rank * np.maximum(svals[:, :1], 1e-300)).sum(axis=1)
+        return bool(np.any(ranks > 1))
+
+
 def roberts_check(
     x: np.ndarray, y: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> bool:
     """||x + lam y|| = ||x - lam y|| at every lattice point."""
-    xm, ym = _pair(x, y)
-    lams = np.asarray(cfg.lambda_lattice)
-    plus = _batched_norms(xm, ym, lams)
-    minus = _batched_norms(xm, ym, -lams)
-    scale = spectral_norm(xm) + np.abs(lams) * spectral_norm(ym)
-    return bool(np.all(np.abs(plus - minus) <= cfg.eps_eq * (1.0 + scale)))
+    return LatticeProfile(x, y, cfg).roberts()
 
 
 def parallelogram_law_check(
     x: np.ndarray, y: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> bool:
     """||x+lam y||^2 + ||x-lam y||^2 = 2(||x||^2 + |lam|^2 ||y||^2) on the lattice."""
-    xm, ym = _pair(x, y)
-    lams = np.asarray(cfg.lambda_lattice)
-    plus = _batched_norms(xm, ym, lams) ** 2
-    minus = _batched_norms(xm, ym, -lams) ** 2
-    rhs = 2 * (spectral_norm(xm) ** 2 + np.abs(lams) ** 2 * spectral_norm(ym) ** 2)
-    return bool(np.all(np.abs(plus + minus - rhs) <= cfg.eps_eq * (1.0 + rhs)))
-
-
-def _pythagoras_definition(
-    xm: np.ndarray, ym: np.ndarray, cfg: ToleranceConfig
-) -> StatementResult:
-    lams = np.asarray(cfg.lambda_lattice)
-    lhs = _batched_norms(xm, ym, lams) ** 2
-    rhs = spectral_norm(xm) ** 2 + np.abs(lams) ** 2 * spectral_norm(ym) ** 2
-    resid = float(np.max(np.abs(lhs - rhs) / (1.0 + rhs)))
-    return StatementResult(resid <= cfg.eps_opt, resid)
+    return LatticeProfile(x, y, cfg).parallelogram()
 
 
 def pythagoras_witness_vector(
@@ -596,18 +629,16 @@ def pythagoras_orthogonal(
     groups: list[list[str]] = []
     implications: list[tuple[str, str]] = []
 
-    definition = _pythagoras_definition(xm, ym, cfg)
+    profile = LatticeProfile(xm, ym, cfg)
+    definition = profile.definition()
     statements["definition"] = definition
+    parallelogram = profile.parallelogram()
 
     square = xm.shape[0] == xm.shape[1]
     rank_gate = False
     positivity_gate = False
     if square:
-        probe = np.asarray(cfg.lambda_lattice[: 4 * cfg.lattice_phases])
-        stack = xm[None, :, :] + probe[:, None, None] * ym[None, :, :]
-        svals = np.linalg.svd(stack, compute_uv=False)
-        ranks = (svals > cfg.eps_rank * np.maximum(svals[:, :1], 1e-300)).sum(axis=1)
-        rank_gate = bool(np.any(ranks > 1))
+        rank_gate = profile.rank_gate()
 
         inner = _inner(xm, ym)
         phases = np.exp(1j * 2 * np.pi * np.arange(cfg.phase_grid) / cfg.phase_grid)
@@ -621,17 +652,16 @@ def pythagoras_orthogonal(
     statements["positivity_gate"] = StatementResult(positivity_gate, 0.0)
 
     if square and rank_gate and positivity_gate:
-        par = parallelogram_law_check(xm, ym, cfg)
         xi = pythagoras_witness_vector(xm, ym, cfg)
-        statements["witness_form"] = StatementResult(par and xi is not None, 0.0)
+        statements["witness_form"] = StatementResult(parallelogram and xi is not None, 0.0)
         if xi is not None:
             witnesses.append(("norming_vector", xi))
         groups.append(["definition", "witness_form"])
 
     # derived property chain: Pythagoras implies Roberts, BJ both ways, and
     # the parallelogram law
-    statements["roberts"] = StatementResult(roberts_check(xm, ym, cfg), 0.0)
-    statements["parallelogram"] = StatementResult(parallelogram_law_check(xm, ym, cfg), 0.0)
+    statements["roberts"] = StatementResult(profile.roberts(), 0.0)
+    statements["parallelogram"] = StatementResult(parallelogram, 0.0)
     bj_xy, w_xy = bj_orthogonal(xm, ym, cfg)
     bj_yx, w_yx = bj_orthogonal(ym, xm, cfg)
     statements["bj_forward"] = StatementResult(bj_xy, 0.0)
@@ -643,15 +673,16 @@ def pythagoras_orthogonal(
     for label in ("roberts", "parallelogram", "bj_forward", "bj_reverse"):
         implications.append(("definition", label))
 
+    swapped = LatticeProfile(ym, xm, cfg, norms=(profile.ny, profile.nx))
     statements["symmetric"] = StatementResult(
-        _pythagoras_definition(ym, xm, cfg).verdict == definition.verdict, 0.0
+        swapped.definition().verdict == definition.verdict, 0.0
     )
     rng = cfg.rng(0x4075)
     homogeneous = True
     for _ in range(3):
         alpha = complex(rng.standard_normal(), rng.standard_normal()) + 0.2
         beta = complex(rng.standard_normal(), rng.standard_normal()) + 0.2
-        scaled = _pythagoras_definition(alpha * xm, beta * ym, cfg)
+        scaled = LatticeProfile(alpha * xm, beta * ym, cfg).definition()
         if scaled.verdict != definition.verdict:
             homogeneous = False
     statements["homogeneous"] = StatementResult(homogeneous, 0.0)
@@ -679,10 +710,9 @@ def pythagoras_via_bj_parallelogram(
         1.0 + alpha
     ):
         raise HypothesisViolation("requires |y|^2 to be a positive scalar multiple of I")
-    pyth = _pythagoras_definition(xm, ym, cfg).verdict
+    profile = LatticeProfile(xm, ym, cfg)
     bj, _ = bj_orthogonal(xm, ym, cfg)
-    par = parallelogram_law_check(xm, ym, cfg)
-    return pyth, bj and par
+    return profile.definition().verdict, bj and profile.parallelogram()
 
 
 def limit_relations_check(
@@ -718,8 +748,9 @@ def limit_relations_check(
     tol = cfg.eps_opt * (1.0 + target)
     relations = abs(first - target) <= tol and abs(second - target) <= tol
 
-    lams = np.asarray(cfg.lambda_lattice)
-    norms2 = _batched_norms(am, bm, lams) ** 2
+    profile = LatticeProfile(am, bm, cfg, norms=(na, nb))
+    lams = profile.lams
+    norms2 = profile.norms**2
     numer = target * (lambda0 * abs(alpha) ** 2 - (lambda0 + 1) * np.abs(lams) ** 2)
     numer = numer - np.real(ac * c_lim) * np.abs(lambda0 * alpha - (lambda0 + 1) * lams) ** 2
     bound = numer / (abs(alpha) ** 2 * lambda0 * (lambda0 + 1))

@@ -29,6 +29,11 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
+def _is_int(v: object) -> bool:
+    # JSON true/false load as bool, which is a subclass of int
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     if not isinstance(obj, dict):
         raise MatrixFormatError("matrix JSON must be an object")
@@ -36,7 +41,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         if key not in obj:
             raise MatrixFormatError(f"missing field {key!r}")
     rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+    if not _is_int(rows) or not _is_int(cols) or rows < 1 or cols < 1:
         raise MatrixFormatError("rows and cols must be positive integers")
     if not isinstance(data, list) or len(data) != rows:
         raise MatrixFormatError(f"data must have {rows} rows, got {len(data) if isinstance(data, list) else type(data).__name__}")
@@ -48,7 +53,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
             if (
                 not isinstance(entry, list)
                 or len(entry) != 2
-                or not all(isinstance(v, (int, float)) for v in entry)
+                or not all(_is_int(v) or isinstance(v, float) for v in entry)
             ):
                 raise MatrixFormatError(f"entry ({i},{j}) must be a [re, im] pair")
             re, im = float(entry[0]), float(entry[1])

@@ -9,6 +9,7 @@ import pytest
 
 from modnorm import (
     DEFAULT_CONFIG,
+    LatticeProfile,
     RankOnePair,
     bj_orthogonal,
     canonical_json,
@@ -33,7 +34,6 @@ from modnorm import (
     weighted_shift_pair,
 )
 from modnorm.linalg import adjoint, numeric_rank
-from modnorm.orthogonality import _pythagoras_definition
 from modnorm.suites import (
     _bj_engineered_true,
     _case_rng,
@@ -136,7 +136,7 @@ def test_criterion_04_hat_function_verdicts():
         bj_gf, _ = bj_orthogonal(g, f, CFG)
         ok &= bj_fg and bj_gf
         ok &= roberts_check(f, g, CFG)
-        ok &= not _pythagoras_definition(f, g, CFG).verdict
+        ok &= not LatticeProfile(f, g, CFG).definition().verdict
         ok &= not parallelogram_law_check(f, g, CFG)
         ok &= spectral_norm(adjoint(f) @ g) == 0.0  # exactly zero
     _verdict(
@@ -326,7 +326,7 @@ def test_criterion_08_scalar_block_classification():
         a = fkm_block(a0, 0.0, 0.0, d0, x)
         b = fkm_block(0.0, b0, c0, 0.0, x)
 
-        pyth = _pythagoras_definition(a, b, CFG).verdict
+        pyth = LatticeProfile(a, b, CFG).definition().verdict
         par = parallelogram_law_check(a, b, CFG)
         zero_products = abs(a0 * d0) <= 1e-9 and abs(b0 * c0) <= 1e-9
         if pyth != zero_products or par != pyth:
@@ -372,10 +372,10 @@ def test_criterion_09_property_chain():
     for i in range(40):
         rng = _case_rng(SEED + 90, i)
         a = _rand_complex(rng, 3, 3)
-        if _pythagoras_definition(a, a, CFG).verdict and spectral_norm(a) > 1e-9:
+        if LatticeProfile(a, a, CFG).definition().verdict and spectral_norm(a) > 1e-9:
             bad += 1
     zero = np.zeros((3, 3), dtype=complex)
-    if not _pythagoras_definition(zero, zero, CFG).verdict:
+    if not LatticeProfile(zero, zero, CFG).definition().verdict:
         bad += 1
     _verdict(
         9,

@@ -69,6 +69,8 @@ def test_matrix_file_round_trip(tmp_path):
         '{"rows": 1, "cols": 1, "data": [[[0]]]}',
         '{"rows": 1, "cols": 1, "data": [[["a", 0]]]}',
         '{"rows": 1, "cols": 1, "data": [[[Infinity, 0]]]}',
+        '{"rows": 1, "cols": 1, "data": [[[true, false]]]}',
+        '{"rows": true, "cols": 1, "data": [[[0, 0]]]}',
         "[1, 2, 3]",
     ],
 )
@@ -112,6 +114,13 @@ def test_check_exit_input_error(tmp_path, mats, capsys):
     assert main(["check", "triangle", mats["e11"]]) == 3  # missing second matrix
     assert main(["check", "triangle", mats["e11"], mats["a4"]]) == 3  # shape mismatch
     capsys.readouterr()
+
+
+def test_check_rejects_boolean_entries(tmp_path, mats, capsys):
+    bad = tmp_path / "bool.json"
+    bad.write_text('{"rows": 1, "cols": 2, "data": [[[true, false], [0, 0]]]}', encoding="utf-8")
+    assert main(["check", "roberts", str(bad), str(bad)]) == 3
+    assert "entry (0,0)" in capsys.readouterr().err
 
 
 def test_boolean_checks(mats, capsys):

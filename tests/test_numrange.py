@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modnorm import (
@@ -155,6 +155,8 @@ def test_zero_unit_vector_shifted_disc():
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=5))
+@example(seed=33554431, n=3)  # scan minimum not strict: Brent bracket was invalid
+@example(seed=144499424, n=5)
 def test_traceless_always_has_zero_vector(seed, n):
     # tr(a) = 0 forces 0 in W(a) (the mean of the diagonal is in the range)
     rng = np.random.default_rng(seed)

@@ -277,6 +277,55 @@ def test_pythagoras_orthogonal_rank_gate_blocks_witness_clause():
     assert rep.consistent
 
 
+def test_pythagoras_orthogonal_one_lattice_pass(monkeypatch):
+    # the definition, rank gate, Roberts and parallelogram statements share
+    # one lattice stack; the symmetric and three homogeneous probes add four
+    svd = np.linalg.svd
+    stacked = []
+
+    def counting_svd(m, *args, **kwargs):
+        if np.ndim(m) == 3:
+            stacked.append(len(m))
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    rep = pythagoras_orthogonal(*_gate_true_pair(), CFG)
+    assert "witness_form" in rep.statements  # the gated parallelogram check ran
+    assert sum(stacked) <= 5 * len(CFG.lambda_lattice)
+
+
+def _per_lambda_verdicts(x, y, cfg):
+    """Roberts and parallelogram verdicts from one norm pair per lattice point."""
+    nx, ny = spectral_norm(x), spectral_norm(y)
+    roberts = parallelogram = True
+    for lam in cfg.lambda_lattice:
+        plus, minus = spectral_norm(x + lam * y), spectral_norm(x - lam * y)
+        roberts &= abs(plus - minus) <= cfg.eps_eq * (1.0 + nx + abs(lam) * ny)
+        rhs = 2 * (nx**2 + abs(lam) ** 2 * ny**2)
+        parallelogram &= abs(plus**2 + minus**2 - rhs) <= cfg.eps_eq * (1.0 + rhs)
+    return roberts, parallelogram
+
+
+def test_lattice_checks_match_per_lambda_reference():
+    rng = np.random.default_rng(7)
+    pairs = [
+        _gate_true_pair(),
+        _gate_false_pair(),
+        (np.diag([1.0, -1.0]), FLIP),
+        (E11, E22),
+    ]
+    for n in (2, 3, 4):
+        pairs.append(
+            tuple(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2))
+        )
+    seen = set()
+    for x, y in pairs:
+        got = (roberts_check(x, y, CFG), parallelogram_law_check(x, y, CFG))
+        assert got == _per_lambda_verdicts(x, y, CFG)
+        seen.update(got)
+    assert seen == {True, False}
+
+
 def test_pythagoras_via_bj_parallelogram():
     both = pythagoras_via_bj_parallelogram(np.zeros((2, 2)), 1j * np.eye(2), CFG)
     assert both == (True, True)
