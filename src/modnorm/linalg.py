@@ -146,4 +146,5 @@ def top_right_singular_subspace(
         return np.eye(m.shape[1], dtype=np.complex128)
     tol = (rel_tol if rel_tol is not None else cfg.eps_eq) * s[0]
     keep = s >= s[0] - tol
-    return vh[keep].conj().T
+    # a wide matrix has more rows of vh than singular values
+    return vh[: s.size][keep].conj().T

@@ -47,20 +47,14 @@ def support_function(a: np.ndarray, theta: float) -> tuple[float, np.ndarray]:
     return float(w[-1]), v[:, -1]
 
 
-def extreme_point(a: np.ndarray, theta: float) -> complex:
-    """Boundary point <xi, a xi> at a maximizing eigenvector for angle theta."""
-    m = _require_square(a)
-    _, xi = support_function(m, theta)
-    return complex(np.vdot(xi, m @ xi))
-
-
 @dataclass(frozen=True)
 class RangeBoundary:
-    """Sampled boundary of the numerical range."""
+    """Sampled boundary of W(a): extreme_points[k] = <vectors[k], a vectors[k]> at angles[k]."""
 
     angles: np.ndarray
     support_values: np.ndarray
     extreme_points: np.ndarray
+    vectors: np.ndarray
 
 
 def range_boundary(
@@ -69,12 +63,10 @@ def range_boundary(
     """Sample the boundary at cfg.phase_grid equispaced angles."""
     m = _require_square(a)
     thetas = 2 * np.pi * np.arange(cfg.phase_grid) / cfg.phase_grid
-    stacks = _rotated_hermitian(m, thetas)
-    w, v = np.linalg.eigh(stacks)
-    vals = w[:, -1]
+    w, v = np.linalg.eigh(_rotated_hermitian(m, thetas))
     vecs = v[:, :, -1]
     pts = np.einsum("ki,ij,kj->k", vecs.conj(), m, vecs)
-    return RangeBoundary(angles=thetas, support_values=vals, extreme_points=pts)
+    return RangeBoundary(angles=thetas, support_values=w[:, -1], extreme_points=pts, vectors=vecs)
 
 
 def range_contains(
@@ -123,13 +115,97 @@ def range_contains(
         thetas, marg = thetas[order], marg[order]
 
 
+def _segment_weight(z1: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Weight t in [0, 1] of the point z1 + t d nearest 0 on each segment."""
+    return np.clip(-np.real(z1 * np.conj(d)) / np.maximum(np.abs(d) ** 2, 1e-300), 0.0, 1.0)
+
+
+def _ray_exit(pts: np.ndarray, on_ray: float) -> tuple[int, int, float, float]:
+    """(k, i, s, x): the ray from the vertex pts[k] farthest from 0, through 0, leaves
+    the polygon at pts[i] + s (pts[i+1] - pts[i]), x past 0 (x < 0: 0 is outside).
+    Vertices within on_ray of the ray are exits, which covers a collinear boundary.
+    """
+    nxt = np.roll(np.arange(pts.size), -1)
+    k = int(np.argmax(np.abs(pts)))
+    # rotate so the ray runs along the positive real axis, with 0 fixed
+    w = pts * (-np.conj(pts[k]) / abs(pts[k]))
+    re, im = w.real, w.imag
+    off = np.abs(im) > on_ray
+    edges = np.nonzero(off & off[nxt] & (np.signbit(im) != np.signbit(im[nxt])))[0]
+    s = im[edges] / (im[edges] - im[nxt[edges]])
+    verts = np.nonzero(~off)[0]
+    exits = np.concatenate([re[edges] + s * (re[nxt[edges]] - re[edges]), re[verts]])
+    best = int(np.argmax(exits))
+    i = np.concatenate([edges, verts])[best]
+    return k, int(i), float(np.concatenate([s, np.zeros(verts.size)])[best]), float(exits[best])
+
+
+def _zero_in_span(m: np.ndarray, xi1: np.ndarray, xi2: np.ndarray) -> tuple[np.ndarray, float]:
+    """Unit v in span{xi1, xi2} with the smallest |<v, m v>| found, and that value.
+
+    On v = cos(s) e1 + sin(s) e^{i phi} e2, <v, m v> = 0 is a quadratic in tan(s);
+    the relative phase phi is found by a scalar scan and a Brent refinement.
+    """
+    def residual(v: np.ndarray) -> float:
+        return float(abs(np.vdot(v, m @ v)))
+
+    # orthonormal basis of span{xi1, xi2}
+    e1 = xi1
+    w = xi2 - np.vdot(e1, xi2) * e1
+    nw = np.linalg.norm(w)
+    if nw < 1e-14:
+        return xi1, residual(xi1)
+    e2 = w / nw
+    basis = np.stack([e1, e2], axis=1)
+    c2 = basis.conj().T @ m @ basis
+
+    def eval_phi(phi: float) -> tuple[float, np.ndarray]:
+        cross = np.exp(1j * phi) * c2[0, 1] + np.exp(-1j * phi) * c2[1, 0]
+        # c11 + u*cross + u^2*c22 = 0, u = tan(s) real
+        roots = []
+        if abs(c2[1, 1]) > 1e-300:
+            disc = np.sqrt(cross**2 - 4 * c2[0, 0] * c2[1, 1])
+            roots = [(-cross + disc) / (2 * c2[1, 1]), (-cross - disc) / (2 * c2[1, 1])]
+        elif abs(cross) > 1e-300:
+            roots = [-c2[0, 0] / cross]
+        cands = [(np.inf, e1)]
+        for r in roots:
+            u = float(np.real(r))
+            s = np.arctan(u) if np.isfinite(u) else np.pi / 2
+            v = np.cos(s) * e1 + np.sin(s) * np.exp(1j * phi) * e2
+            v = v / np.linalg.norm(v)
+            cands.append((residual(v), v))
+        return min(cands, key=lambda cand: cand[0])
+
+    def f(phi: float) -> float:
+        return eval_phi(phi)[0]
+
+    best_phi = float(min(np.linspace(0, 2 * np.pi, 256, endpoint=False), key=f))
+    best = eval_phi(best_phi)
+    lo, hi = best_phi - 0.05, best_phi + 0.05
+    if best[0] < f(lo) and best[0] < f(hi):
+        res = minimize_scalar(f, bracket=(lo, best_phi, hi), method="brent", options={"xtol": 1e-12})
+    else:
+        # the scan minimum is not strict (a flat or tied residual), so Brent's
+        # bracket is invalid; the bounded search needs no interior minimum
+        res = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
+    cand = eval_phi(float(res.x))
+    if cand[0] < best[0]:
+        best = cand
+    return best[1], best[0]
+
+
 def chord_through_zero(
     c: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> tuple[np.ndarray, np.ndarray, float, float] | None:
-    """Two unit vectors xi1, xi2 and weight t with t<xi1,c xi1> + (1-t)<xi2,c xi2> ~ 0.
+    """Two unit vectors xi1, xi2 and weight t with z1 + t (z2 - z1) ~ 0, z_k = <xi_k, c xi_k>.
 
     Returns (xi1, xi2, t, residual), or None when 0 is outside W(c).  Used to
-    rebuild zero-trace density states from at most two pure states.
+    rebuild zero-trace density states from at most two pure states.  On the
+    sampled boundary polygon of W(c), xi1 attains the vertex p farthest from 0 and
+    xi2, in the span of the exit edge's vertex vectors, the point where the ray
+    from p through 0 leaves the polygon.  While 0 lies outside the polygon by more
+    than eps_opt * (1 + ||c||), the edge nearest 0 is bisected in angle.
     """
     m = _require_square(c)
     scale = spectral_norm(m)
@@ -137,50 +213,40 @@ def chord_through_zero(
         e = np.zeros(m.shape[0], dtype=np.complex128)
         e[0] = 1.0
         return e, e, 1.0, float(abs(np.vdot(e, m @ e)))
-    if not range_contains(m, 0.0, cfg, tol=cfg.eps_opt * (1.0 + scale)):
+    tol = cfg.eps_opt * (1.0 + scale)
+    if not range_contains(m, 0.0, cfg, tol=tol):
         return None
 
-    n_angles = max(cfg.phase_grid, 90)
-    thetas = 2 * np.pi * np.arange(n_angles) / n_angles
-    bound = range_boundary(m, cfg) if n_angles == cfg.phase_grid else None
-    if bound is not None:
-        pts = bound.extreme_points
+    bound = range_boundary(m, cfg)
+    thetas, pts, vecs = bound.angles, bound.extreme_points, bound.vectors
+    on_ray = cfg.eps_eq * (1.0 + scale)
+    while True:
+        k, i, s, x = _ray_exit(pts, on_ray)
+        if x >= 0.0:
+            break
+        d = np.roll(pts, -1) - pts
+        ts = _segment_weight(pts, d)
+        dist = np.abs(pts + ts * d)
+        i = int(np.argmin(dist))
+        s = float(ts[i])
+        width = (thetas[(i + 1) % pts.size] - thetas[i]) % (2 * np.pi)
+        if dist[i] <= tol or width <= _REFINE_WIDTH:
+            break
+        mid = thetas[i] + width / 2
+        _, xi = support_function(m, mid)
+        thetas = np.insert(thetas, i + 1, mid)
+        pts = np.insert(pts, i + 1, np.vdot(xi, m @ xi))
+        vecs = np.insert(vecs, i + 1, xi, axis=0)
+
+    j = (i + 1) % pts.size
+    if s in (0.0, 1.0):  # the exit is a vertex, as on a collinear boundary
+        xi2 = vecs[i] if s == 0.0 else vecs[j]
     else:
-        pts = np.array([extreme_point(m, t) for t in thetas])
-
-    def seg_dist(z1: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        d = z2 - z1
-        dd = np.abs(d) ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(dd > 0, np.clip(-np.real(z1 * d.conj()) / np.where(dd > 0, dd, 1.0), 0, 1), 0.0)
-        return np.abs(z1 + t * d), t
-
-    z1g, z2g = np.meshgrid(pts, pts, indexing="ij")
-    dist, tmat = seg_dist(z1g, z2g)
-    i, j = np.unravel_index(np.argmin(dist), dist.shape)
-
-    def pair_objective(th: np.ndarray) -> float:
-        za = extreme_point(m, th[0])
-        zb = extreme_point(m, th[1])
-        d, _ = seg_dist(np.array(za), np.array(zb))
-        return float(d)
-
-    from scipy.optimize import minimize
-
-    res = minimize(
-        pair_objective,
-        x0=np.array([thetas[i], thetas[j]]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-14 * scale, "maxiter": 400},
-    )
-    th1, th2 = res.x
-    _, xi1 = support_function(m, th1)
-    _, xi2 = support_function(m, th2)
-    za = complex(np.vdot(xi1, m @ xi1))
-    zb = complex(np.vdot(xi2, m @ xi2))
-    d, t = seg_dist(np.array(za), np.array(zb))
-    t = float(t)
-    return xi1, xi2, t, float(d)
+        q = pts[i] + s * (pts[j] - pts[i])
+        xi2 = _zero_in_span(m - q * np.eye(m.shape[0]), vecs[i], vecs[j])[0]
+    d = complex(np.vdot(xi2, m @ xi2)) - pts[k]
+    t = float(_segment_weight(pts[k], d))
+    return vecs[k], xi2, t, float(abs(pts[k] + t * d))
 
 
 def zero_unit_vector(
@@ -188,84 +254,18 @@ def zero_unit_vector(
 ) -> tuple[np.ndarray, float] | None:
     """A single unit vector xi with <xi, c xi> ~ 0, or None if 0 is outside W(c).
 
-    The chord construction reduces to a 2x2 compression where the quadratic
-    form has an exact zero; the relative phase is found by a scalar scan.
+    The chord through 0 lies in the numerical range of the 2x2 compression to
+    the span of its two vectors, where the quadratic form has an exact zero.
     """
     m = _require_square(c)
     chord = chord_through_zero(m, cfg)
     if chord is None:
         return None
-    xi1, xi2, t, _ = chord
-    scale = 1.0 + spectral_norm(m)
-
-    def residual(v: np.ndarray) -> float:
-        return float(abs(np.vdot(v, m @ v)))
-
-    if residual(xi1) <= cfg.eps_opt * scale:
-        return xi1, residual(xi1)
-    if residual(xi2) <= cfg.eps_opt * scale:
-        return xi2, residual(xi2)
-
-    # orthonormal basis of span{xi1, xi2}
-    e1 = xi1
-    w = xi2 - np.vdot(e1, xi2) * e1
-    nw = np.linalg.norm(w)
-    if nw < 1e-14:
-        return (xi1, residual(xi1)) if residual(xi1) <= cfg.eps_opt * scale else None
-    e2 = w / nw
-    basis = np.stack([e1, e2], axis=1)
-    c2 = basis.conj().T @ m @ basis
-
-    best: tuple[float, np.ndarray] | None = None
-
-    def eval_phi(phi: float) -> tuple[float, np.ndarray]:
-        cross = np.exp(1j * phi) * c2[0, 1] + np.exp(-1j * phi) * c2[1, 0]
-        # c11 + u*cross + u^2*c22 = 0, u = tan(s) real
-        if abs(c2[1, 1]) > 1e-300:
-            disc = np.sqrt(cross**2 - 4 * c2[0, 0] * c2[1, 1])
-            roots = [(-cross + disc) / (2 * c2[1, 1]), (-cross - disc) / (2 * c2[1, 1])]
-        elif abs(cross) > 1e-300:
-            roots = [-c2[0, 0] / cross]
-        else:
-            roots = []
-        loc_best = (np.inf, e1)
-        for r in roots:
-            u = float(np.real(r))
-            s = np.arctan(u) if np.isfinite(u) else np.pi / 2
-            v = np.cos(s) * e1 + np.sin(s) * np.exp(1j * phi) * e2
-            v = v / np.linalg.norm(v)
-            res = residual(v)
-            if res < loc_best[0]:
-                loc_best = (res, v)
-        return loc_best
-
-    phis = np.linspace(0, 2 * np.pi, 256, endpoint=False)
-    for phi in phis:
-        cand = eval_phi(float(phi))
-        if best is None or cand[0] < best[0]:
-            best = cand
-            best_phi = float(phi)
-    lo, hi = best_phi - 0.05, best_phi + 0.05
-    f_best = eval_phi(best_phi)[0]
-    if f_best < eval_phi(lo)[0] and f_best < eval_phi(hi)[0]:
-        res = minimize_scalar(
-            lambda p: eval_phi(p)[0],
-            bracket=(lo, best_phi, hi),
-            method="brent",
-            options={"xtol": 1e-12},
-        )
-    else:
-        # the scan minimum is not strict (a flat or tied residual), so Brent's
-        # bracket is invalid; the bounded search needs no interior minimum
-        res = minimize_scalar(
-            lambda p: eval_phi(p)[0],
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-    cand = eval_phi(float(res.x))
-    if cand[0] < best[0]:
-        best = cand
-    if best[0] <= cfg.eps_opt * scale:
-        return best[1], best[0]
-    return None
+    xi1, xi2, _, _ = chord
+    tol = cfg.eps_opt * (1.0 + spectral_norm(m))
+    for xi in (xi1, xi2):
+        res = float(abs(np.vdot(xi, m @ xi)))
+        if res <= tol:
+            return xi, res
+    xi, res = _zero_in_span(m, xi1, xi2)
+    return (xi, res) if res <= tol else None

@@ -598,8 +598,9 @@ def pythagoras_witness_vector(
     contain zero.
     """
     xm, ym = _pair(x, y)
-    if spectral_norm(xm) <= cfg.eps_eq or spectral_norm(ym) <= cfg.eps_eq:
-        zm = xm if spectral_norm(xm) > cfg.eps_eq else ym
+    nx, ny = spectral_norm(xm), spectral_norm(ym)
+    if nx <= cfg.eps_eq or ny <= cfg.eps_eq:
+        zm = xm if nx > cfg.eps_eq else ym
         sub = top_right_singular_subspace(zm, cfg)
         return np.asarray(sub[:, 0])
     p = SubspaceProjection.from_basis(top_right_singular_subspace(xm, cfg))

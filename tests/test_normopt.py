@@ -14,6 +14,7 @@ from modnorm import (
     evaluate,
     m_functional,
     min_lambda_norm,
+    pythagoras_witness_vector,
     spectral_norm,
     sup_m,
     unique_alpha0,
@@ -130,6 +131,33 @@ def test_bj_orthogonal_diagonal():
     y_not = np.diag([1.0, 0.0]).astype(complex)
     verdict, w = bj_orthogonal(x, y_not, CFG)
     assert not verdict and w is None
+
+
+def test_bj_identity_against_cube_roots_of_unity():
+    # W(diag(1, w, w^2)) is a triangle around 0, so min_lam ||I + lam y|| = 1 = ||I||
+    w = np.exp(2j * np.pi / 3)
+    y = np.diag([1.0, w, w * w])
+    verdict, witness = bj_orthogonal(np.eye(3), y, CFG)
+    assert verdict and witness is not None
+    assert abs(evaluate(witness, y)) <= 1e-9
+
+
+def test_wide_pair_through_sup_m_and_witness_vector():
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    b = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    primal = min_lambda_norm(a, b, CFG).value ** 2
+    dual, xi = sup_m(a, b, CFG)
+    assert abs(primal - dual) <= 1e-6 * (1.0 + primal)
+    assert xi.shape == (3,)
+
+    x = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], dtype=complex)
+    y = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], dtype=complex)
+    xi = pythagoras_witness_vector(x, y, CFG)
+    assert xi is not None
+    assert np.linalg.norm(x @ xi) == pytest.approx(1.0, abs=1e-9)
+    assert np.linalg.norm(y @ xi) == pytest.approx(1.0, abs=1e-9)
+    assert abs(np.vdot(x @ xi, y @ xi)) <= 1e-9
 
 
 def test_bj_zero_x_is_orthogonal_to_everything():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,6 @@ from modnorm import (
     zero_unit_vector,
 )
 from modnorm.linalg import NonSquareError
-from modnorm.numrange import extreme_point
 
 CFG = DEFAULT_CONFIG
 
@@ -46,12 +46,6 @@ def test_support_function_vector_attains():
         assert np.linalg.norm(xi) == pytest.approx(1.0, abs=1e-12)
         z = np.vdot(xi, a @ xi)
         assert np.real(np.exp(-1j * theta) * z) == pytest.approx(h, abs=1e-10)
-
-
-def test_extreme_point_hermitian_endpoints():
-    a = np.diag([-2.0, 3.0]).astype(complex)
-    assert extreme_point(a, 0.0) == pytest.approx(3.0)
-    assert extreme_point(a, np.pi) == pytest.approx(-2.0)
 
 
 def test_range_boundary_shapes_and_convexity():
@@ -119,13 +113,58 @@ def test_chord_through_zero_present():
     chord = chord_through_zero(a, CFG)
     assert chord is not None
     xi1, xi2, t, resid = chord
-    val = t * np.vdot(xi2, a @ xi2) + (1 - t) * np.vdot(xi1, a @ xi1)
-    # the convex combination with the returned weight hits zero either way
     # the chord is parameterized z1 + t (z2 - z1)
     z1 = np.vdot(xi1, a @ xi1)
     z2 = np.vdot(xi2, a @ xi2)
     assert abs(z1 + t * (z2 - z1)) <= 1e-6 * (1 + 2.0)
     assert resid <= 1e-6 * (1 + 2.0)
+
+
+def _rand_unitary(rng, n):
+    q, r = np.linalg.qr(_rand(rng, n))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def test_chord_and_zero_vector_on_polygonal_ranges():
+    # W of a normal matrix is the polygon spanned by its eigenvalues, so the
+    # boundary sampling sees the same vertex at many angles
+    rng = np.random.default_rng(7)
+    checked = 0
+    for n in range(3, 7):
+        for _ in range(8):
+            u = _rand_unitary(rng, n)
+            eigs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            for c in (u @ np.diag(eigs) @ u.conj().T, _rand_unitary(rng, n)):
+                tol = CFG.eps_opt * (1.0 + np.linalg.norm(c, 2))
+                if not range_contains(c, 0.0, CFG, tol=tol):
+                    continue
+                checked += 1
+                chord = chord_through_zero(c, CFG)
+                assert chord is not None
+                xi1, xi2, t, resid = chord
+                z1, z2 = np.vdot(xi1, c @ xi1), np.vdot(xi2, c @ xi2)
+                assert 0.0 <= t <= 1.0
+                assert abs(z1 + t * (z2 - z1)) <= tol and resid <= tol
+                out = zero_unit_vector(c, CFG)
+                assert out is not None
+                assert abs(np.vdot(out[0], c @ out[0])) <= tol
+    assert checked >= 40
+
+
+def test_chord_through_zero_calls_no_optimizer(monkeypatch):
+    calls = []
+    real_minimize = scipy.optimize.minimize
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real_minimize(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", counting)
+    rng = np.random.default_rng(8)
+    for n in (2, 3, 5):
+        a = _rand(rng, n)
+        assert chord_through_zero(a - np.trace(a) / n * np.eye(n), CFG) is not None
+    assert calls == []
 
 
 def test_zero_unit_vector_traceless():
