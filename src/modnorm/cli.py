@@ -94,7 +94,6 @@ def _min_lambda_dict(a: np.ndarray, b: np.ndarray, cfg: ToleranceConfig) -> dict
         "lambda_star": [res.lambda_star.real, res.lambda_star.imag],
         "value": res.value,
         "iterations": res.iterations,
-        "certified_convex": res.certified_convex,
     }
 
 

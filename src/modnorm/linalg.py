@@ -37,7 +37,7 @@ def adjoint(a: np.ndarray) -> np.ndarray:
     return as_matrix(a).conj().T
 
 
-def real_part(a: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
+def real_part(a: np.ndarray) -> np.ndarray:
     """Hermitian part (a + a*) / 2 of a square matrix."""
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
@@ -94,7 +94,7 @@ def modulus(x: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def min_modulus(a: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
+def min_modulus(a: np.ndarray) -> float:
     """Smallest eigenvalue of the modulus |a|; the infimum of state values on |a|.
 
     Equals the smallest singular value of a; strictly positive iff a is invertible.

@@ -2,11 +2,11 @@
 functional, and Birkhoff-James decisions.
 
 lambda -> ||A + lambda B|| is convex on C ~ R^2, so a coarse grid plus local
-simplex refinement reaches the global minimum.  The dual side is certified by
-the minimax identity min_lambda ||A + lambda B||^2 = sup_{|xi|=1} M(xi) with
-M(xi) = min_mu ||(A + mu B) xi||^2; the supremum is attained, in the top
-singular subspace of A + lambda* B, at a unit vector whose quadratic form
-against B^H (A + lambda* B) vanishes.
+simplex refinement reaches the global minimum.  The dual side is read off the
+minimizer lambda*: in min_lambda ||A + lambda B||^2 = sup_{|xi|=1} M(xi) with
+M(xi) = min_mu ||(A + mu B) xi||^2, the supremum is attained in the top singular
+subspace of A + lambda* B at a unit vector whose quadratic form against
+B^H (A + lambda* B) vanishes, and weak duality makes the gap a certificate.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ class MinLambdaResult:
     lambda_star: complex
     value: float
     iterations: int
-    certified_convex: bool = True
 
 
 def _batched_norms(a: np.ndarray, b: np.ndarray, lams: np.ndarray) -> np.ndarray:
@@ -109,97 +108,45 @@ def m_functional(
     return float(np.linalg.norm(av) ** 2 - abs(np.vdot(av, bv)) ** 2 / nbv**2)
 
 
-def _ascend(
-    a: np.ndarray, b: np.ndarray, xi: np.ndarray, cfg: ToleranceConfig, max_iter: int = 120
-) -> tuple[np.ndarray, float]:
-    """Projected gradient ascent of the sphere functional with backtracking."""
-    p = a.conj().T @ a
-    q = a.conj().T @ b
-    r = b.conj().T @ b
-    nb = max(spectral_norm(b), 1e-300)
+def _stationary_lambda(am: np.ndarray, bm: np.ndarray, lam: complex) -> complex:
+    """Newton steps on u^H B v = 0, the gradient of a simple sigma_max(A + lam B).
 
-    def value(v: np.ndarray) -> float:
-        bv = np.linalg.norm(b @ v)
-        av2 = float(np.real(np.vdot(v, p @ v)))
-        if bv <= cfg.eps_rank * nb:
-            return av2
-        return av2 - abs(np.vdot(a @ v, b @ v)) ** 2 / bv**2
+    That gradient is the cross term of the top vector v, which M divides by
+    ||B v||^2; the simplex leaves it near 1e-7, these steps near rounding.
+    """
+    def grad(z: complex) -> np.ndarray:
+        u, _, vh = np.linalg.svd(am + z * bm)
+        g = np.vdot(u[:, 0], bm @ vh[0].conj())
+        return np.array([g.real, -g.imag])
 
-    v = xi / np.linalg.norm(xi)
-    f = value(v)
-    step = 0.5
-    for _ in range(max_iter):
-        bv2 = float(np.real(np.vdot(v, r @ v)))
-        if bv2 <= (cfg.eps_rank * nb) ** 2:
-            g = p @ v
-        else:
-            qv = complex(np.vdot(v, q @ v))
-            g = p @ v - (np.conj(qv) * (q @ v) + qv * (q.conj().T @ v)) / bv2
-            g = g + (abs(qv) ** 2 / bv2**2) * (r @ v)
-        g = g - np.vdot(v, g) * v
-        gn = np.linalg.norm(g)
-        if gn < 1e-13 * (1.0 + abs(f)):
-            break
-        improved = False
-        while step > 1e-12:
-            cand = v + step * g / gn
-            cand = cand / np.linalg.norm(cand)
-            fc = value(cand)
-            if fc > f + 1e-16:
-                v, f = cand, fc
-                improved = True
-                step = min(step * 2.0, 1.0)
-                break
-            step *= 0.5
-        if not improved:
-            break
-    return v, f
+    for _ in range(3):
+        g0, h = grad(lam), 1e-7 * (1.0 + abs(lam))
+        jac = np.column_stack([grad(lam + h) - g0, grad(lam + 1j * h) - g0]) / h
+        lam += complex(*np.linalg.lstsq(jac, -g0, rcond=None)[0])
+    return lam
 
 
 def sup_m(
     a: np.ndarray, b: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> tuple[float, np.ndarray]:
-    """Supremum of the sphere functional and a maximizing unit vector.
+    """Dual value M(xi*) and the unit vector xi* built from the primal optimum.
 
-    Multistart ascent seeded from random unit vectors, the top singular vectors
-    of A and B, and the top singular subspace of A + lambda* B (inside which a
-    vector with vanishing cross term attains the supremum exactly).
+    xi* zeroes the quadratic form of D^H B on the top right singular subspace of
+    D = A + lambda* B (its first basis vector if no zero is found); when the top
+    singular value is simple, Newton steps polish lambda* first.  Weak duality,
+    M(xi) <= ||A + lambda B||^2 for every unit xi and lambda, makes the bracket
+    [M(xi*), ||A + lambda* B||^2] a certificate however xi* was found.
     """
     am, bm = as_matrix(a), as_matrix(b)
-    if am.shape != bm.shape:
-        raise ValueError(f"shape mismatch: {am.shape} vs {bm.shape}")
-    n = am.shape[1]
-    seeds: list[np.ndarray] = []
-
-    opt = min_lambda_norm(am, bm, cfg)
-    d = am + opt.lambda_star * bm
-    sub = top_right_singular_subspace(d, cfg, rel_tol=1e-7)
-    comp = sub.conj().T @ (d.conj().T @ bm) @ sub
-    zero = zero_unit_vector(comp, cfg)
-    if zero is not None:
-        seeds.append(sub @ zero[0])
-    seeds.extend(sub.T)
-
-    for mat in (am, bm):
-        sv = top_right_singular_subspace(mat, cfg)
-        seeds.append(sv[:, 0])
-
-    rng = cfg.rng(0xA5CE4D)
-    for _ in range(6):
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        seeds.append(v)
-
-    best_v: np.ndarray | None = None
-    best_f = -np.inf
-    for s in seeds:
-        nv = np.linalg.norm(s)
-        if nv < 1e-14:
-            continue
-        v, f = _ascend(am, bm, np.asarray(s, dtype=np.complex128).ravel() / nv, cfg)
-        if f > best_f:
-            best_f, best_v = f, v
-    assert best_v is not None
-    return float(best_f), best_v
+    lam = min_lambda_norm(am, bm, cfg).lambda_star
+    sub = top_right_singular_subspace(am + lam * bm, cfg, rel_tol=1e-7)
+    if sub.shape[1] == 1:
+        lam = _stationary_lambda(am, bm, lam)
+        sub = top_right_singular_subspace(am + lam * bm, cfg, rel_tol=1e-7)
+    d = am + lam * bm
+    zero = zero_unit_vector(sub.conj().T @ (d.conj().T @ bm) @ sub, cfg)
+    xi = sub @ zero[0] if zero is not None else sub[:, 0]
+    return m_functional(am, bm, xi, cfg), xi
 
 
 def bj_orthogonal(
@@ -228,9 +175,7 @@ def bj_lower_bound_check(
     """Lattice check of ||x + lam y||^2 >= ||x||^2 + |lam|^2 m(|y|^2)."""
     xm, ym = as_matrix(x), as_matrix(y)
     nx = spectral_norm(xm)
-    my = min_modulus(ym, cfg) ** 2 if ym.shape[0] == ym.shape[1] else float(
-        np.linalg.svd(ym, compute_uv=False)[-1] ** 2
-    )
+    my = float(np.linalg.svd(ym, compute_uv=False)[-1]) ** 2
     lams = np.asarray(cfg.lambda_lattice)
     norms = _batched_norms(xm, ym, lams)
     lhs = norms**2
@@ -249,7 +194,7 @@ def unique_alpha0(
     lambda lattice.
     """
     xm, ym = as_matrix(x), as_matrix(y)
-    my = min_modulus(ym, cfg) ** 2
+    my = min_modulus(ym) ** 2
     if my <= cfg.eps_opt:
         raise HypothesisViolation("unique_alpha0 requires m(|y|^2) > 0")
     opt = min_lambda_norm(xm, ym, cfg)

@@ -343,19 +343,21 @@ def _real_ratio_pairs(cfg: ToleranceConfig, count: int = 20) -> list[tuple[compl
     return pairs
 
 
-def _scaled_identity_holds(
+def _scaled_residuals(
     xm: np.ndarray,
     ym: np.ndarray,
+    nx: float,
+    ny: float,
     pairs: list[tuple[complex, complex]],
-    cfg: ToleranceConfig,
-) -> StatementResult:
-    nx, ny = spectral_norm(xm), spectral_norm(ym)
-    worst = 0.0
+) -> np.ndarray:
+    """Signed residuals (rhs - lhs) / (1 + rhs) of the scaled identity
+    ||alpha x + beta y||^2 = |alpha|^2 ||x||^2 + |beta|^2 ||y||^2, one per pair."""
+    out = []
     for alpha, beta in pairs:
         lhs = spectral_norm(alpha * xm + beta * ym) ** 2
         rhs = abs(alpha) ** 2 * nx**2 + abs(beta) ** 2 * ny**2
-        worst = max(worst, abs(lhs - rhs) / (1.0 + rhs))
-    return StatementResult(worst <= cfg.eps_opt, worst)
+        out.append((rhs - lhs) / (1.0 + rhs))
+    return np.array(out)
 
 
 def pythagoras_identity(
@@ -363,7 +365,7 @@ def pythagoras_identity(
 ) -> OrthogonalityReport:
     """Pythagoras identity characterizations under Re(<x,y>) <= 0."""
     xm, ym = _pair(x, y)
-    re_inner = real_part(_inner(xm, ym), cfg)
+    re_inner = real_part(_inner(xm, ym))
     if not psd_check(-re_inner, cfg):
         raise HypothesisViolation("pythagoras_identity requires Re(<x,y>) <= 0")
 
@@ -420,7 +422,8 @@ def pythagoras_identity(
     statements["decomposed"] = StatementResult(decomposed_first and decomposed_second, 0.0)
 
     if statements["pythagoras"].verdict:
-        statements["scaled_lower_bound"] = _lower_bound_real_ratio(xm, ym, cfg)
+        worst = float(_scaled_residuals(xm, ym, nx, ny, _real_ratio_pairs(cfg)).max())
+        statements["scaled_lower_bound"] = StatementResult(worst <= tol, max(worst, 0.0))
     else:
         statements["scaled_lower_bound"] = StatementResult(True, 0.0)
 
@@ -430,18 +433,6 @@ def pythagoras_identity(
         [("pythagoras", "scaled_lower_bound")],
     )
     return OrthogonalityReport("pythagoras-identity", statements, witnesses, consistent, cfg)
-
-
-def _lower_bound_real_ratio(
-    xm: np.ndarray, ym: np.ndarray, cfg: ToleranceConfig
-) -> StatementResult:
-    nx, ny = spectral_norm(xm), spectral_norm(ym)
-    worst = 0.0
-    for alpha, beta in _real_ratio_pairs(cfg):
-        lhs = spectral_norm(alpha * xm + beta * ym) ** 2
-        rhs = abs(alpha) ** 2 * nx**2 + abs(beta) ** 2 * ny**2
-        worst = max(worst, (rhs - lhs) / (1.0 + rhs))
-    return StatementResult(worst <= cfg.eps_opt, max(worst, 0.0))
 
 
 def scaled_pythagoras_report(
@@ -455,7 +446,7 @@ def scaled_pythagoras_report(
     xm, ym = _pair(x, y)
     nx, ny = spectral_norm(xm), spectral_norm(ym)
     inner = _inner(xm, ym)
-    if spectral_norm(real_part(inner, cfg)) > cfg.eps_eq * (1.0 + nx * ny):
+    if spectral_norm(real_part(inner)) > cfg.eps_eq * (1.0 + nx * ny):
         raise HypothesisViolation("scaled_pythagoras_report requires Re(<x,y>) = 0")
     zero_inner = spectral_norm(inner) <= cfg.eps_eq * (1.0 + nx * ny)
 
@@ -471,9 +462,10 @@ def scaled_pythagoras_report(
         statements = {label: StatementResult(True, 0.0) for label in labels}
         return OrthogonalityReport("scaled-pythagoras", statements, witnesses, True, cfg)
 
+    real_worst = float(np.abs(_scaled_residuals(xm, ym, nx, ny, _real_ratio_pairs(cfg))).max())
     statements = {
         "pythagoras": _eq(spectral_norm(xm + ym) ** 2, rhs, tol, rhs),
-        "scaled_real_ratio": _scaled_identity_holds(xm, ym, _real_ratio_pairs(cfg), cfg),
+        "scaled_real_ratio": StatementResult(real_worst <= tol, real_worst),
         "modulus_product_norm": _eq(
             spectral_norm(modulus(xm, cfg) @ modulus(ym, cfg)), nx * ny, tol, nx * ny
         ),
@@ -504,7 +496,8 @@ def scaled_pythagoras_report(
                     z = complex(rng.standard_normal(), rng.standard_normal())
                 pair.append(z)
             pairs.append(tuple(pair))
-        statements["scaled_any_ratio"] = _scaled_identity_holds(xm, ym, pairs, cfg)
+        any_worst = float(np.abs(_scaled_residuals(xm, ym, nx, ny, pairs)).max())
+        statements["scaled_any_ratio"] = StatementResult(any_worst <= tol, any_worst)
         groups[0].append("scaled_any_ratio")
 
     if equal_sets and inter.shape[1] > 0:

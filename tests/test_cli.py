@@ -134,6 +134,7 @@ def test_boolean_checks(mats, capsys):
 def test_min_lambda_command(mats, capsys):
     assert main(["min-lambda", mats["eye"], mats["eye"]]) == 0
     out = json.loads(capsys.readouterr().out)
+    assert set(out) == {"kind", "lambda_star", "value", "iterations"}
     assert out["value"] == pytest.approx(0.0, abs=1e-7)
     assert out["lambda_star"][0] == pytest.approx(-1.0, abs=1e-5)
 

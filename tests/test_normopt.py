@@ -120,6 +120,39 @@ def test_sup_m_attained_at_returned_vector():
         assert m_functional(a, b, v, CFG) <= val + 1e-7
 
 
+@pytest.mark.parametrize("eps", [0.0, 1e-5, 1e-7, 1e-9])
+def test_sup_m_rank_one_and_nearly_rank_one_b(eps):
+    # M divides the cross term of xi* by ||B xi*||^2, which is about eps^2 here,
+    # and jumps up on ker B when eps = 0
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        a = _rand(rng, 3)
+        u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        b = np.outer(u, v.conj()) + eps * _rand(rng, 3)
+        primal = min_lambda_norm(a, b, CFG).value ** 2
+        dual, xi = sup_m(a, b, CFG)
+        assert (primal - dual) / (1.0 + primal) <= 1e-6, seed
+        assert m_functional(a, b, xi, CFG) == dual
+
+
+def test_sup_m_identity_against_normal_matrices():
+    # ||I + lam y|| has a multiple top singular value at its minimum, so the dual
+    # vector comes from a k x k compression with k > 1
+    for n in range(3, 7):
+        for seed in range(15):
+            rng = np.random.default_rng(100 * n + seed)
+            q, r = np.linalg.qr(_rand(rng, n))
+            q = q * (np.diag(r) / np.abs(np.diag(r)))
+            mu = rng.uniform(0.5, 2.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+            y = q @ np.diag(mu) @ q.conj().T
+            x = np.eye(n, dtype=complex)
+            primal = min_lambda_norm(x, y, CFG).value ** 2
+            dual, xi = sup_m(x, y, CFG)
+            assert abs(primal - dual) <= 1e-6 * (1.0 + primal), (n, seed)
+            assert m_functional(x, y, xi, CFG) == dual
+
+
 def test_bj_orthogonal_diagonal():
     # x = diag(1, 0): maximizing set is e1; <x, y> = diag(y11, 0)
     x = np.diag([1.0, 0.0]).astype(complex)
