@@ -56,6 +56,23 @@ class SpectralDecomposition:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.conj().T
 
+    @property
+    def norm(self) -> float:
+        """Spectral norm: the largest eigenvalue modulus."""
+        return float(max(abs(self.eigenvalues[0]), abs(self.eigenvalues[-1])))
+
+    def is_psd(self, cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:
+        """True iff no eigenvalue lies below -eps_eq * max(||h||, 1)."""
+        return bool(self.eigenvalues[-1] >= -cfg.eps_eq * max(self.norm, 1.0))
+
+    def top_space(
+        self, cfg: ToleranceConfig = DEFAULT_CONFIG, rel_tol: float | None = None
+    ) -> np.ndarray:
+        """Eigenvectors of the eigenvalues within rel_tol (default eps_eq) of the top."""
+        top = self.eigenvalues[0]
+        tol = (rel_tol if rel_tol is not None else cfg.eps_eq) * max(abs(top), 1e-300)
+        return self.eigenvectors[:, self.eigenvalues >= top - tol]
+
 
 def hermitian_eig(
     h: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG
@@ -121,19 +138,14 @@ def numeric_rank(a: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG) -> int:
 
 def psd_check(h: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:
     """True iff the Hermitian matrix h is positive semidefinite within eps_eq."""
-    dec = hermitian_eig(h, cfg)
-    scale = max(abs(dec.eigenvalues[0]), abs(dec.eigenvalues[-1]))
-    return bool(dec.eigenvalues[-1] >= -cfg.eps_eq * max(scale, 1.0))
+    return hermitian_eig(h, cfg).is_psd(cfg)
 
 
 def top_eigenspace(
     h: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG, rel_tol: float | None = None
 ) -> np.ndarray:
     """Orthonormal basis of the eigenspace of eigenvalues within tolerance of the top."""
-    dec = hermitian_eig(h, cfg)
-    tol = (rel_tol if rel_tol is not None else cfg.eps_eq) * max(abs(dec.eigenvalues[0]), 1e-300)
-    keep = dec.eigenvalues >= dec.eigenvalues[0] - tol
-    return dec.eigenvectors[:, keep]
+    return hermitian_eig(h, cfg).top_space(cfg, rel_tol)
 
 
 def top_right_singular_subspace(

@@ -2,7 +2,8 @@
 functional, and Birkhoff-James decisions.
 
 lambda -> ||A + lambda B|| is convex on C ~ R^2, so a coarse grid plus local
-simplex refinement reaches the global minimum.  The dual side is read off the
+simplex refinement reaches the global minimum, and Newton steps on the gradient
+polish it when the top singular value is simple.  The dual side is read off the
 minimizer lambda*: in min_lambda ||A + lambda B||^2 = sup_{|xi|=1} M(xi) with
 M(xi) = min_mu ||(A + mu B) xi||^2, the supremum is attained in the top singular
 subspace of A + lambda* B at a unit vector whose quadratic form against
@@ -48,7 +49,12 @@ def _batched_norms(a: np.ndarray, b: np.ndarray, lams: np.ndarray) -> np.ndarray
 def min_lambda_norm(
     a: np.ndarray, b: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> MinLambdaResult:
-    """Global minimum of the convex map lambda -> ||A + lambda B||."""
+    """Global minimum of the convex map lambda -> ||A + lambda B||.
+
+    When the top singular value at the simplex point is simple (relative gap
+    1e-7), Newton steps on the gradient u^H B v = 0 polish lambda*; the simplex
+    point is kept if the polish raises the value beyond rounding.
+    """
     am, bm = as_matrix(a), as_matrix(b)
     if am.shape != bm.shape:
         raise ValueError(f"shape mismatch: {am.shape} vs {bm.shape}")
@@ -79,10 +85,16 @@ def min_lambda_norm(
         options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 400},
     )
     best = res2 if res2.fun <= res.fun else res
-    lam = complex(best.x[0], best.x[1])
+    lam, value = complex(best.x[0], best.x[1]), float(best.fun)
+    s = np.linalg.svd(am + lam * bm, compute_uv=False)
+    if s.size == 1 or s[1] < s[0] * (1.0 - 1e-7):
+        polished = _stationary_lambda(am, bm, lam)
+        polished_value = objective(np.array([polished.real, polished.imag]))
+        if polished_value <= value * (1.0 + 1e-14):
+            lam, value = polished, polished_value
     return MinLambdaResult(
         lambda_star=lam,
-        value=float(best.fun),
+        value=value,
         iterations=int(res.nit + res2.nit),
     )
 
@@ -132,18 +144,13 @@ def sup_m(
     """Dual value M(xi*) and the unit vector xi* built from the primal optimum.
 
     xi* zeroes the quadratic form of D^H B on the top right singular subspace of
-    D = A + lambda* B (its first basis vector if no zero is found); when the top
-    singular value is simple, Newton steps polish lambda* first.  Weak duality,
+    D = A + lambda* B (its first basis vector if no zero is found).  Weak duality,
     M(xi) <= ||A + lambda B||^2 for every unit xi and lambda, makes the bracket
     [M(xi*), ||A + lambda* B||^2] a certificate however xi* was found.
     """
     am, bm = as_matrix(a), as_matrix(b)
-    lam = min_lambda_norm(am, bm, cfg).lambda_star
-    sub = top_right_singular_subspace(am + lam * bm, cfg, rel_tol=1e-7)
-    if sub.shape[1] == 1:
-        lam = _stationary_lambda(am, bm, lam)
-        sub = top_right_singular_subspace(am + lam * bm, cfg, rel_tol=1e-7)
-    d = am + lam * bm
+    d = am + min_lambda_norm(am, bm, cfg).lambda_star * bm
+    sub = top_right_singular_subspace(d, cfg, rel_tol=1e-7)
     zero = zero_unit_vector(sub.conj().T @ (d.conj().T @ bm) @ sub, cfg)
     xi = sub @ zero[0] if zero is not None else sub[:, 0]
     return m_functional(am, bm, xi, cfg), xi

@@ -1,7 +1,9 @@
 """Classical numerical range W(A): support functions, boundary, membership.
 
-W(A) = { <xi, A xi> : ||xi|| = 1 } is compact and convex, so membership and
-witness construction reduce to support-function scans over rotation angles.
+W(A) = { <xi, A xi> : ||xi|| = 1 } is compact and convex, so membership reduces
+to a support-function scan over rotation angles, refined by one bounded scalar
+minimization around the tightest angle.  A zero of the quadratic form is built
+on the sampled boundary polygon and finished by a closed-form 2x2 step.
 Conventions: <a, b> = a^H b (conjugate-linear in the first slot, matching
 ``np.vdot``).
 """
@@ -75,11 +77,13 @@ def range_contains(
     cfg: ToleranceConfig = DEFAULT_CONFIG,
     tol: float | None = None,
 ) -> bool:
-    """Support-function membership test for z in W(a), with adaptive angle refinement.
+    """Support-function membership test for z in W(a).
 
-    A single violated direction certifies non-membership; acceptance requires
-    every sampled direction (refined down to angular width 1e-6 around verdict
-    changes) to pass with slack tol, default eps_eq * (1 + ||a||).
+    The margin h(theta) - Re(e^{-i theta} z) is sampled at cfg.phase_grid
+    angles; one violated direction certifies non-membership.  Otherwise the
+    margin is minimized over the two sample intervals around the tightest
+    direction, down to angular width 1e-6, and z is accepted when that minimum
+    is at least -tol, default eps_eq * (1 + ||a||).
     """
     m = _require_square(a)
     if tol is None:
@@ -91,28 +95,17 @@ def range_contains(
         return support_values(m, ths) - np.real(np.exp(-1j * ths) * zc)
 
     marg = margins(thetas)
-    while True:
-        if np.min(marg) < -tol:
-            return False
-        ok = marg >= -tol
-        flips = ok != np.roll(ok, -1)
-        widths = np.diff(np.append(thetas, thetas[0] + 2 * np.pi))
-        to_split = np.nonzero(flips & (widths > _REFINE_WIDTH))[0]
-        if to_split.size == 0:
-            # refine around the globally tightest direction as a safety net
-            k = int(np.argmin(marg))
-            if widths[k] <= _REFINE_WIDTH and widths[k - 1] <= _REFINE_WIDTH:
-                return bool(np.min(marg) >= -tol)
-            to_split = np.array([k - 1 if k > 0 else len(thetas) - 1, k])
-            to_split = to_split[widths[to_split] > _REFINE_WIDTH]
-            if to_split.size == 0:
-                return bool(np.min(marg) >= -tol)
-        mids = thetas[to_split] + widths[to_split] / 2
-        mid_marg = margins(mids)
-        thetas = np.concatenate([thetas, mids])
-        marg = np.concatenate([marg, mid_marg])
-        order = np.argsort(thetas)
-        thetas, marg = thetas[order], marg[order]
+    if np.min(marg) < -tol:
+        return False
+    k = int(np.argmin(marg))
+    step = 2 * np.pi / cfg.phase_grid
+    res = minimize_scalar(
+        lambda th: float(margins(np.array([th]))[0]),
+        bounds=(thetas[k] - step, thetas[k] + step),
+        method="bounded",
+        options={"xatol": _REFINE_WIDTH},
+    )
+    return bool(res.fun >= -tol)
 
 
 def _segment_weight(z1: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -141,58 +134,32 @@ def _ray_exit(pts: np.ndarray, on_ray: float) -> tuple[int, int, float, float]:
 
 
 def _zero_in_span(m: np.ndarray, xi1: np.ndarray, xi2: np.ndarray) -> tuple[np.ndarray, float]:
-    """Unit v in span{xi1, xi2} with the smallest |<v, m v>| found, and that value.
+    """Unit v in span{xi1, xi2} with <v, m v> = 0 when 0 lies on [a, d], and |<v, m v>|.
 
-    On v = cos(s) e1 + sin(s) e^{i phi} e2, <v, m v> = 0 is a quadratic in tan(s);
-    the relative phase phi is found by a scalar scan and a Brent refinement.
+    On v = xi1 + t e^{i phi} xi2, <v, m v> = a + t (e^{i phi} b + e^{-i phi} c) + t^2 d
+    with a = <xi1, m xi1>, d = <xi2, m xi2>, b = <xi1, m xi2>, c = <xi2, m xi1>.
+    The phi that makes the cross term parallel to d - a leaves, along d - a, the
+    real quadratic r_a + x t + r_d t^2 with r_a < 0 < r_d, whose root t >= 0 is
+    the zero.  Of the two such phi, pi apart, the one with
+    Re(e^{i phi} <xi1, xi2>) >= 0 keeps ||v||^2 >= 1 + t^2.
     """
-    def residual(v: np.ndarray) -> float:
-        return float(abs(np.vdot(v, m @ v)))
-
-    # orthonormal basis of span{xi1, xi2}
-    e1 = xi1
-    w = xi2 - np.vdot(e1, xi2) * e1
-    nw = np.linalg.norm(w)
-    if nw < 1e-14:
-        return xi1, residual(xi1)
-    e2 = w / nw
-    basis = np.stack([e1, e2], axis=1)
-    c2 = basis.conj().T @ m @ basis
-
-    def eval_phi(phi: float) -> tuple[float, np.ndarray]:
-        cross = np.exp(1j * phi) * c2[0, 1] + np.exp(-1j * phi) * c2[1, 0]
-        # c11 + u*cross + u^2*c22 = 0, u = tan(s) real
-        roots = []
-        if abs(c2[1, 1]) > 1e-300:
-            disc = np.sqrt(cross**2 - 4 * c2[0, 0] * c2[1, 1])
-            roots = [(-cross + disc) / (2 * c2[1, 1]), (-cross - disc) / (2 * c2[1, 1])]
-        elif abs(cross) > 1e-300:
-            roots = [-c2[0, 0] / cross]
-        cands = [(np.inf, e1)]
-        for r in roots:
-            u = float(np.real(r))
-            s = np.arctan(u) if np.isfinite(u) else np.pi / 2
-            v = np.cos(s) * e1 + np.sin(s) * np.exp(1j * phi) * e2
-            v = v / np.linalg.norm(v)
-            cands.append((residual(v), v))
-        return min(cands, key=lambda cand: cand[0])
-
-    def f(phi: float) -> float:
-        return eval_phi(phi)[0]
-
-    best_phi = float(min(np.linspace(0, 2 * np.pi, 256, endpoint=False), key=f))
-    best = eval_phi(best_phi)
-    lo, hi = best_phi - 0.05, best_phi + 0.05
-    if best[0] < f(lo) and best[0] < f(hi):
-        res = minimize_scalar(f, bracket=(lo, best_phi, hi), method="brent", options={"xtol": 1e-12})
-    else:
-        # the scan minimum is not strict (a flat or tied residual), so Brent's
-        # bracket is invalid; the bounded search needs no interior minimum
-        res = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
-    cand = eval_phi(float(res.x))
-    if cand[0] < best[0]:
-        best = cand
-    return best[1], best[0]
+    mx1, mx2 = m @ xi1, m @ xi2
+    a, d = np.vdot(xi1, mx1), np.vdot(xi2, mx2)
+    w = np.conj(d - a)
+    ra, rd = float(np.real(w * a)), float(np.real(w * d))
+    if not ra < 0.0 < rd:  # 0 is an end of [a, d] (or off it): keep the nearer end
+        return (xi1, float(abs(a))) if abs(a) <= abs(d) else (xi2, float(abs(d)))
+    b, c = np.vdot(xi1, mx2), np.vdot(xi2, mx1)
+    rot = np.exp(-1j * np.angle(w * b - np.conj(w * c)))  # e^{i phi}
+    if np.real(rot * np.vdot(xi1, xi2)) < 0.0:
+        rot = -rot
+    x = float(np.real(w * (rot * b + np.conj(rot) * c)))
+    root = np.sqrt(x * x - 4.0 * ra * rd)
+    # (p, r) = (1, t) up to scale, each written without cancellation
+    p, r = (x + root, -2.0 * ra) if x > 0.0 else (2.0 * rd, root - x)
+    v = p * xi1 + r * rot * xi2
+    v = v / np.linalg.norm(v)
+    return v, float(abs(np.vdot(v, m @ v)))
 
 
 def chord_through_zero(
@@ -255,17 +222,12 @@ def zero_unit_vector(
     """A single unit vector xi with <xi, c xi> ~ 0, or None if 0 is outside W(c).
 
     The chord through 0 lies in the numerical range of the 2x2 compression to
-    the span of its two vectors, where the quadratic form has an exact zero.
+    the span of its two vectors, where the quadratic form has an exact zero,
+    solved for in closed form.
     """
     m = _require_square(c)
     chord = chord_through_zero(m, cfg)
     if chord is None:
         return None
-    xi1, xi2, _, _ = chord
-    tol = cfg.eps_opt * (1.0 + spectral_norm(m))
-    for xi in (xi1, xi2):
-        res = float(abs(np.vdot(xi, m @ xi)))
-        if res <= tol:
-            return xi, res
-    xi, res = _zero_in_span(m, xi1, xi2)
-    return (xi, res) if res <= tol else None
+    xi, res = _zero_in_span(m, chord[0], chord[1])
+    return (xi, res) if res <= cfg.eps_opt * (1.0 + spectral_norm(m)) else None

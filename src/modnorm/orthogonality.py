@@ -17,7 +17,6 @@ from .config import DEFAULT_CONFIG, ToleranceConfig
 from .linalg import (
     as_matrix,
     hermitian_eig,
-    modulus,
     numeric_rank,
     psd_check,
     real_part,
@@ -26,7 +25,7 @@ from .linalg import (
     top_right_singular_subspace,
 )
 from .normopt import HypothesisViolation, bj_orthogonal
-from .numrange import range_contains, zero_unit_vector
+from .numrange import range_contains, support_values, zero_unit_vector
 from .states import (
     DensityState,
     SubspaceProjection,
@@ -101,6 +100,11 @@ def _gram(x: np.ndarray) -> np.ndarray:
 
 def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x.conj().T @ y
+
+
+def _modulus_product_norm(x: np.ndarray, y: np.ndarray) -> float:
+    """|| |x| |y| || as ||x y^*||: || |x| z || = ||x z|| for every z, applied twice."""
+    return spectral_norm(x @ y.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +225,7 @@ def norm_additivity_report(
 
     statements = {
         "gram_sum_norm": _eq(spectral_norm(gx + gy), nx**2 + ny**2, tol, nx**2 + ny**2),
-        "modulus_product_norm": _eq(
-            spectral_norm(modulus(xm, cfg) @ modulus(ym, cfg)), nx * ny, tol, nx * ny
-        ),
+        "modulus_product_norm": _eq(_modulus_product_norm(xm, ym), nx * ny, tol, nx * ny),
         "maximizers_meet": StatementResult(meet, 0.0),
         "product_in_range": StatementResult(
             range_contains(gx @ gy, nx**2 * ny**2, cfg, tol=tol * (1.0 + nx**2 * ny**2)),
@@ -250,7 +252,7 @@ def product_norm_check(
     first = abs(spectral_norm(_gram(am) + _gram(bm)) - (na**2 + nb**2)) <= tol * (
         1.0 + na**2 + nb**2
     )
-    second = abs(spectral_norm(am @ bm.conj().T) - na * nb) <= tol * (1.0 + na * nb)
+    second = abs(_modulus_product_norm(am, bm) - na * nb) <= tol * (1.0 + na * nb)
     return first, second
 
 
@@ -416,9 +418,7 @@ def pythagoras_identity(
     decomposed_first = abs(
         spectral_norm(gx + 2 * re_inner + gy) - spectral_norm(gx + gy)
     ) <= tol * (1.0 + rhs)
-    decomposed_second = abs(
-        spectral_norm(modulus(xm, cfg) @ modulus(ym, cfg)) - nx * ny
-    ) <= tol * (1.0 + nx * ny)
+    decomposed_second = abs(_modulus_product_norm(xm, ym) - nx * ny) <= tol * (1.0 + nx * ny)
     statements["decomposed"] = StatementResult(decomposed_first and decomposed_second, 0.0)
 
     if statements["pythagoras"].verdict:
@@ -466,9 +466,7 @@ def scaled_pythagoras_report(
     statements = {
         "pythagoras": _eq(spectral_norm(xm + ym) ** 2, rhs, tol, rhs),
         "scaled_real_ratio": StatementResult(real_worst <= tol, real_worst),
-        "modulus_product_norm": _eq(
-            spectral_norm(modulus(xm, cfg) @ modulus(ym, cfg)), nx * ny, tol, nx * ny
-        ),
+        "modulus_product_norm": _eq(_modulus_product_norm(xm, ym), nx * ny, tol, nx * ny),
     }
 
     # maximizing-set equality S_{|x+y|^2} = S_{|x|^2} cap S_{|y|^2}
@@ -634,13 +632,12 @@ def pythagoras_orthogonal(
     if square:
         rank_gate = profile.rank_gate()
 
+        # lambda_min(Re(e^{i phi} C)) = -h(pi - phi), so a rotation of C = <x, y>
+        # is positive iff a support value of C is at most 0
         inner = _inner(xm, ym)
-        phases = np.exp(1j * 2 * np.pi * np.arange(cfg.phase_grid) / cfg.phase_grid)
-        rotated = phases[:, None, None] * inner[None, :, :]
-        herm = (rotated + rotated.conj().transpose(0, 2, 1)) / 2
-        mins = np.linalg.eigvalsh(herm)[:, 0]
+        thetas = 2 * np.pi * np.arange(cfg.phase_grid) / cfg.phase_grid
         scale = max(spectral_norm(inner), 1.0)
-        positivity_gate = bool(np.any(mins >= -cfg.eps_eq * scale))
+        positivity_gate = bool(np.any(support_values(inner, thetas) <= cfg.eps_eq * scale))
 
     statements["rank_gate"] = StatementResult(rank_gate, 0.0)
     statements["positivity_gate"] = StatementResult(positivity_gate, 0.0)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
-from .linalg import as_matrix, hermitian_eig, psd_check, spectral_norm, top_eigenspace
+from .linalg import as_matrix, hermitian_eig, spectral_norm
 from .numrange import chord_through_zero
 
 
@@ -84,35 +84,14 @@ def maximizing_set(
     """Projection onto the top eigenspace of a nonzero positive matrix.
 
     Every density state supported under the projection evaluates to ||p|| on p.
+    The zero test, the positivity test and the eigenspace read one decomposition.
     """
-    m = as_matrix(p)
-    if spectral_norm(m) <= cfg.eps_eq:
+    dec = hermitian_eig(p, cfg)
+    if dec.norm <= cfg.eps_eq:
         raise ZeroMatrixError("maximizing set of the zero matrix is rejected")
-    if not psd_check(m, cfg):
+    if not dec.is_psd(cfg):
         raise ValueError("maximizing_set needs a positive semidefinite matrix")
-    return SubspaceProjection.from_basis(top_eigenspace(m, cfg))
-
-
-def sets_intersect(
-    p: SubspaceProjection,
-    q: SubspaceProjection,
-    cfg: ToleranceConfig = DEFAULT_CONFIG,
-) -> tuple[bool, DensityState | None]:
-    """Principal-angle intersection test: sigma_max(P Q) >= 1 - eps_opt.
-
-    On success returns a pure witness state supported (numerically) in both
-    subspaces.
-    """
-    if p.projection.shape != q.projection.shape:
-        raise ValueError("subspaces live in different ambient dimensions")
-    prod = p.projection @ q.projection
-    u, s, _ = np.linalg.svd(prod)
-    if s[0] < 1.0 - cfg.eps_opt:
-        return False, None
-    # eigenvector of P Q P for eigenvalue ~1 lies in the intersection
-    w = p.projection @ u[:, 0]
-    w = w / np.linalg.norm(w)
-    return True, DensityState.pure(w)
+    return SubspaceProjection.from_basis(dec.top_space(cfg))
 
 
 def subspace_intersection(
@@ -123,12 +102,27 @@ def subspace_intersection(
     """Orthonormal basis of the (numerical) intersection of two subspaces.
 
     Vectors are eigenvectors of P Q P with eigenvalue within eps_opt of 1
-    (squared cosines of principal angles).
+    (squared cosines of principal angles), the largest first.
     """
+    if p.projection.shape != q.projection.shape:
+        raise ValueError("subspaces live in different ambient dimensions")
     pqp = p.projection @ q.projection @ p.projection
     dec = hermitian_eig(pqp, cfg)
     keep = dec.eigenvalues >= 1.0 - cfg.eps_opt
     return dec.eigenvectors[:, keep]
+
+
+def sets_intersect(
+    p: SubspaceProjection,
+    q: SubspaceProjection,
+    cfg: ToleranceConfig = DEFAULT_CONFIG,
+) -> tuple[bool, DensityState | None]:
+    """Whether the subspaces meet, by ``subspace_intersection``, and a pure
+    witness state on the first vector of the intersection."""
+    inter = subspace_intersection(p, q, cfg)
+    if inter.shape[1] == 0:
+        return False, None
+    return True, DensityState.pure(inter[:, 0])
 
 
 def witness_in_set_with_zero(

@@ -3,7 +3,7 @@ Birkhoff-James decisions."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modnorm import (
@@ -258,6 +258,10 @@ def test_duality_gap_property(seed, n):
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
+@example(seed=102)  # an unpolished lambda* left |u^H y v| near 3e-7
+@example(seed=965)
+@example(seed=1082)
+@example(seed=1699)
 def test_bj_shifted_pair_is_orthogonal(seed):
     # x + lambda* y is always BJ-orthogonal to y
     rng = np.random.default_rng(seed)

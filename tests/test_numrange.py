@@ -101,6 +101,21 @@ def test_range_rejects_nonsquare():
         support_values(np.zeros((2, 3)), np.array([0.0]))
 
 
+def test_range_contains_refines_between_samples():
+    # W of the nilpotent shift is the disc of radius 1/2.  A point just past the
+    # rim, midway between two sample angles, passes every sampled direction and
+    # only the refinement between them finds the violated one.
+    a = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    tol = 1e-6
+    theta = np.pi / CFG.phase_grid
+    thetas = 2 * np.pi * np.arange(CFG.phase_grid) / CFG.phase_grid
+    outside = (0.5 + 2 * tol) * np.exp(1j * theta)
+    sampled = support_values(a, thetas) - np.real(np.exp(-1j * thetas) * outside)
+    assert sampled.min() > 10 * tol
+    assert not range_contains(a, outside, CFG, tol=tol)
+    assert range_contains(a, (0.5 + 0.5 * tol) * np.exp(1j * theta), CFG, tol=tol)
+
+
 def test_chord_through_zero_absent():
     # W(I + nilpotent/4) stays away from zero
     a = np.eye(2, dtype=complex) + 0.25 * np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -205,6 +220,31 @@ def test_traceless_always_has_zero_vector(seed, n):
     assert out is not None
     xi, resid = out
     assert resid <= CFG.eps_opt * (1.0 + np.linalg.norm(a, 2))
+
+
+def test_zero_unit_vector_is_an_exact_zero():
+    # the 2x2 step solves for the zero instead of settling for the tolerance
+    rng = np.random.default_rng(3)
+    for n in range(2, 8):
+        for _ in range(50):
+            a = _rand(rng, n)
+            a = a - (np.trace(a) / n) * np.eye(n)
+            out = zero_unit_vector(a, CFG)
+            assert out is not None
+            xi, _ = out
+            assert np.linalg.norm(xi) == pytest.approx(1.0, abs=1e-12)
+            assert abs(np.vdot(xi, a @ xi)) <= 1e-12 * (1.0 + np.linalg.norm(a, 2)), n
+
+
+def test_zero_unit_vector_on_a_small_matrix():
+    # eps_opt * (1 + ||c||) is about half of ||c|| here, so a chord end point
+    # would meet the tolerance without being a zero
+    c = 1e-6 * np.array([[0.3, 2.0], [0.0, -0.1]], dtype=complex)
+    out = zero_unit_vector(c, CFG)
+    assert out is not None
+    xi, resid = out
+    assert abs(np.vdot(xi, c @ xi)) <= 1e-12 * np.linalg.norm(c, 2)
+    assert resid == pytest.approx(abs(np.vdot(xi, c @ xi)), abs=1e-30)
 
 
 @settings(max_examples=30, deadline=None)
