@@ -234,7 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p_range)
     p_range.set_defaults(fn=_run_numrange_cmd)
 
-    p_min = sub.add_parser("min-lambda", help="minimize ||A + lambda B|| over complex lambda")
+    p_min = sub.add_parser(
+        "min-lambda",
+        help="minimize ||A + lambda B|| over complex lambda; 'iterations' counts "
+        "Newton steps plus any Nelder-Mead iterations",
+    )
     p_min.add_argument("a", help="path to the first matrix JSON file")
     p_min.add_argument("b", help="path to the second matrix JSON file")
     _add_common_flags(p_min)

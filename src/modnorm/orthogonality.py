@@ -673,7 +673,8 @@ def pythagoras_orthogonal(
     for _ in range(3):
         alpha = complex(rng.standard_normal(), rng.standard_normal()) + 0.2
         beta = complex(rng.standard_normal(), rng.standard_normal()) + 0.2
-        scaled = LatticeProfile(alpha * xm, beta * ym, cfg).definition()
+        norms = (abs(alpha) * profile.nx, abs(beta) * profile.ny)
+        scaled = LatticeProfile(alpha * xm, beta * ym, cfg, norms=norms).definition()
         if scaled.verdict != definition.verdict:
             homogeneous = False
     statements["homogeneous"] = StatementResult(homogeneous, 0.0)

@@ -273,3 +273,102 @@ def test_bj_shifted_pair_is_orthogonal(seed):
     assert w is not None
     shifted = x + opt.lambda_star * y
     assert abs(evaluate(w, shifted.conj().T @ y)) <= 1e-5 * (1.0 + spectral_norm(y))
+
+
+def _normal(rng, n):
+    q, r = np.linalg.qr(_rand(rng, n))
+    q = q * (np.diag(r) / np.abs(np.diag(r)))
+    mu = rng.uniform(0.5, 2.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    return q @ np.diag(mu) @ q.conj().T
+
+
+def _simple_top_pairs():
+    rng = np.random.default_rng(11)
+    for n in range(2, 9):
+        for _ in range(4):
+            yield _rand(rng, n), _rand(rng, n)
+    for shape in ((5, 3), (3, 5)):
+        for _ in range(4):
+            yield (rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                   rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    for n in (3, 5, 8):
+        for _ in range(4):
+            u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            yield _rand(rng, n), np.outer(u, v.conj())
+
+
+def test_no_optimizer_runs_at_a_simple_top(monkeypatch):
+    # where sigma_max is smooth at the minimum, Newton's certificate ends the
+    # solve: no simplex search and at most 60 SVD matrices
+    import modnorm.normopt
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("general optimizer called at a simple top")
+
+    svd, norm = np.linalg.svd, np.linalg.norm
+    count = [0]
+
+    def counting_svd(m, *args, **kwargs):
+        count[0] += m.shape[0] if m.ndim == 3 else 1
+        return svd(m, *args, **kwargs)
+
+    def counting_norm(m, ord=None, *args, **kwargs):
+        if ord == 2 and np.ndim(m) == 2:
+            count[0] += 1
+        return norm(m, ord, *args, **kwargs)
+
+    monkeypatch.setattr(modnorm.normopt, "minimize", refuse)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    for a, b in _simple_top_pairs():
+        count[0] = 0
+        res = min_lambda_norm(a, b, CFG)
+        assert count[0] <= 60, (a.shape, count[0])
+        s = svd(a + res.lambda_star * b, compute_uv=False)
+        assert s[1] < s[0] * (1.0 - 1e-7)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=2, max_value=8),
+    st.booleans(),
+)
+def test_min_lambda_is_a_local_minimum(seed, n, kink):
+    # no point on two small circles around lambda* does better, whichever
+    # solver produced it; x = I with normal y puts a kink at the minimum
+    rng = np.random.default_rng(seed)
+    if kink:
+        a, b = np.eye(n, dtype=complex), _normal(rng, n)
+    else:
+        a, b = _rand(rng, n), _rand(rng, n)
+    res = min_lambda_norm(a, b, CFG)
+    ring = np.exp(2j * np.pi * np.arange(64) / 64)
+    for h in (1e-3, 1e-6):
+        lams = res.lambda_star + h * ring
+        stack = a[None] + lams[:, None, None] * b[None]
+        around = np.linalg.svd(stack, compute_uv=False)[:, 0].min()
+        assert res.value <= around * (1.0 + 1e-14)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=2, max_value=6),
+    st.floats(min_value=-20.0, max_value=20.0),
+)
+def test_min_lambda_scale_and_unitary_invariance(seed, n, exponent):
+    # the certificate's thresholds are relative: (tA, tB) has the same lambda*
+    # and t times the value, and (UAV, UBV) has the same value
+    rng = np.random.default_rng(seed)
+    a, b = _rand(rng, n), _rand(rng, n)
+    base = min_lambda_norm(a, b, CFG)
+    t = 2.0**exponent
+    scaled = min_lambda_norm(t * a, t * b, CFG)
+    assert abs(scaled.lambda_star - base.lambda_star) <= 1e-9 * (1.0 + abs(base.lambda_star))
+    assert scaled.value == pytest.approx(t * base.value, rel=1e-12)
+    u, _ = np.linalg.qr(_rand(rng, n))
+    v, _ = np.linalg.qr(_rand(rng, n))
+    rotated = min_lambda_norm(u @ a @ v, u @ b @ v, CFG)
+    assert rotated.value == pytest.approx(base.value, rel=1e-12)
