@@ -1,8 +1,9 @@
 """Global numeric policy: tolerances, rank cutoffs, and the complex sample lattice.
 
-Every "for all lambda in C" quantifier in the deciders is realized on a finite
+The "for all lambda in C" quantifiers in the deciders are sampled on a finite
 lattice of complex numbers: log-spaced magnitudes times equispaced phases, plus
-seeded pseudo-random points.  The lattice is closed under negation so that
+seeded pseudo-random points (the upper half of the Pythagoras definition is
+also decided off the lattice).  The lattice is closed under negation so that
 sign-symmetric identities are probed symmetrically.
 """
 

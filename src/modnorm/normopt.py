@@ -171,10 +171,10 @@ def min_lambda_norm(
     am, bm = as_matrix(a), as_matrix(b)
     if am.shape != bm.shape:
         raise ValueError(f"shape mismatch: {am.shape} vs {bm.shape}")
-    nb = spectral_norm(bm)
-    if nb <= cfg.eps_rank:
-        return MinLambdaResult(lambda_star=0.0, value=spectral_norm(am), iterations=0)
-    na = spectral_norm(am)
+    na, nb = spectral_norm(am), spectral_norm(bm)
+    # B counts as zero relative to A; exact B = 0 always does
+    if nb <= cfg.eps_rank * na:
+        return MinLambdaResult(lambda_star=0.0, value=na, iterations=0)
     radius = 1.0 + na / nb
     grid = np.linspace(-radius, radius, _START_GRID)
     re, im = np.meshgrid(grid, grid)

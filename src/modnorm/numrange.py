@@ -71,41 +71,44 @@ def range_boundary(
     return RangeBoundary(angles=thetas, support_values=w[:, -1], extreme_points=pts, vectors=vecs)
 
 
+def _contains(
+    m: np.ndarray, z: complex, thetas: np.ndarray, support: np.ndarray, tol: float
+) -> bool:
+    """z in W(m) from the support values of m at the equispaced angles thetas.
+
+    One sampled margin h(theta) - Re(e^{-i theta} z) below -tol certifies
+    non-membership.  Otherwise the margin is minimized over the two sample
+    intervals around the tightest angle, down to width 1e-6.
+    """
+    marg = support - np.real(np.exp(-1j * thetas) * z)
+    if np.min(marg) < -tol:
+        return False
+    k = int(np.argmin(marg))
+    step = 2 * np.pi / thetas.size
+    res = minimize_scalar(
+        lambda th: float(support_values(m, np.array([th]))[0] - np.real(np.exp(-1j * th) * z)),
+        bounds=(thetas[k] - step, thetas[k] + step),
+        method="bounded",
+        options={"xatol": _REFINE_WIDTH},
+    )
+    return bool(res.fun >= -tol)
+
+
 def range_contains(
     a: np.ndarray,
     z: complex,
     cfg: ToleranceConfig = DEFAULT_CONFIG,
     tol: float | None = None,
 ) -> bool:
-    """Support-function membership test for z in W(a).
-
-    The margin h(theta) - Re(e^{-i theta} z) is sampled at cfg.phase_grid
-    angles; one violated direction certifies non-membership.  Otherwise the
-    margin is minimized over the two sample intervals around the tightest
-    direction, down to angular width 1e-6, and z is accepted when that minimum
-    is at least -tol, default eps_eq * (1 + ||a||).
+    """Support-function membership test for z in W(a), sampled at
+    cfg.phase_grid angles and refined around the tightest one; z is accepted
+    when the least margin is at least -tol, default eps_eq * (1 + ||a||).
     """
     m = _require_square(a)
     if tol is None:
         tol = cfg.eps_eq * (1.0 + spectral_norm(m))
     thetas = 2 * np.pi * np.arange(cfg.phase_grid) / cfg.phase_grid
-    zc = complex(z)
-
-    def margins(ths: np.ndarray) -> np.ndarray:
-        return support_values(m, ths) - np.real(np.exp(-1j * ths) * zc)
-
-    marg = margins(thetas)
-    if np.min(marg) < -tol:
-        return False
-    k = int(np.argmin(marg))
-    step = 2 * np.pi / cfg.phase_grid
-    res = minimize_scalar(
-        lambda th: float(margins(np.array([th]))[0]),
-        bounds=(thetas[k] - step, thetas[k] + step),
-        method="bounded",
-        options={"xatol": _REFINE_WIDTH},
-    )
-    return bool(res.fun >= -tol)
+    return _contains(m, complex(z), thetas, support_values(m, thetas), tol)
 
 
 def _segment_weight(z1: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -181,10 +184,9 @@ def chord_through_zero(
         e[0] = 1.0
         return e, e, 1.0, float(abs(np.vdot(e, m @ e)))
     tol = cfg.eps_opt * (1.0 + scale)
-    if not range_contains(m, 0.0, cfg, tol=tol):
-        return None
-
     bound = range_boundary(m, cfg)
+    if not _contains(m, 0j, bound.angles, bound.support_values, tol):
+        return None
     thetas, pts, vecs = bound.angles, bound.extreme_points, bound.vectors
     on_ray = cfg.eps_eq * (1.0 + scale)
     while True:

@@ -666,9 +666,17 @@ def _suite_properties(seed: int, count: int, cfg: ToleranceConfig) -> _Recorder:
             x, y = _gate_pair(rng, n, want_true=True)
             rep = pythagoras_orthogonal(x, y, cfg)
             rec.check(pid, "chain_definition", rep.verdict("definition"))
-            for label in ("roberts", "parallelogram", "bj_forward", "bj_reverse", "homogeneous"):
+            for label in ("roberts", "parallelogram", "bj_forward", "bj_reverse"):
                 rec.check(pid, f"chain_{label}", rep.verdict(label))
-            rec.check(pid, "chain_symmetric", rep.verdict("symmetric"))
+            swapped = pythagoras_orthogonal(y, x, cfg)
+            rec.check(
+                pid, "chain_symmetric", swapped.verdict("definition") == rep.verdict("definition")
+            )
+            alpha, beta = (complex(*rng.standard_normal(2)) + 0.2 for _ in range(2))
+            scaled = pythagoras_orthogonal(alpha * x, beta * y, cfg)
+            rec.check(
+                pid, "chain_homogeneous", scaled.verdict("definition") == rep.verdict("definition")
+            )
             # scalar-shift minimum for an orthogonal pair
             opt = min_lambda_norm(x, x + y, cfg)
             nx2, ny2 = spectral_norm(x) ** 2, spectral_norm(y) ** 2

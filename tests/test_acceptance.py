@@ -364,10 +364,15 @@ def test_criterion_09_property_chain():
         if not rep.verdict("definition"):
             bad += 1
             continue
-        for label in ("roberts", "parallelogram", "bj_forward", "bj_reverse",
-                      "symmetric", "homogeneous"):
+        for label in ("roberts", "parallelogram", "bj_forward", "bj_reverse"):
             if not rep.verdict(label):
                 bad += 1
+        # symmetry and homogeneity of the definition itself
+        if not pythagoras_orthogonal(y, x, CFG).verdict("definition"):
+            bad += 1
+        alpha, beta = (complex(*rng.standard_normal(2)) + 0.2 for _ in range(2))
+        if not pythagoras_orthogonal(alpha * x, beta * y, CFG).verdict("definition"):
+            bad += 1
     # self-orthogonality forces the zero matrix
     for i in range(40):
         rng = _case_rng(SEED + 90, i)

@@ -61,6 +61,18 @@ def test_min_lambda_zero_b():
     assert res.value == pytest.approx(2.0)
 
 
+def test_min_lambda_small_pair_is_not_zero_b():
+    # at t = 2^-36, ||t B|| is 3.3e-11, below eps_rank but far above 0
+    rng = np.random.default_rng(0)
+    a, b = _rand(rng, 3), _rand(rng, 3)
+    unit = min_lambda_norm(a, b, CFG)
+    t = 2.0**-36
+    small = min_lambda_norm(t * a, t * b, CFG)
+    assert small.lambda_star == pytest.approx(unit.lambda_star, abs=1e-9)
+    assert small.value == pytest.approx(t * unit.value, rel=1e-12)
+    assert abs(unit.lambda_star) > 0.5
+
+
 def test_min_lambda_beats_dense_grid():
     rng = np.random.default_rng(0)
     a, b = _rand(rng, 3), _rand(rng, 3)

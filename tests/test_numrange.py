@@ -182,6 +182,24 @@ def test_chord_through_zero_calls_no_optimizer(monkeypatch):
     assert calls == []
 
 
+def test_chord_through_zero_solves_the_phase_grid_once(monkeypatch):
+    # the membership test reads the boundary's support values, so the
+    # phase_grid rotated Hermitians are solved once, not once per question
+    stacks = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def counting(m, *args, _real=real, **kwargs):
+            if np.ndim(m) == 3:
+                stacks.append(len(m))
+            return _real(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    a = _rand(np.random.default_rng(9), 4)
+    assert chord_through_zero(a - np.trace(a) / 4 * np.eye(4), CFG) is not None
+    assert stacks.count(CFG.phase_grid) == 1
+
+
 def test_zero_unit_vector_traceless():
     # traceless Hermitian: zero is interior, a single vector must exist
     a = np.diag([-1.0, 1.0]).astype(complex)

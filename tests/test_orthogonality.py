@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modnorm import (
     DEFAULT_CONFIG,
     HypothesisViolation,
+    LatticeProfile,
     evaluate,
     limit_relations_check,
     norm_additivity_report,
@@ -251,8 +254,10 @@ def test_pythagoras_orthogonal_true():
     assert rep.verdict("witness_form")
     for label in ("roberts", "parallelogram", "bj_forward", "bj_reverse"):
         assert rep.verdict(label), label
-    assert rep.verdict("symmetric") and rep.verdict("homogeneous")
+    assert pythagoras_orthogonal(b, a, CFG).verdict("definition")
+    assert pythagoras_orthogonal((0.3 - 1.2j) * a, 2.1j * b, CFG).verdict("definition")
     assert rep.consistent
+    assert "violating_lambda" not in dict(rep.witnesses)
     xi = dict(rep.witnesses)["norming_vector"]
     assert abs(np.vdot(a @ xi, b @ xi)) <= 1e-5
 
@@ -264,6 +269,8 @@ def test_pythagoras_orthogonal_false():
     assert rep.verdict("rank_gate") and rep.verdict("positivity_gate")
     assert not rep.verdict("witness_form")
     assert rep.consistent
+    # here ||x + lam y||^2 falls short of the sum, the lower half of the definition
+    assert -_violation(a, b, dict(rep.witnesses)["violating_lambda"]) > CFG.eps_opt
 
 
 def test_pythagoras_orthogonal_rank_gate_blocks_witness_clause():
@@ -275,11 +282,18 @@ def test_pythagoras_orthogonal_rank_gate_blocks_witness_clause():
     assert not rep.verdict("rank_gate")
     assert "witness_form" not in rep.statements
     assert rep.consistent
+    # e1 e1^T and e1 e2^T (shared row) are orthogonal too, yet no unit vector
+    # attains both norms with a vanishing cross term: a witness vector proves
+    # the lower half of the definition but is not necessary for it
+    x, y = _outer(0, 0, 3), _outer(0, 1, 3)
+    rep = pythagoras_orthogonal(x, y, CFG)
+    assert rep.verdict("definition") and not rep.verdict("rank_gate")
+    assert pythagoras_witness_vector(x, y, CFG) is None
 
 
 def test_pythagoras_orthogonal_one_lattice_pass(monkeypatch):
     # the definition, rank gate, Roberts and parallelogram statements share
-    # one lattice stack; the symmetric and three homogeneous probes add four
+    # one lattice stack; the eta certificate adds the SVDs of 8 of its points
     svd = np.linalg.svd
     stacked = []
 
@@ -291,7 +305,85 @@ def test_pythagoras_orthogonal_one_lattice_pass(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     rep = pythagoras_orthogonal(*_gate_true_pair(), CFG)
     assert "witness_form" in rep.statements  # the gated parallelogram check ran
-    assert sum(stacked) <= 5 * len(CFG.lambda_lattice)
+    assert sum(stacked) <= len(CFG.lambda_lattice) + 8
+
+
+def _violation(x, y, lam):
+    """Signed (||x + lam y||^2 - ||x||^2 - |lam|^2 ||y||^2) / (1 + rhs), from numpy."""
+    rhs = np.linalg.norm(x, 2) ** 2 + abs(lam) ** 2 * np.linalg.norm(y, 2) ** 2
+    return (np.linalg.norm(x + lam * y, 2) ** 2 - rhs) / (1.0 + rhs)
+
+
+def _rand_unitary(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _off_grid_pair(delta, ratio, phase):
+    """x = e1 e1^T + a e3 e3^T, y = e1 e2^T + b e^{i phase} e3 e3^T with
+    a^2 + b^2 = 1 + delta and b / a = ratio: ||x + lam y||^2 exceeds
+    1 + |lam|^2 by up to delta / (1 - b^2), in a window around
+    lam = (b / a) e^{-i phase} that falls between lattice points."""
+    a = np.sqrt((1.0 + delta) / (1.0 + ratio**2))
+    x = np.diag([1.0, 0.0, a]).astype(complex)
+    y = np.zeros((3, 3), dtype=complex)
+    y[0, 1] = 1.0
+    y[2, 2] = ratio * a * np.exp(1j * phase)
+    return x, y
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4])
+@pytest.mark.parametrize("ratio", [0.7, 1.41, 2.8])
+def test_pythagoras_definition_fails_between_lattice_points(delta, ratio):
+    x, y = _off_grid_pair(delta, ratio, np.pi / 24)
+    rep = pythagoras_orthogonal(x, y, CFG)
+    assert not rep.verdict("definition")
+    assert rep.consistent
+    lam = dict(rep.witnesses)["violating_lambda"]
+    assert _violation(x, y, lam) > CFG.eps_opt
+    assert rep.statements["definition"].residual == pytest.approx(_violation(x, y, lam))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_pythagoras_definition_off_grid_family(seed):
+    rng = np.random.default_rng(seed)
+    delta = 10.0 ** rng.uniform(-4.0, -2.0)
+    x, y = _off_grid_pair(delta, rng.uniform(0.4, 3.0), rng.uniform(0.0, 2 * np.pi))
+    u, v = _rand_unitary(rng, 3), _rand_unitary(rng, 3)
+    x, y = u @ x @ v, u @ y @ v
+    profile = LatticeProfile(x, y, CFG)
+    assert not profile.definition().verdict
+    assert _violation(x, y, profile.definition_lambda) > CFG.eps_opt
+
+
+def _random_gate_pair(rng, n, want_true):
+    """Orthogonal ranges (x^H y = 0); Pythagoras orthogonal iff the top right
+    singular vectors of x and y coincide."""
+    u, v = _rand_unitary(rng, n), _rand_unitary(rng, n)
+    x = np.outer(u[:, 0], v[:, 0].conj()) + 0.5 * np.outer(u[:, 1], v[:, 1].conj())
+    s = rng.uniform(0.5, 1.5)
+    y = s * np.outer(u[:, 2], v[:, 0 if want_true else 1].conj())
+    return x, y + 0.4 * s * np.outer(u[:, 3], v[:, 2].conj())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from(["random", "true", "false"]))
+def test_pythagoras_definition_symmetric_and_homogeneous(seed, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        n = int(rng.integers(2, 5))
+        x, y = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2))
+    else:
+        x, y = _random_gate_pair(rng, 4, kind == "true")
+    verdict = LatticeProfile(x, y, CFG).definition().verdict
+    if kind != "random":
+        assert verdict == (kind == "true")
+    assert LatticeProfile(y, x, CFG).definition().verdict == verdict
+    # moduli in [1/4, 4]: at scales far from 1 the absolute residual scale
+    # flips verdicts, which is a separate, open defect
+    alpha, beta = 2.0 ** rng.uniform(-2, 2, 2) * np.exp(2j * np.pi * rng.uniform(size=2))
+    assert LatticeProfile(alpha * x, beta * y, CFG).definition().verdict == verdict
 
 
 def _per_lambda_verdicts(x, y, cfg):
