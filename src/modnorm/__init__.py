@@ -23,6 +23,8 @@ from .config import DEFAULT_CONFIG, DEFAULT_SEED, ToleranceConfig
 from .linalg import (
     NonHermitianError,
     NonSquareError,
+    Pair,
+    ShapeError,
     SpectralDecomposition,
     adjoint,
     hermitian_eig,

@@ -2,7 +2,9 @@
 minimizer queries.
 
 Exit codes for ``check``: 0 primary verdict true, 1 false, 2 hypothesis
-violation, 3 input error.
+violation, 3 input error (a matrix file that does not load, a missing
+matrix, or shapes that do not fit the check), 4 internal error (anything
+else a computation raises).
 """
 
 from __future__ import annotations
@@ -11,10 +13,12 @@ import argparse
 import dataclasses
 import os
 import sys
+import traceback
 
 import numpy as np
 
 from .config import DEFAULT_SEED, ToleranceConfig
+from .linalg import ShapeError
 from .normopt import HypothesisViolation, bj_orthogonal, min_lambda_norm
 from .numrange import range_boundary
 from .orthogonality import (
@@ -42,15 +46,17 @@ EXIT_TRUE = 0
 EXIT_FALSE = 1
 EXIT_HYPOTHESIS = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
-# kind -> (decider, primary statement label)
+# kind -> (decider, primary statement label); the decider is looked up in
+# this module when the check runs
 _CHECKS = {
-    "triangle": (triangle_equality, "norm_sum"),
-    "norm-additivity": (norm_additivity_report, "gram_sum_norm"),
-    "parallelogram3": (parallelogram_two_imply_third, "parallelogram_at_one"),
-    "pythagoras-identity": (pythagoras_identity, "pythagoras"),
-    "scaled-pythagoras": (scaled_pythagoras_report, "pythagoras"),
-    "pythagoras": (pythagoras_orthogonal, "definition"),
+    "triangle": ("triangle_equality", "norm_sum"),
+    "norm-additivity": ("norm_additivity_report", "gram_sum_norm"),
+    "parallelogram3": ("parallelogram_two_imply_third", "parallelogram_at_one"),
+    "pythagoras-identity": ("pythagoras_identity", "pythagoras"),
+    "scaled-pythagoras": ("scaled_pythagoras_report", "pythagoras"),
+    "pythagoras": ("pythagoras_orthogonal", "definition"),
 }
 _BOOL_CHECKS = ("product-norm", "roberts", "parallelogram", "bj")
 CHECK_KINDS = (*_CHECKS, *_BOOL_CHECKS, "min-lambda", "numrange")
@@ -109,59 +115,49 @@ def _numrange_dict(a: np.ndarray, cfg: ToleranceConfig, angles: int | None) -> d
     }
 
 
-def _run_check(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
-    try:
-        x = load_matrix(args.x)
-        y = load_matrix(args.y) if args.y is not None else None
-    except MatrixFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+def _run_check(args: argparse.Namespace, cfg: ToleranceConfig) -> int:
+    x = load_matrix(args.x)
+    y = load_matrix(args.y) if args.y is not None else None
 
     kind = args.kind
-    try:
-        if kind == "numrange":
-            _emit(_numrange_dict(x, cfg, None), args.out)
-            return EXIT_TRUE
-        if y is None:
-            print("error: this check needs two matrix files", file=sys.stderr)
-            return EXIT_INPUT
-        if kind == "min-lambda":
-            _emit(_min_lambda_dict(x, y, cfg), args.out)
-            return EXIT_TRUE
-        if kind in _CHECKS:
-            decider, primary = _CHECKS[kind]
-            report: OrthogonalityReport = decider(x, y, cfg)
-            _emit({"kind": kind, **report.to_dict()}, args.out)
-            return EXIT_TRUE if report.verdict(primary) else EXIT_FALSE
-        # plain boolean checks
-        if kind == "product-norm":
-            first, second = product_norm_check(x, y, cfg)
-            statements = {
-                "gram_sum_norm": StatementResult(first, 0.0),
-                "adjoint_product_norm": StatementResult(second, 0.0),
-            }
-            report = OrthogonalityReport("product-norm", statements, [], first == second, cfg)
-            _emit({"kind": kind, **report.to_dict()}, args.out)
-            return EXIT_TRUE if first else EXIT_FALSE
-        if kind == "roberts":
-            verdict = roberts_check(x, y, cfg)
-        elif kind == "parallelogram":
-            verdict = parallelogram_law_check(x, y, cfg)
-        else:
-            verdict, _ = bj_orthogonal(x, y, cfg)
-        _emit({"kind": kind, "verdict": verdict}, args.out)
-        return EXIT_TRUE if verdict else EXIT_FALSE
-    except HypothesisViolation as exc:
-        print(f"hypothesis violation: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if kind == "numrange":
+        _emit(_numrange_dict(x, cfg, None), args.out)
+        return EXIT_TRUE
+    if y is None:
+        print("error: this check needs two matrix files", file=sys.stderr)
         return EXIT_INPUT
+    if kind == "min-lambda":
+        _emit(_min_lambda_dict(x, y, cfg), args.out)
+        return EXIT_TRUE
+    if kind in _CHECKS:
+        name, primary = _CHECKS[kind]
+        report: OrthogonalityReport = globals()[name](x, y, cfg)
+        _emit({"kind": kind, **report.to_dict()}, args.out)
+        return EXIT_TRUE if report.verdict(primary) else EXIT_FALSE
+    # plain boolean checks
+    if kind == "product-norm":
+        first, second = product_norm_check(x, y, cfg)
+        statements = {
+            "gram_sum_norm": StatementResult(first, 0.0),
+            "adjoint_product_norm": StatementResult(second, 0.0),
+        }
+        report = OrthogonalityReport("product-norm", statements, [], first == second, cfg)
+        _emit({"kind": kind, **report.to_dict()}, args.out)
+        return EXIT_TRUE if first else EXIT_FALSE
+    if kind == "roberts":
+        verdict = roberts_check(x, y, cfg)
+    elif kind == "parallelogram":
+        verdict = parallelogram_law_check(x, y, cfg)
+    else:
+        verdict, _ = bj_orthogonal(x, y, cfg)
+    _emit({"kind": kind, "verdict": verdict}, args.out)
+    return EXIT_TRUE if verdict else EXIT_FALSE
 
 
-def _run_suite_cmd(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
+def _run_suite_cmd(args: argparse.Namespace, cfg: ToleranceConfig) -> int:
+    if args.count < 1:
+        print("error: --count must be positive", file=sys.stderr)
+        return EXIT_INPUT
     report = run_suite(args.name, seed=cfg.rng_seed, count=args.count, cfg=cfg)
     _emit(report.to_dict(), args.out)
     if report.failures:
@@ -170,26 +166,13 @@ def _run_suite_cmd(args: argparse.Namespace) -> int:
     return EXIT_TRUE
 
 
-def _run_numrange_cmd(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
-    try:
-        a = load_matrix(args.a)
-        _emit(_numrange_dict(a, cfg, args.angles), args.out)
-    except (MatrixFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+def _run_numrange_cmd(args: argparse.Namespace, cfg: ToleranceConfig) -> int:
+    _emit(_numrange_dict(load_matrix(args.a), cfg, args.angles), args.out)
     return EXIT_TRUE
 
 
-def _run_min_lambda_cmd(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
-    try:
-        a = load_matrix(args.a)
-        b = load_matrix(args.b)
-        _emit(_min_lambda_dict(a, b, cfg), args.out)
-    except (MatrixFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+def _run_min_lambda_cmd(args: argparse.Namespace, cfg: ToleranceConfig) -> int:
+    _emit(_min_lambda_dict(load_matrix(args.a), load_matrix(args.b), cfg), args.out)
     return EXIT_TRUE
 
 
@@ -250,10 +233,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except ValueError as exc:
+        cfg = _build_config(args)
+    except ValueError as exc:  # tolerances or lattice flags out of range
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    try:
+        return args.fn(args, cfg)
+    except (MatrixFormatError, ShapeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except HypothesisViolation as exc:
+        print(f"hypothesis violation: {exc}", file=sys.stderr)
+        return EXIT_HYPOTHESIS
+    except Exception as exc:  # a failure of the computation, not of the input
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

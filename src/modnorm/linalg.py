@@ -18,7 +18,11 @@ class NonHermitianError(ValueError):
     """Input expected to be Hermitian is not, beyond tolerance."""
 
 
-class NonSquareError(ValueError):
+class ShapeError(ValueError):
+    """Matrix shapes do not fit the operation."""
+
+
+class NonSquareError(ShapeError):
     """Input expected to be square is not."""
 
 
@@ -30,6 +34,50 @@ def as_matrix(a: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("matrix entries must be finite")
     return m
+
+
+def _times_power_of_two(m: np.ndarray, e: int) -> np.ndarray:
+    """m * 2^e, exact: the factor 2^e itself is never formed, so it cannot overflow."""
+    return np.ldexp(m.real, e) + 1j * np.ldexp(m.imag, e)
+
+
+class Pair:
+    """A validated pair (x, y) of equal shape, divided by one power of two.
+
+    ``x`` and ``y`` are the caller's matrices times 2^-exponent, where the
+    exponent puts the largest |Re| or |Im| entry of either in [1, 2); the
+    zero pair keeps exponent 0.  Scaling by a power of two is exact, so
+    (2^k x, 2^k y) gives bit-identical normalized matrices and every verdict
+    read from them is scale-free.  ||x||, ||y||, x^H x, y^H y and x^H y of
+    the normalized pair are computed once, here.
+    """
+
+    __slots__ = ("x", "y", "exponent", "nx", "ny", "gx", "gy", "inner")
+
+    def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
+        xm, ym = as_matrix(x), as_matrix(y)
+        if xm.shape != ym.shape:
+            raise ShapeError(f"shape mismatch: {xm.shape} vs {ym.shape}")
+        top = max(float(np.max(np.abs(part))) for m in (xm, ym) for part in (m.real, m.imag))
+        self.exponent = int(np.frexp(top)[1]) - 1 if top > 0.0 else 0
+        self.x = _times_power_of_two(xm, -self.exponent)
+        self.y = _times_power_of_two(ym, -self.exponent)
+        self.nx, self.ny = spectral_norm(self.x), spectral_norm(self.y)
+        self.gx, self.gy = self.x.conj().T @ self.x, self.y.conj().T @ self.y
+        self.inner = self.x.conj().T @ self.y
+
+    @classmethod
+    def of(cls, x: np.ndarray | Pair, y: np.ndarray | None) -> Pair:
+        """x itself when it already is a Pair (y is then None), else Pair(x, y)."""
+        return x if isinstance(x, cls) else cls(x, y)
+
+    def swapped(self) -> Pair:
+        """The pair (y, x), sharing every computed quantity."""
+        out = object.__new__(Pair)
+        out.x, out.y, out.exponent = self.y, self.x, self.exponent
+        out.nx, out.ny, out.gx, out.gy = self.ny, self.nx, self.gy, self.gx
+        out.inner = self.inner.conj().T
+        return out
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:

@@ -24,6 +24,8 @@ from scipy.optimize import minimize
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .linalg import (
+    Pair,
+    ShapeError,
     as_matrix,
     min_modulus,
     spectral_norm,
@@ -170,7 +172,7 @@ def min_lambda_norm(
     """
     am, bm = as_matrix(a), as_matrix(b)
     if am.shape != bm.shape:
-        raise ValueError(f"shape mismatch: {am.shape} vs {bm.shape}")
+        raise ShapeError(f"shape mismatch: {am.shape} vs {bm.shape}")
     na, nb = spectral_norm(am), spectral_norm(bm)
     # B counts as zero relative to A; exact B = 0 always does
     if nb <= cfg.eps_rank * na:
@@ -252,22 +254,21 @@ def sup_m(
 
 
 def bj_orthogonal(
-    x: np.ndarray, y: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG
+    x: np.ndarray | Pair, y: np.ndarray | None = None, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> tuple[bool, DensityState | None]:
     """Birkhoff-James decision: a maximizing state of |x|^2 killing <x,y>.
 
-    x = 0 is declared orthogonal to everything (the defining inequality is
-    trivial); any pure state witnesses it.
+    x = 0 (below eps_eq times the scale of the pair) is declared orthogonal
+    to everything (the defining inequality is trivial); any pure state
+    witnesses it.  ``x`` may be a ``Pair``, with ``y`` omitted.
     """
-    xm, ym = as_matrix(x), as_matrix(y)
-    if xm.shape != ym.shape:
-        raise ValueError(f"shape mismatch: {xm.shape} vs {ym.shape}")
-    if spectral_norm(xm) <= cfg.eps_eq:
-        e = np.zeros(xm.shape[1], dtype=np.complex128)
+    pair = Pair.of(x, y)
+    if pair.nx <= cfg.eps_eq:
+        e = np.zeros(pair.x.shape[1], dtype=np.complex128)
         e[0] = 1.0
         return True, DensityState.pure(e)
-    p = maximizing_set(xm.conj().T @ xm, cfg)
-    witness = witness_in_set_with_zero(p, xm.conj().T @ ym, cfg)
+    p = maximizing_set(pair.gx, cfg)
+    witness = witness_in_set_with_zero(p, pair.inner, cfg)
     return witness is not None, witness
 
 
@@ -275,13 +276,11 @@ def bj_lower_bound_check(
     x: np.ndarray, y: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> bool:
     """Lattice check of ||x + lam y||^2 >= ||x||^2 + |lam|^2 m(|y|^2)."""
-    xm, ym = as_matrix(x), as_matrix(y)
-    nx = spectral_norm(xm)
-    my = float(np.linalg.svd(ym, compute_uv=False)[-1]) ** 2
+    pair = Pair(x, y)
+    my = float(np.linalg.svd(pair.y, compute_uv=False)[-1]) ** 2
     lams = np.asarray(cfg.lambda_lattice)
-    norms = _batched_norms(xm, ym, lams)
-    lhs = norms**2
-    rhs = nx**2 + np.abs(lams) ** 2 * my
+    lhs = _batched_norms(pair.x, pair.y, lams) ** 2
+    rhs = pair.nx**2 + np.abs(lams) ** 2 * my
     slack = cfg.eps_opt * (1.0 + rhs)
     return bool(np.all(lhs >= rhs - slack))
 

@@ -7,6 +7,11 @@ and aggregates verdicts, residuals, and witnesses into an
 agreement between the statements.  The "for all lambda" notions read one
 ``LatticeProfile`` per pair; the upper half of the Pythagoras definition is
 decided off the lattice as well, by an eta certificate confirmed with one norm.
+
+Every decider reads one ``Pair``: the inputs divided by a power of two, with
+their norms and Gram matrices.  The characterizations are homogeneous, so
+the verdicts do not depend on the units of (x, y), and a matrix below
+eps_eq times the pair's scale counts as zero.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .linalg import (
-    as_matrix,
+    NonSquareError,
+    Pair,
     hermitian_eig,
     numeric_rank,
     psd_check,
@@ -89,24 +95,14 @@ def _eq(lhs: float, rhs: float, tol: float, scale: float) -> StatementResult:
     return StatementResult(verdict=resid <= tol, residual=resid)
 
 
-def _pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    xm, ym = as_matrix(x), as_matrix(y)
-    if xm.shape != ym.shape:
-        raise ValueError(f"shape mismatch: {xm.shape} vs {ym.shape}")
-    return xm, ym
-
-
-def _gram(x: np.ndarray) -> np.ndarray:
-    return x.conj().T @ x
-
-
-def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return x.conj().T @ y
-
-
-def _modulus_product_norm(x: np.ndarray, y: np.ndarray) -> float:
+def _modulus_product_norm(pair: Pair) -> float:
     """|| |x| |y| || as ||x y^*||: || |x| z || = ||x z|| for every z, applied twice."""
-    return spectral_norm(x @ y.conj().T)
+    return spectral_norm(pair.x @ pair.y.conj().T)
+
+
+def _sum_gram(pair: Pair) -> np.ndarray:
+    """|x + y|^2 = |x|^2 + |y|^2 + 2 Re<x, y>."""
+    return pair.gx + pair.gy + 2 * real_part(pair.inner)
 
 
 # ---------------------------------------------------------------------------
@@ -117,34 +113,33 @@ def triangle_equality(
     x: np.ndarray, y: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> OrthogonalityReport:
     """||x+y|| = ||x|| + ||y|| and its two numerical-range characterizations."""
-    xm, ym = _pair(x, y)
-    nx, ny = spectral_norm(xm), spectral_norm(ym)
-    nsum = spectral_norm(xm + ym)
+    pair = Pair(x, y)
+    nx, ny = pair.nx, pair.ny
+    nsum = spectral_norm(pair.x + pair.y)
+    gsum = _sum_gram(pair)
     tol = cfg.eps_opt
     scale2 = (nx + ny) ** 2
 
     statements = {
         "norm_sum": _eq(nsum, nx + ny, tol, nx + ny),
         "sum_square_in_range": StatementResult(
-            range_contains(
-                _gram(xm + ym), (nx + ny) ** 2, cfg, tol=tol * (1.0 + scale2)
-            ),
+            range_contains(gsum, (nx + ny) ** 2, cfg, tol=tol * (1.0 + scale2)),
             0.0,
         ),
         "product_in_inner_range": StatementResult(
-            range_contains(_inner(xm, ym), nx * ny, cfg, tol=tol * (1.0 + nx * ny)),
+            range_contains(pair.inner, nx * ny, cfg, tol=tol * (1.0 + nx * ny)),
             0.0,
         ),
     }
     witnesses: list[tuple[str, object]] = []
     if statements["norm_sum"].verdict and nsum > cfg.eps_eq:
         # top eigenvector of |x+y|^2 realizes the shared maximizing state
-        basis = top_eigenspace(_gram(xm + ym), cfg)
+        basis = top_eigenspace(gsum, cfg)
         phi = DensityState.pure(basis[:, 0])
         ok = (
-            abs(evaluate(phi, _gram(xm)) - nx**2) <= 10 * tol * (1.0 + nx**2)
-            and abs(evaluate(phi, _gram(ym)) - ny**2) <= 10 * tol * (1.0 + ny**2)
-            and abs(evaluate(phi, _inner(xm, ym)) - nx * ny) <= 10 * tol * (1.0 + nx * ny)
+            abs(evaluate(phi, pair.gx) - nx**2) <= 10 * tol * (1.0 + nx**2)
+            and abs(evaluate(phi, pair.gy) - ny**2) <= 10 * tol * (1.0 + ny**2)
+            and abs(evaluate(phi, pair.inner) - nx * ny) <= 10 * tol * (1.0 + nx * ny)
         )
         if ok:
             witnesses.append(("shared_maximizing_state", phi))
@@ -168,9 +163,9 @@ def scaled_triangle_persistence(
     """
     if alpha < 0 or beta < 0:
         raise ValueError("weights must be nonnegative")
-    xm, ym = _pair(x, y)
-    lhs = spectral_norm(alpha * xm + beta * ym)
-    rhs = alpha * spectral_norm(xm) + beta * spectral_norm(ym)
+    pair = Pair(x, y)
+    lhs = spectral_norm(alpha * pair.x + beta * pair.y)
+    rhs = alpha * pair.nx + beta * pair.ny
     return abs(lhs - rhs) <= cfg.eps_eq * (1.0 + rhs)
 
 
@@ -184,13 +179,13 @@ def unimodular_reduction(
     """Reduce ||a x + b y|| = |a| ||x|| + |b| ||y|| to unimodular coefficients."""
     if alpha == 0 or beta == 0:
         raise ValueError("coefficients must be nonzero")
-    xm, ym = _pair(x, y)
-    nx, ny = spectral_norm(xm), spectral_norm(ym)
+    pair = Pair(x, y)
+    nx, ny = pair.nx, pair.ny
     rhs = abs(alpha) * nx + abs(beta) * ny
-    holds = abs(spectral_norm(alpha * xm + beta * ym) - rhs) <= cfg.eps_eq * (1.0 + rhs)
+    holds = abs(spectral_norm(alpha * pair.x + beta * pair.y) - rhs) <= cfg.eps_eq * (1.0 + rhs)
     u, v = alpha / abs(alpha), beta / abs(beta)
     if holds:
-        reduced = spectral_norm(u * xm + v * ym)
+        reduced = spectral_norm(u * pair.x + v * pair.y)
         if abs(reduced - (nx + ny)) > 10 * cfg.eps_eq * (1.0 + nx + ny):
             raise AssertionError("unimodular reduction failed to preserve the equality")
     return holds, u, v
@@ -200,9 +195,8 @@ def norm_additivity_report(
     x: np.ndarray, y: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> OrthogonalityReport:
     """Five equivalent statements around || |x|^2 + |y|^2 || = ||x||^2 + ||y||^2."""
-    xm, ym = _pair(x, y)
-    nx, ny = spectral_norm(xm), spectral_norm(ym)
-    gx, gy = _gram(xm), _gram(ym)
+    pair = Pair(x, y)
+    nx, ny, gx, gy = pair.nx, pair.ny, pair.gx, pair.gy
     tol = cfg.eps_opt
     witnesses: list[tuple[str, object]] = []
 
@@ -227,7 +221,7 @@ def norm_additivity_report(
 
     statements = {
         "gram_sum_norm": _eq(spectral_norm(gx + gy), nx**2 + ny**2, tol, nx**2 + ny**2),
-        "modulus_product_norm": _eq(_modulus_product_norm(xm, ym), nx * ny, tol, nx * ny),
+        "modulus_product_norm": _eq(_modulus_product_norm(pair), nx * ny, tol, nx * ny),
         "maximizers_meet": StatementResult(meet, 0.0),
         "product_in_range": StatementResult(
             range_contains(gx @ gy, nx**2 * ny**2, cfg, tol=tol * (1.0 + nx**2 * ny**2)),
@@ -246,24 +240,25 @@ def product_norm_check(
     a: np.ndarray, b: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> tuple[bool, bool]:
     """(||a*a + b*b|| = ||a||^2 + ||b||^2, ||a b*|| = ||a|| ||b||); the two agree."""
-    am, bm = _pair(a, b)
-    if am.shape[0] != am.shape[1]:
-        raise ValueError("product_norm_check needs square matrices")
-    na, nb = spectral_norm(am), spectral_norm(bm)
+    pair = Pair(a, b)
+    if pair.x.shape[0] != pair.x.shape[1]:
+        raise NonSquareError("product_norm_check needs square matrices")
+    na, nb = pair.nx, pair.ny
     tol = cfg.eps_opt
-    first = abs(spectral_norm(_gram(am) + _gram(bm)) - (na**2 + nb**2)) <= tol * (
+    first = abs(spectral_norm(pair.gx + pair.gy) - (na**2 + nb**2)) <= tol * (
         1.0 + na**2 + nb**2
     )
-    second = abs(_modulus_product_norm(am, bm) - na * nb) <= tol * (1.0 + na * nb)
+    second = abs(_modulus_product_norm(pair) - na * nb) <= tol * (1.0 + na * nb)
     return first, second
 
 
 def _meet_or_degenerate(
-    g: np.ndarray, h: np.ndarray, cfg: ToleranceConfig
+    g: np.ndarray, h: np.ndarray, g_norm: float, h_norm: float, cfg: ToleranceConfig
 ) -> tuple[bool, DensityState | None]:
-    """Intersection of maximizing sets, treating the zero matrix as 'all states'."""
-    gz = spectral_norm(g) <= cfg.eps_eq
-    hz = spectral_norm(h) <= cfg.eps_eq
+    """Intersection of the maximizing sets of the positive g and h, whose norms
+    are g_norm and h_norm, treating the zero matrix as 'all states'."""
+    gz = g_norm <= cfg.eps_eq
+    hz = h_norm <= cfg.eps_eq
     if gz and hz:
         return True, None
     if gz or hz:
@@ -280,13 +275,15 @@ def parallelogram_two_imply_third(
     Any two of the three statements imply the third; ``consistent`` is false
     exactly when two hold and one fails.
     """
-    xm, ym = _pair(x, y)
-    nx, ny = spectral_norm(xm), spectral_norm(ym)
-    np_, nm = spectral_norm(xm + ym), spectral_norm(xm - ym)
-    rhs = 2 * (nx**2 + ny**2)
+    pair = Pair(x, y)
+    plus, minus = pair.x + pair.y, pair.x - pair.y
+    np_, nm = spectral_norm(plus), spectral_norm(minus)
+    rhs = 2 * (pair.nx**2 + pair.ny**2)
 
-    meet_xy, w1 = _meet_or_degenerate(_gram(xm), _gram(ym), cfg)
-    meet_pm, w2 = _meet_or_degenerate(_gram(xm + ym), _gram(xm - ym), cfg)
+    meet_xy, w1 = _meet_or_degenerate(pair.gx, pair.gy, pair.nx**2, pair.ny**2, cfg)
+    meet_pm, w2 = _meet_or_degenerate(
+        plus.conj().T @ plus, minus.conj().T @ minus, np_**2, nm**2, cfg
+    )
 
     statements = {
         "parallelogram_at_one": _eq(np_**2 + nm**2, rhs, cfg.eps_opt, rhs),
@@ -310,19 +307,20 @@ def triangle_witness(
     Exists exactly when ||a+b|| = ||a|| + ||b||; built from a maximizing unit
     vector of a + b (compactness replaces limit sequences in finite dimension).
     """
-    am, bm = _pair(a, b)
-    if am.shape[0] != am.shape[1]:
-        raise ValueError("triangle_witness needs square matrices")
-    na, nb = spectral_norm(am), spectral_norm(bm)
-    if abs(spectral_norm(am + bm) - (na + nb)) > cfg.eps_opt * (1.0 + na + nb):
+    pair = Pair(a, b)
+    if pair.x.shape[0] != pair.x.shape[1]:
+        raise NonSquareError("triangle_witness needs square matrices")
+    na, nb = pair.nx, pair.ny
+    total = pair.x + pair.y
+    if abs(spectral_norm(total) - (na + nb)) > cfg.eps_opt * (1.0 + na + nb):
         return None
-    xi = top_right_singular_subspace(am + bm, cfg)[:, 0]
-    n = am.shape[0]
+    xi = top_right_singular_subspace(total, cfg)[:, 0]
+    n = total.shape[0]
     e1 = np.zeros(n, dtype=np.complex128)
     e1[0] = 1.0
     c = np.outer(xi, e1.conj())
     phi = DensityState.pure(e1)
-    val = evaluate(phi, c.conj().T @ am.conj().T @ bm @ c)
+    val = evaluate(phi, c.conj().T @ pair.inner @ c)
     if abs(val - na * nb) > 10 * cfg.eps_opt * (1.0 + na * nb):
         raise AssertionError("triangle witness failed to certify the equality")
     return phi, c
@@ -332,14 +330,21 @@ def triangle_witness(
 # Pythagoras identities
 # ---------------------------------------------------------------------------
 
+def _nonzero_complex(rng: np.random.Generator) -> complex:
+    """A complex draw (real part first) from the standard normal, redrawn
+    while its modulus is below 1e-3."""
+    z = complex(rng.standard_normal(), rng.standard_normal())
+    while abs(z) < 1e-3:
+        z = complex(rng.standard_normal(), rng.standard_normal())
+    return z
+
+
 def _real_ratio_pairs(cfg: ToleranceConfig, count: int = 20) -> list[tuple[complex, complex]]:
     """Seeded nonzero pairs (alpha, beta) with conj(alpha) * beta real."""
     rng = cfg.rng(0x5CA1E5)
     pairs = []
     for _ in range(count):
-        alpha = complex(rng.standard_normal(), rng.standard_normal())
-        while abs(alpha) < 1e-3:
-            alpha = complex(rng.standard_normal(), rng.standard_normal())
+        alpha = _nonzero_complex(rng)
         s = float(rng.standard_normal())
         while abs(s) < 1e-3:
             s = float(rng.standard_normal())
@@ -347,19 +352,14 @@ def _real_ratio_pairs(cfg: ToleranceConfig, count: int = 20) -> list[tuple[compl
     return pairs
 
 
-def _scaled_residuals(
-    xm: np.ndarray,
-    ym: np.ndarray,
-    nx: float,
-    ny: float,
-    pairs: list[tuple[complex, complex]],
-) -> np.ndarray:
+def _scaled_residuals(pair: Pair, coefficients: list[tuple[complex, complex]]) -> np.ndarray:
     """Signed residuals (rhs - lhs) / (1 + rhs) of the scaled identity
-    ||alpha x + beta y||^2 = |alpha|^2 ||x||^2 + |beta|^2 ||y||^2, one per pair."""
+    ||alpha x + beta y||^2 = |alpha|^2 ||x||^2 + |beta|^2 ||y||^2, one per
+    coefficient pair (alpha, beta)."""
     out = []
-    for alpha, beta in pairs:
-        lhs = spectral_norm(alpha * xm + beta * ym) ** 2
-        rhs = abs(alpha) ** 2 * nx**2 + abs(beta) ** 2 * ny**2
+    for alpha, beta in coefficients:
+        lhs = spectral_norm(alpha * pair.x + beta * pair.y) ** 2
+        rhs = abs(alpha) ** 2 * pair.nx**2 + abs(beta) ** 2 * pair.ny**2
         out.append((rhs - lhs) / (1.0 + rhs))
     return np.array(out)
 
@@ -368,21 +368,21 @@ def pythagoras_identity(
     x: np.ndarray, y: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> OrthogonalityReport:
     """Pythagoras identity characterizations under Re(<x,y>) <= 0."""
-    xm, ym = _pair(x, y)
-    re_inner = real_part(_inner(xm, ym))
+    pair = Pair(x, y)
+    re_inner = real_part(pair.inner)
     if not psd_check(-re_inner, cfg):
         raise HypothesisViolation("pythagoras_identity requires Re(<x,y>) <= 0")
 
-    nx, ny = spectral_norm(xm), spectral_norm(ym)
-    gx, gy = _gram(xm), _gram(ym)
+    nx, ny, gx, gy = pair.nx, pair.ny, pair.gx, pair.gy
+    gsum = _sum_gram(pair)
     rhs = nx**2 + ny**2
     tol = cfg.eps_opt
     witnesses: list[tuple[str, object]] = []
 
     statements = {
-        "pythagoras": _eq(spectral_norm(xm + ym) ** 2, rhs, tol, rhs),
+        "pythagoras": _eq(spectral_norm(pair.x + pair.y) ** 2, rhs, tol, rhs),
         "sum_in_range": StatementResult(
-            range_contains(_gram(xm + ym), rhs, cfg, tol=tol * (1.0 + rhs)), 0.0
+            range_contains(gsum, rhs, cfg, tol=tol * (1.0 + rhs)), 0.0
         ),
     }
 
@@ -418,13 +418,13 @@ def pythagoras_identity(
     statements["zero_real_joint_state"] = StatementResult(exists, 0.0)
 
     decomposed_first = abs(
-        spectral_norm(gx + 2 * re_inner + gy) - spectral_norm(gx + gy)
+        spectral_norm(gsum) - spectral_norm(gx + gy)
     ) <= tol * (1.0 + rhs)
-    decomposed_second = abs(_modulus_product_norm(xm, ym) - nx * ny) <= tol * (1.0 + nx * ny)
+    decomposed_second = abs(_modulus_product_norm(pair) - nx * ny) <= tol * (1.0 + nx * ny)
     statements["decomposed"] = StatementResult(decomposed_first and decomposed_second, 0.0)
 
     if statements["pythagoras"].verdict:
-        worst = float(_scaled_residuals(xm, ym, nx, ny, _real_ratio_pairs(cfg)).max())
+        worst = float(_scaled_residuals(pair, _real_ratio_pairs(cfg)).max())
         statements["scaled_lower_bound"] = StatementResult(worst <= tol, max(worst, 0.0))
     else:
         statements["scaled_lower_bound"] = StatementResult(True, 0.0)
@@ -445,14 +445,12 @@ def scaled_pythagoras_report(
     When additionally <x,y> = 0, the scaled identity is probed at arbitrary
     nonzero coefficient pairs as well.
     """
-    xm, ym = _pair(x, y)
-    nx, ny = spectral_norm(xm), spectral_norm(ym)
-    inner = _inner(xm, ym)
-    if spectral_norm(real_part(inner)) > cfg.eps_eq * (1.0 + nx * ny):
+    pair = Pair(x, y)
+    nx, ny, gx, gy = pair.nx, pair.ny, pair.gx, pair.gy
+    if spectral_norm(real_part(pair.inner)) > cfg.eps_eq * (1.0 + nx * ny):
         raise HypothesisViolation("scaled_pythagoras_report requires Re(<x,y>) = 0")
-    zero_inner = spectral_norm(inner) <= cfg.eps_eq * (1.0 + nx * ny)
+    zero_inner = spectral_norm(pair.inner) <= cfg.eps_eq * (1.0 + nx * ny)
 
-    gx, gy = _gram(xm), _gram(ym)
     rhs = nx**2 + ny**2
     tol = cfg.eps_opt
     witnesses: list[tuple[str, object]] = []
@@ -464,17 +462,17 @@ def scaled_pythagoras_report(
         statements = {label: StatementResult(True, 0.0) for label in labels}
         return OrthogonalityReport("scaled-pythagoras", statements, witnesses, True, cfg)
 
-    real_worst = float(np.abs(_scaled_residuals(xm, ym, nx, ny, _real_ratio_pairs(cfg))).max())
+    real_worst = float(np.abs(_scaled_residuals(pair, _real_ratio_pairs(cfg))).max())
     statements = {
-        "pythagoras": _eq(spectral_norm(xm + ym) ** 2, rhs, tol, rhs),
+        "pythagoras": _eq(spectral_norm(pair.x + pair.y) ** 2, rhs, tol, rhs),
         "scaled_real_ratio": StatementResult(real_worst <= tol, real_worst),
-        "modulus_product_norm": _eq(_modulus_product_norm(xm, ym), nx * ny, tol, nx * ny),
+        "modulus_product_norm": _eq(_modulus_product_norm(pair), nx * ny, tol, nx * ny),
     }
 
     # maximizing-set equality S_{|x+y|^2} = S_{|x|^2} cap S_{|y|^2}
     p_x, p_y = maximizing_set(gx, cfg), maximizing_set(gy, cfg)
     inter = subspace_intersection(p_x, p_y, cfg)
-    sum_basis = top_eigenspace(_gram(xm + ym), cfg)
+    sum_basis = top_eigenspace(_sum_gram(pair), cfg)
     if inter.shape[1] != sum_basis.shape[1]:
         equal_sets = False
     elif inter.shape[1] == 0:
@@ -487,16 +485,8 @@ def scaled_pythagoras_report(
     groups = [["pythagoras", "scaled_real_ratio", "modulus_product_norm", "maximizer_equality"]]
     if zero_inner:
         rng = cfg.rng(0xBE7A)
-        pairs = []
-        for _ in range(20):
-            pair = []
-            for _ in range(2):
-                z = complex(rng.standard_normal(), rng.standard_normal())
-                while abs(z) < 1e-3:
-                    z = complex(rng.standard_normal(), rng.standard_normal())
-                pair.append(z)
-            pairs.append(tuple(pair))
-        any_worst = float(np.abs(_scaled_residuals(xm, ym, nx, ny, pairs)).max())
+        coefficients = [(_nonzero_complex(rng), _nonzero_complex(rng)) for _ in range(20)]
+        any_worst = float(np.abs(_scaled_residuals(pair, coefficients)).max())
         statements["scaled_any_ratio"] = StatementResult(any_worst <= tol, any_worst)
         groups[0].append("scaled_any_ratio")
 
@@ -515,12 +505,12 @@ _ETA_SEEDS = 8  # lattice points whose right singular vectors are candidate etas
 
 class LatticeProfile:
     """Every singular value of x + lam y over the lambda lattice, from one
-    batched SVD, plus ||x|| and ||y||.
+    batched SVD of the normalized ``Pair``.
 
     Each lattice-quantified statement about the pair reads this one profile.
     The lattice is closed under negation, so sigma_max(x - lam_i y) is row
-    ``cfg.lattice_negation[i]`` of the same profile.  ``norms`` passes in
-    (||x||, ||y||) when the caller already has them.
+    ``cfg.lattice_negation[i]`` of the same profile.  ``x`` may be a ``Pair``
+    already built by the caller, with ``y`` omitted.
 
     ``definition`` decides the upper half of the Pythagoras definition off the
     lattice too.  For a unit eta let a = ||x||^2 - ||x eta||^2,
@@ -534,18 +524,15 @@ class LatticeProfile:
 
     def __init__(
         self,
-        x: np.ndarray,
-        y: np.ndarray,
+        x: np.ndarray | Pair,
+        y: np.ndarray | None = None,
         cfg: ToleranceConfig = DEFAULT_CONFIG,
-        norms: tuple[float, float] | None = None,
     ) -> None:
-        self.x, self.y = _pair(x, y)
+        pair = Pair.of(x, y)
+        self.x, self.y, self.nx, self.ny = pair.x, pair.y, pair.nx, pair.ny
         self.cfg = cfg
         self.lams = np.asarray(cfg.lambda_lattice)
         self.svals = np.linalg.svd(self._stack(self.lams), compute_uv=False)
-        self.nx, self.ny = (
-            norms if norms is not None else (spectral_norm(self.x), spectral_norm(self.y))
-        )
         self._definition: tuple[StatementResult, complex] | None = None
 
     def _stack(self, lams: np.ndarray) -> np.ndarray:
@@ -553,7 +540,7 @@ class LatticeProfile:
 
     @property
     def norms(self) -> np.ndarray:
-        """||x + lam y|| at each lattice point."""
+        """||x + lam y|| at each lattice point, in the units of the normalized pair."""
         return self.svals[:, 0]
 
     def _residual(self, lhs: np.ndarray, lams: np.ndarray) -> np.ndarray:
@@ -655,26 +642,25 @@ def parallelogram_law_check(
 
 
 def pythagoras_witness_vector(
-    x: np.ndarray, y: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG
+    x: np.ndarray | Pair, y: np.ndarray | None = None, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> np.ndarray | None:
     """Unit xi with ||x xi|| = ||x||, ||y xi|| = ||y||, <x xi, y xi> = 0, or None.
 
     Such a vector must live in the intersection of the top right singular
     subspaces; within it the cross terms form a numerical range that has to
-    contain zero.
+    contain zero.  ``x`` may be a ``Pair``, with ``y`` omitted.
     """
-    xm, ym = _pair(x, y)
-    nx, ny = spectral_norm(xm), spectral_norm(ym)
-    if nx <= cfg.eps_eq or ny <= cfg.eps_eq:
-        zm = xm if nx > cfg.eps_eq else ym
+    pair = Pair.of(x, y)
+    if pair.nx <= cfg.eps_eq or pair.ny <= cfg.eps_eq:
+        zm = pair.x if pair.nx > cfg.eps_eq else pair.y
         sub = top_right_singular_subspace(zm, cfg)
         return np.asarray(sub[:, 0])
-    p = SubspaceProjection.from_basis(top_right_singular_subspace(xm, cfg))
-    q = SubspaceProjection.from_basis(top_right_singular_subspace(ym, cfg))
+    p = SubspaceProjection.from_basis(top_right_singular_subspace(pair.x, cfg))
+    q = SubspaceProjection.from_basis(top_right_singular_subspace(pair.y, cfg))
     inter = subspace_intersection(p, q, cfg)
     if inter.shape[1] == 0:
         return None
-    comp = inter.conj().T @ _inner(xm, ym) @ inter
+    comp = inter.conj().T @ pair.inner @ inter
     zero = zero_unit_vector(comp, cfg)
     if zero is None:
         return None
@@ -695,20 +681,20 @@ def pythagoras_orthogonal(
     (alpha x, beta y) are properties of the eta certificate itself, so they
     are not probed here.
     """
-    xm, ym = _pair(x, y)
+    pair = Pair(x, y)
     statements: dict[str, StatementResult] = {}
     witnesses: list[tuple[str, object]] = []
     groups: list[list[str]] = []
     implications: list[tuple[str, str]] = []
 
-    profile = LatticeProfile(xm, ym, cfg)
+    profile = LatticeProfile(pair, cfg=cfg)
     definition = profile.definition()
     statements["definition"] = definition
     if not definition.verdict:
         witnesses.append(("violating_lambda", profile.definition_lambda))
     parallelogram = profile.parallelogram()
 
-    square = xm.shape[0] == xm.shape[1]
+    square = pair.x.shape[0] == pair.x.shape[1]
     rank_gate = False
     positivity_gate = False
     if square:
@@ -716,7 +702,7 @@ def pythagoras_orthogonal(
 
         # lambda_min(Re(e^{i phi} C)) = -h(pi - phi), so a rotation of C = <x, y>
         # is positive iff a support value of C is at most 0
-        inner = _inner(xm, ym)
+        inner = pair.inner
         thetas = 2 * np.pi * np.arange(cfg.phase_grid) / cfg.phase_grid
         scale = max(spectral_norm(inner), 1.0)
         positivity_gate = bool(np.any(support_values(inner, thetas) <= cfg.eps_eq * scale))
@@ -725,7 +711,7 @@ def pythagoras_orthogonal(
     statements["positivity_gate"] = StatementResult(positivity_gate, 0.0)
 
     if square and rank_gate and positivity_gate:
-        xi = pythagoras_witness_vector(xm, ym, cfg)
+        xi = pythagoras_witness_vector(pair, cfg=cfg)
         statements["witness_form"] = StatementResult(parallelogram and xi is not None, 0.0)
         if xi is not None:
             witnesses.append(("norming_vector", xi))
@@ -735,8 +721,8 @@ def pythagoras_orthogonal(
     # the parallelogram law
     statements["roberts"] = StatementResult(profile.roberts(), 0.0)
     statements["parallelogram"] = StatementResult(parallelogram, 0.0)
-    bj_xy, w_xy = bj_orthogonal(xm, ym, cfg)
-    bj_yx, w_yx = bj_orthogonal(ym, xm, cfg)
+    bj_xy, w_xy = bj_orthogonal(pair, cfg=cfg)
+    bj_yx, w_yx = bj_orthogonal(pair.swapped(), cfg=cfg)
     statements["bj_forward"] = StatementResult(bj_xy, 0.0)
     statements["bj_reverse"] = StatementResult(bj_yx, 0.0)
     if w_xy is not None:
@@ -758,15 +744,15 @@ def pythagoras_via_bj_parallelogram(
 
     The two returned verdicts must coincide.
     """
-    xm, ym = _pair(x, y)
-    gy = _gram(ym)
+    pair = Pair(x, y)
+    gy = pair.gy
     alpha = float(np.trace(gy).real) / gy.shape[0]
     if alpha <= cfg.eps_eq or spectral_norm(gy - alpha * np.eye(gy.shape[0])) > cfg.eps_eq * (
         1.0 + alpha
     ):
         raise HypothesisViolation("requires |y|^2 to be a positive scalar multiple of I")
-    profile = LatticeProfile(xm, ym, cfg)
-    bj, _ = bj_orthogonal(xm, ym, cfg)
+    profile = LatticeProfile(pair, cfg=cfg)
+    bj, _ = bj_orthogonal(pair, cfg=cfg)
     return profile.definition().verdict, bj and profile.parallelogram()
 
 
@@ -784,16 +770,19 @@ def limit_relations_check(
     and evaluate the induced lower bound for ||A + lam B||^2 on the lattice.
 
     Returns (relations hold, worst scale-normalized bound violation).  The
-    violation must stay below eps_opt whenever the relations hold.
+    violation must stay below eps_opt whenever the relations hold.  The limits
+    are given in the units of (a, b), so the norms read from the normalized
+    pair are scaled back by its power of two, which is exact.
     """
-    am, bm = _pair(a, b)
+    pair = Pair(a, b)
     if abs(lambda0) < 1e-12 or abs(lambda0 + 1.0) < 1e-12:
         raise ValueError("lambda0 must avoid 0 and -1")
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
-    na, nb = spectral_norm(am), spectral_norm(bm)
+    e = pair.exponent
+    na, nb = np.ldexp(pair.nx, e), np.ldexp(pair.ny, e)
     target = (1 + lambda0) ** 2 * na**2 + lambda0**2 * abs(alpha) ** 2 * nb**2
-    hyp = spectral_norm((1 + lambda0) * am + lambda0 * alpha * bm) ** 2
+    hyp = np.ldexp(spectral_norm((1 + lambda0) * pair.x + lambda0 * alpha * pair.y), e) ** 2
     if abs(hyp - target) > cfg.eps_opt * (1.0 + target):
         raise HypothesisViolation("scaled norm equality hypothesis fails")
 
@@ -803,9 +792,9 @@ def limit_relations_check(
     tol = cfg.eps_opt * (1.0 + target)
     relations = abs(first - target) <= tol and abs(second - target) <= tol
 
-    profile = LatticeProfile(am, bm, cfg, norms=(na, nb))
+    profile = LatticeProfile(pair, cfg=cfg)
     lams = profile.lams
-    norms2 = profile.norms**2
+    norms2 = np.ldexp(profile.norms, e) ** 2
     numer = target * (lambda0 * abs(alpha) ** 2 - (lambda0 + 1) * np.abs(lams) ** 2)
     numer = numer - np.real(ac * c_lim) * np.abs(lambda0 * alpha - (lambda0 + 1) * lams) ** 2
     bound = numer / (abs(alpha) ** 2 * lambda0 * (lambda0 + 1))

@@ -1,12 +1,18 @@
 """CLI tests: exit codes, JSON I/O, and byte-identical determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import modnorm
 from modnorm import (
     MatrixFormatError,
+    ZeroMatrixError,
     canonical_json,
     load_matrix,
     matrix_from_json,
@@ -113,7 +119,58 @@ def test_check_exit_input_error(tmp_path, mats, capsys):
     assert main(["check", "triangle", str(bad), mats["e11"]]) == 3
     assert main(["check", "triangle", mats["e11"]]) == 3  # missing second matrix
     assert main(["check", "triangle", mats["e11"], mats["a4"]]) == 3  # shape mismatch
+    assert main(["check", "triangle", mats["e11"], mats["e22"], "--eps-eq", "-1"]) == 3
+    assert main(["suite", "rank-one", "--count", "0"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        np.linalg.LinAlgError("SVD did not converge"),
+        AssertionError("witness failed to certify"),
+        ZeroMatrixError("maximizing set of the zero matrix is rejected"),
+    ],
+    ids=lambda e: type(e).__name__,
+)
+def test_check_exit_internal_error(mats, monkeypatch, capsys, error):
+    # a failure inside a decider is not an input error (LinAlgError and
+    # ZeroMatrixError are ValueErrors) nor a false verdict (exit 1)
+    def broken(*args):
+        raise error
+
+    monkeypatch.setattr("modnorm.cli.pythagoras_orthogonal", broken)
+    assert main(["check", "pythagoras", mats["a4"], mats["b4"]]) == 4
+    assert "internal error" in capsys.readouterr().err
+
+
+def _rng0_pair(t):
+    """The complex Gaussian 3x3 pair drawn from default_rng(0), x then y, times t."""
+    rng = np.random.default_rng(0)
+    return [t * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) for _ in range(2)]
+
+
+@pytest.mark.parametrize("kind", ["norm-additivity", "bj", "pythagoras", "triangle"])
+def test_small_scale_pair_keeps_the_unit_exit_code(tmp_path, capsys, kind):
+    codes = []
+    for t in (1.0, 1e-6):
+        x, y = _rng0_pair(t)
+        codes.append(main(["check", kind, _write(tmp_path, "x.json", x), _write(tmp_path, "y.json", y)]))
+    capsys.readouterr()
+    assert codes[1] == codes[0] in (0, 1)
+
+
+def test_python_m_modnorm(tmp_path):
+    x, y = _rng0_pair(1e-6)
+    src = str(Path(modnorm.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "modnorm", "check", "pythagoras",
+         _write(tmp_path, "x.json", x), _write(tmp_path, "y.json", y)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode in (0, 1), proc.stderr
+    assert json.loads(proc.stdout)["kind"] == "pythagoras"
 
 
 def test_check_rejects_boolean_entries(tmp_path, mats, capsys):

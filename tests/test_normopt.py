@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from modnorm import (
     DEFAULT_CONFIG,
     HypothesisViolation,
+    ShapeError,
     bj_lower_bound_check,
     bj_orthogonal,
     evaluate,
@@ -253,6 +254,9 @@ def test_shape_mismatch_rejected():
         min_lambda_norm(np.eye(2), np.eye(3))
     with pytest.raises(ValueError):
         bj_orthogonal(np.eye(2), np.eye(3))
+    # a shape error, not a numpy broadcast failure inside the lattice stack
+    with pytest.raises(ShapeError):
+        bj_lower_bound_check(np.eye(2), np.eye(3))
 
 
 @settings(max_examples=20, deadline=None)

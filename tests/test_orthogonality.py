@@ -9,6 +9,8 @@ from modnorm import (
     DEFAULT_CONFIG,
     HypothesisViolation,
     LatticeProfile,
+    bj_orthogonal,
+    canonical_json,
     evaluate,
     limit_relations_check,
     norm_additivity_report,
@@ -380,10 +382,13 @@ def test_pythagoras_definition_symmetric_and_homogeneous(seed, kind):
     if kind != "random":
         assert verdict == (kind == "true")
     assert LatticeProfile(y, x, CFG).definition().verdict == verdict
-    # moduli in [1/4, 4]: at scales far from 1 the absolute residual scale
-    # flips verdicts, which is a separate, open defect
+    # unequal moduli stay in [1/4, 4]: the residual's scale still flips
+    # verdicts when |alpha| / |beta| is far from 1, a separate, open defect;
+    # a joint power of two is divided out exactly
     alpha, beta = 2.0 ** rng.uniform(-2, 2, 2) * np.exp(2j * np.pi * rng.uniform(size=2))
-    assert LatticeProfile(alpha * x, beta * y, CFG).definition().verdict == verdict
+    joint = 2.0 ** int(rng.integers(-40, 41))
+    profile = LatticeProfile(joint * alpha * x, joint * beta * y, CFG)
+    assert profile.definition().verdict == verdict
 
 
 def _per_lambda_verdicts(x, y, cfg):
@@ -460,3 +465,117 @@ def test_reports_serialize():
 def test_shape_mismatch():
     with pytest.raises(ValueError):
         triangle_equality(np.eye(2), np.eye(3), CFG)
+
+
+# ---------------------------------------------------------------------------
+# scale and basis invariance
+# ---------------------------------------------------------------------------
+
+REPORT_DECIDERS = (
+    triangle_equality,
+    norm_additivity_report,
+    parallelogram_two_imply_third,
+    pythagoras_identity,
+    scaled_pythagoras_report,
+    pythagoras_orthogonal,
+)
+
+
+def _rng0_pair():
+    """The complex Gaussian 3x3 pair drawn from default_rng(0), x then y."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    y = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    return x, y
+
+
+def _verdicts(report):
+    return {label: s.verdict for label, s in report.statements.items()}, report.consistent
+
+
+@pytest.mark.parametrize("t", [1e-2, 1e-4, 1e-6])
+def test_small_scales_keep_the_unit_verdicts(t):
+    # each scale used to flip a verdict or an agreement flag, or to raise
+    x, y = _rng0_pair()
+    for decider in (norm_additivity_report, triangle_equality, pythagoras_orthogonal):
+        unit = _verdicts(decider(x, y, CFG))
+        assert unit[1]
+        assert _verdicts(decider(t * x, t * y, CFG)) == unit, decider.__name__
+    assert bj_orthogonal(t * x, t * y, CFG)[0] == bj_orthogonal(x, y, CFG)[0]
+
+
+def test_extreme_magnitudes():
+    tiny = np.array([[1e-300]], dtype=complex)
+    assert not pythagoras_orthogonal(tiny, tiny, CFG).verdict("definition")
+    one = np.array([[1.0]], dtype=complex)
+    huge = np.array([[1e300]], dtype=complex)
+    for decider in REPORT_DECIDERS:
+        assert _verdicts(decider(huge, 1j * huge, CFG)) == _verdicts(decider(one, 1j * one, CFG))
+    assert bj_orthogonal(huge, huge, CFG)[0] == bj_orthogonal(one, one, CFG)[0]
+
+
+def _shared_top(rng, n):
+    """|x|^2 and |y|^2 share their top eigenvector."""
+    v = _rand_unitary(rng, n)
+    sx, sy = (np.concatenate([[1.0], rng.uniform(0.2, 0.9, n - 1)]) for _ in range(2))
+    return _rand_unitary(rng, n) @ np.diag(sx) @ v, _rand_unitary(rng, n) @ np.diag(sy) @ v
+
+
+def _identity_true(rng, n):
+    """Common singular bases with a purely imaginary ratio: Re<x, y> = 0 and
+    the Pythagoras identity holds."""
+    w, u = _rand_unitary(rng, n), _rand_unitary(rng, n)
+    av = np.concatenate([[1.0], rng.uniform(0.3, 0.9, n - 1)])
+    bv = 1j * np.concatenate([[rng.uniform(0.7, 1.2)], 0.3 * rng.uniform(0.1, 0.6, n - 1) * av[1:]])
+    return w @ np.diag(av) @ u, w @ np.diag(bv) @ u
+
+
+def _family_pair(rng, family):
+    n = int(rng.integers(2, 5))
+    if family == "gate":
+        return _random_gate_pair(rng, 4, bool(rng.integers(2)))
+    if family == "shared_top":
+        return _shared_top(rng, n)
+    if family == "colinear":
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return x, rng.uniform(0.5, 2.0) * x
+    if family == "identity_true":
+        return _identity_true(rng, n)
+    return tuple(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2))
+
+
+FAMILIES = st.sampled_from(["gate", "shared_top", "colinear", "identity_true", "generic"])
+
+
+def _outcome(decider, x, y):
+    try:
+        return decider(x, y, CFG)
+    except HypothesisViolation:
+        return None
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), FAMILIES, st.integers(min_value=-40, max_value=40))
+def test_reports_are_byte_identical_under_a_power_of_two(seed, family, e):
+    x, y = _family_pair(np.random.default_rng(seed), family)
+    t = 2.0**e
+    for decider in REPORT_DECIDERS:
+        unit, scaled = _outcome(decider, x, y), _outcome(decider, t * x, t * y)
+        assert (unit is None) == (scaled is None), decider.__name__
+        if unit is not None:
+            assert canonical_json(scaled.to_dict()) == canonical_json(unit.to_dict())
+    assert bj_orthogonal(t * x, t * y, CFG)[0] == bj_orthogonal(x, y, CFG)[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), FAMILIES)
+def test_verdicts_are_unitarily_invariant(seed, family):
+    rng = np.random.default_rng(seed)
+    x, y = _family_pair(rng, family)
+    u, v = _rand_unitary(rng, x.shape[0]), _rand_unitary(rng, x.shape[1])
+    for decider in REPORT_DECIDERS:
+        plain, rotated = _outcome(decider, x, y), _outcome(decider, u @ x @ v, u @ y @ v)
+        assert (plain is None) == (rotated is None), decider.__name__
+        if plain is not None:
+            assert _verdicts(rotated) == _verdicts(plain), decider.__name__
+    assert bj_orthogonal(u @ x @ v, u @ y @ v, CFG)[0] == bj_orthogonal(x, y, CFG)[0]
