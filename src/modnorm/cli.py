@@ -48,15 +48,14 @@ EXIT_HYPOTHESIS = 2
 EXIT_INPUT = 3
 EXIT_INTERNAL = 4
 
-# kind -> (decider, primary statement label); the decider is looked up in
-# this module when the check runs
+# kind -> (decider, primary statement label)
 _CHECKS = {
-    "triangle": ("triangle_equality", "norm_sum"),
-    "norm-additivity": ("norm_additivity_report", "gram_sum_norm"),
-    "parallelogram3": ("parallelogram_two_imply_third", "parallelogram_at_one"),
-    "pythagoras-identity": ("pythagoras_identity", "pythagoras"),
-    "scaled-pythagoras": ("scaled_pythagoras_report", "pythagoras"),
-    "pythagoras": ("pythagoras_orthogonal", "definition"),
+    "triangle": (triangle_equality, "norm_sum"),
+    "norm-additivity": (norm_additivity_report, "gram_sum_norm"),
+    "parallelogram3": (parallelogram_two_imply_third, "parallelogram_at_one"),
+    "pythagoras-identity": (pythagoras_identity, "pythagoras"),
+    "scaled-pythagoras": (scaled_pythagoras_report, "pythagoras"),
+    "pythagoras": (pythagoras_orthogonal, "definition"),
 }
 _BOOL_CHECKS = ("product-norm", "roberts", "parallelogram", "bj")
 CHECK_KINDS = (*_CHECKS, *_BOOL_CHECKS, "min-lambda", "numrange")
@@ -130,8 +129,8 @@ def _run_check(args: argparse.Namespace, cfg: ToleranceConfig) -> int:
         _emit(_min_lambda_dict(x, y, cfg), args.out)
         return EXIT_TRUE
     if kind in _CHECKS:
-        name, primary = _CHECKS[kind]
-        report: OrthogonalityReport = globals()[name](x, y, cfg)
+        decider, primary = _CHECKS[kind]
+        report: OrthogonalityReport = decider(x, y, cfg)
         _emit({"kind": kind, **report.to_dict()}, args.out)
         return EXIT_TRUE if report.verdict(primary) else EXIT_FALSE
     # plain boolean checks

@@ -41,6 +41,21 @@ def _times_power_of_two(m: np.ndarray, e: int) -> np.ndarray:
     return np.ldexp(m.real, e) + 1j * np.ldexp(m.imag, e)
 
 
+def unit_exponent(norm: float) -> int:
+    """The k with norm * 2^k in [1, 2); 0 when ``norm`` is 0."""
+    return 1 - int(np.frexp(norm)[1]) if norm > 0.0 else 0
+
+
+def unit_scaled(m: np.ndarray, norm: float) -> np.ndarray:
+    """m times 2^unit_exponent(norm), where ``norm`` is the norm of m.
+
+    The scaling is exact.  A quantity homogeneous in m (a maximizing set, or
+    whether 0 lies in a numerical range) then reads m at one scale, so an
+    absolute zero cut or tolerance downstream acts relative to ``norm``.
+    """
+    return _times_power_of_two(m, unit_exponent(norm))
+
+
 class Pair:
     """A validated pair (x, y) of equal shape, divided by one power of two.
 
@@ -65,11 +80,6 @@ class Pair:
         self.nx, self.ny = spectral_norm(self.x), spectral_norm(self.y)
         self.gx, self.gy = self.x.conj().T @ self.x, self.y.conj().T @ self.y
         self.inner = self.x.conj().T @ self.y
-
-    @classmethod
-    def of(cls, x: np.ndarray | Pair, y: np.ndarray | None) -> Pair:
-        """x itself when it already is a Pair (y is then None), else Pair(x, y)."""
-        return x if isinstance(x, cls) else cls(x, y)
 
     def swapped(self) -> Pair:
         """The pair (y, x), sharing every computed quantity."""

@@ -30,6 +30,7 @@ from .linalg import (
     min_modulus,
     spectral_norm,
     top_right_singular_subspace,
+    unit_scaled,
 )
 from .numrange import zero_unit_vector
 from .states import DensityState, maximizing_set, witness_in_set_with_zero
@@ -254,21 +255,27 @@ def sup_m(
 
 
 def bj_orthogonal(
-    x: np.ndarray | Pair, y: np.ndarray | None = None, cfg: ToleranceConfig = DEFAULT_CONFIG
+    x: np.ndarray, y: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> tuple[bool, DensityState | None]:
     """Birkhoff-James decision: a maximizing state of |x|^2 killing <x,y>.
 
     x = 0 (below eps_eq times the scale of the pair) is declared orthogonal
     to everything (the defining inequality is trivial); any pure state
-    witnesses it.  ``x`` may be a ``Pair``, with ``y`` omitted.
+    witnesses it.
     """
-    pair = Pair.of(x, y)
+    return _bj_orthogonal(Pair(x, y), cfg)
+
+
+def _bj_orthogonal(pair: Pair, cfg: ToleranceConfig) -> tuple[bool, DensityState | None]:
+    """``bj_orthogonal`` on a pair already built by the caller."""
     if pair.nx <= cfg.eps_eq:
         e = np.zeros(pair.x.shape[1], dtype=np.complex128)
         e[0] = 1.0
         return True, DensityState.pure(e)
-    p = maximizing_set(pair.gx, cfg)
-    witness = witness_in_set_with_zero(p, pair.inner, cfg)
+    # the verdict is homogeneous in x and in y separately, so |x|^2 and <x, y>
+    # are each read at unit scale
+    p = maximizing_set(unit_scaled(pair.gx, pair.nx**2), cfg)
+    witness = witness_in_set_with_zero(p, unit_scaled(pair.inner, pair.nx * pair.ny), cfg)
     return witness is not None, witness
 
 

@@ -11,7 +11,9 @@ decided off the lattice as well, by an eta certificate confirmed with one norm.
 Every decider reads one ``Pair``: the inputs divided by a power of two, with
 their norms and Gram matrices.  The characterizations are homogeneous, so
 the verdicts do not depend on the units of (x, y), and a matrix below
-eps_eq times the pair's scale counts as zero.
+eps_eq times the pair's scale counts as zero.  Statements homogeneous in x
+and in y separately (maximizing sets, || |x| |y| || = ||x|| ||y||) are read
+at their own unit scale, so a small but nonzero partner is judged relatively.
 """
 
 from __future__ import annotations
@@ -31,8 +33,10 @@ from .linalg import (
     spectral_norm,
     top_eigenspace,
     top_right_singular_subspace,
+    unit_exponent,
+    unit_scaled,
 )
-from .normopt import HypothesisViolation, bj_orthogonal
+from .normopt import HypothesisViolation, _bj_orthogonal
 from .numrange import range_contains, support_values, zero_unit_vector
 from .states import (
     DensityState,
@@ -95,9 +99,36 @@ def _eq(lhs: float, rhs: float, tol: float, scale: float) -> StatementResult:
     return StatementResult(verdict=resid <= tol, residual=resid)
 
 
-def _modulus_product_norm(pair: Pair) -> float:
-    """|| |x| |y| || as ||x y^*||: || |x| z || = ||x z|| for every z, applied twice."""
-    return spectral_norm(pair.x @ pair.y.conj().T)
+def _modulus_product(pair: Pair, tol: float) -> StatementResult:
+    """|| |x| |y| || = ||x|| ||y||, with || |x| |y| || = ||x y^*|| (|| |x| z || =
+    ||x z|| for every z, applied twice).
+
+    The statement is homogeneous in x and in y separately, so both sides are
+    read at unit scale: the tolerance stays relative when one matrix is much
+    smaller than the other.
+    """
+    k = unit_exponent(pair.nx * pair.ny)
+    rhs = float(np.ldexp(pair.nx * pair.ny, k))
+    return _eq(float(np.ldexp(spectral_norm(pair.x @ pair.y.conj().T), k)), rhs, tol, rhs)
+
+
+def _maximizers(g: np.ndarray, norm: float, cfg: ToleranceConfig) -> SubspaceProjection:
+    """Maximizing set of the Gram g = |m|^2 of a matrix m of norm ``norm`` > eps_eq.
+
+    The set is homogeneous in g, so g is read at unit scale: a matrix the
+    pair does not count as zero is never rejected as the zero matrix.
+    """
+    return maximizing_set(unit_scaled(g, norm**2), cfg)
+
+
+def _product_in_range(pair: Pair, cfg: ToleranceConfig) -> bool:
+    """||x||^2 ||y||^2 in W(|x|^2 |y|^2), read at unit scale like ``_modulus_product``."""
+    target = pair.nx**2 * pair.ny**2
+    k = unit_exponent(target)
+    scaled = float(np.ldexp(target, k))
+    return range_contains(
+        unit_scaled(pair.gx @ pair.gy, target), scaled, cfg, tol=cfg.eps_opt * (1.0 + scaled)
+    )
 
 
 def _sum_gram(pair: Pair) -> np.ndarray:
@@ -215,18 +246,15 @@ def norm_additivity_report(
             "norm-additivity", statements, witnesses, True, cfg
         )
 
-    meet, witness = sets_intersect(maximizing_set(gx, cfg), maximizing_set(gy, cfg), cfg)
+    meet, witness = sets_intersect(_maximizers(gx, nx, cfg), _maximizers(gy, ny, cfg), cfg)
     if witness is not None:
         witnesses.append(("joint_maximizing_state", witness))
 
     statements = {
         "gram_sum_norm": _eq(spectral_norm(gx + gy), nx**2 + ny**2, tol, nx**2 + ny**2),
-        "modulus_product_norm": _eq(_modulus_product_norm(pair), nx * ny, tol, nx * ny),
+        "modulus_product_norm": _modulus_product(pair, tol),
         "maximizers_meet": StatementResult(meet, 0.0),
-        "product_in_range": StatementResult(
-            range_contains(gx @ gy, nx**2 * ny**2, cfg, tol=tol * (1.0 + nx**2 * ny**2)),
-            0.0,
-        ),
+        "product_in_range": StatementResult(_product_in_range(pair, cfg), 0.0),
         "sum_in_range": StatementResult(
             range_contains(gx + gy, nx**2 + ny**2, cfg, tol=tol * (1.0 + nx**2 + ny**2)),
             0.0,
@@ -248,23 +276,23 @@ def product_norm_check(
     first = abs(spectral_norm(pair.gx + pair.gy) - (na**2 + nb**2)) <= tol * (
         1.0 + na**2 + nb**2
     )
-    second = abs(_modulus_product_norm(pair) - na * nb) <= tol * (1.0 + na * nb)
+    second = _modulus_product(pair, tol).verdict
     return first, second
 
 
 def _meet_or_degenerate(
     g: np.ndarray, h: np.ndarray, g_norm: float, h_norm: float, cfg: ToleranceConfig
 ) -> tuple[bool, DensityState | None]:
-    """Intersection of the maximizing sets of the positive g and h, whose norms
-    are g_norm and h_norm, treating the zero matrix as 'all states'."""
+    """Intersection of the maximizing sets of the Grams g and h of matrices of
+    norms g_norm and h_norm, treating a zero matrix as 'all states'."""
     gz = g_norm <= cfg.eps_eq
     hz = h_norm <= cfg.eps_eq
     if gz and hz:
         return True, None
     if gz or hz:
-        p = maximizing_set(h if gz else g, cfg)
+        p = _maximizers(h, h_norm, cfg) if gz else _maximizers(g, g_norm, cfg)
         return True, DensityState.pure(p.basis[:, 0])
-    return sets_intersect(maximizing_set(g, cfg), maximizing_set(h, cfg), cfg)
+    return sets_intersect(_maximizers(g, g_norm, cfg), _maximizers(h, h_norm, cfg), cfg)
 
 
 def parallelogram_two_imply_third(
@@ -280,9 +308,9 @@ def parallelogram_two_imply_third(
     np_, nm = spectral_norm(plus), spectral_norm(minus)
     rhs = 2 * (pair.nx**2 + pair.ny**2)
 
-    meet_xy, w1 = _meet_or_degenerate(pair.gx, pair.gy, pair.nx**2, pair.ny**2, cfg)
+    meet_xy, w1 = _meet_or_degenerate(pair.gx, pair.gy, pair.nx, pair.ny, cfg)
     meet_pm, w2 = _meet_or_degenerate(
-        plus.conj().T @ plus, minus.conj().T @ minus, np_**2, nm**2, cfg
+        plus.conj().T @ plus, minus.conj().T @ minus, np_, nm, cfg
     )
 
     statements = {
@@ -394,9 +422,7 @@ def pythagoras_identity(
             basis = top_eigenspace(gy if nx <= cfg.eps_eq else gx, cfg)
             witnesses.append(("zero_real_joint_state", DensityState.pure(basis[:, 0])))
     else:
-        inter = subspace_intersection(
-            maximizing_set(gx, cfg), maximizing_set(gy, cfg), cfg
-        )
+        inter = subspace_intersection(_maximizers(gx, nx, cfg), _maximizers(gy, ny, cfg), cfg)
         if inter.shape[1] > 0:
             comp = inter.conj().T @ re_inner @ inter
             dec = hermitian_eig(comp, cfg)
@@ -420,7 +446,7 @@ def pythagoras_identity(
     decomposed_first = abs(
         spectral_norm(gsum) - spectral_norm(gx + gy)
     ) <= tol * (1.0 + rhs)
-    decomposed_second = abs(_modulus_product_norm(pair) - nx * ny) <= tol * (1.0 + nx * ny)
+    decomposed_second = _modulus_product(pair, tol).verdict
     statements["decomposed"] = StatementResult(decomposed_first and decomposed_second, 0.0)
 
     if statements["pythagoras"].verdict:
@@ -466,11 +492,11 @@ def scaled_pythagoras_report(
     statements = {
         "pythagoras": _eq(spectral_norm(pair.x + pair.y) ** 2, rhs, tol, rhs),
         "scaled_real_ratio": StatementResult(real_worst <= tol, real_worst),
-        "modulus_product_norm": _eq(_modulus_product_norm(pair), nx * ny, tol, nx * ny),
+        "modulus_product_norm": _modulus_product(pair, tol),
     }
 
     # maximizing-set equality S_{|x+y|^2} = S_{|x|^2} cap S_{|y|^2}
-    p_x, p_y = maximizing_set(gx, cfg), maximizing_set(gy, cfg)
+    p_x, p_y = _maximizers(gx, nx, cfg), _maximizers(gy, ny, cfg)
     inter = subspace_intersection(p_x, p_y, cfg)
     sum_basis = top_eigenspace(_sum_gram(pair), cfg)
     if inter.shape[1] != sum_basis.shape[1]:
@@ -509,8 +535,7 @@ class LatticeProfile:
 
     Each lattice-quantified statement about the pair reads this one profile.
     The lattice is closed under negation, so sigma_max(x - lam_i y) is row
-    ``cfg.lattice_negation[i]`` of the same profile.  ``x`` may be a ``Pair``
-    already built by the caller, with ``y`` omitted.
+    ``cfg.lattice_negation[i]`` of the same profile.
 
     ``definition`` decides the upper half of the Pythagoras definition off the
     lattice too.  For a unit eta let a = ||x||^2 - ||x eta||^2,
@@ -523,12 +548,18 @@ class LatticeProfile:
     """
 
     def __init__(
-        self,
-        x: np.ndarray | Pair,
-        y: np.ndarray | None = None,
-        cfg: ToleranceConfig = DEFAULT_CONFIG,
+        self, x: np.ndarray, y: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG
     ) -> None:
-        pair = Pair.of(x, y)
+        self._load(Pair(x, y), cfg)
+
+    @classmethod
+    def _of(cls, pair: Pair, cfg: ToleranceConfig) -> LatticeProfile:
+        """The profile of a pair already built by the caller."""
+        profile = cls.__new__(cls)
+        profile._load(pair, cfg)
+        return profile
+
+    def _load(self, pair: Pair, cfg: ToleranceConfig) -> None:
         self.x, self.y, self.nx, self.ny = pair.x, pair.y, pair.nx, pair.ny
         self.cfg = cfg
         self.lams = np.asarray(cfg.lambda_lattice)
@@ -642,15 +673,19 @@ def parallelogram_law_check(
 
 
 def pythagoras_witness_vector(
-    x: np.ndarray | Pair, y: np.ndarray | None = None, cfg: ToleranceConfig = DEFAULT_CONFIG
+    x: np.ndarray, y: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> np.ndarray | None:
     """Unit xi with ||x xi|| = ||x||, ||y xi|| = ||y||, <x xi, y xi> = 0, or None.
 
     Such a vector must live in the intersection of the top right singular
     subspaces; within it the cross terms form a numerical range that has to
-    contain zero.  ``x`` may be a ``Pair``, with ``y`` omitted.
+    contain zero.
     """
-    pair = Pair.of(x, y)
+    return _witness_vector(Pair(x, y), cfg)
+
+
+def _witness_vector(pair: Pair, cfg: ToleranceConfig) -> np.ndarray | None:
+    """``pythagoras_witness_vector`` on a pair already built by the caller."""
     if pair.nx <= cfg.eps_eq or pair.ny <= cfg.eps_eq:
         zm = pair.x if pair.nx > cfg.eps_eq else pair.y
         sub = top_right_singular_subspace(zm, cfg)
@@ -687,7 +722,7 @@ def pythagoras_orthogonal(
     groups: list[list[str]] = []
     implications: list[tuple[str, str]] = []
 
-    profile = LatticeProfile(pair, cfg=cfg)
+    profile = LatticeProfile._of(pair, cfg)
     definition = profile.definition()
     statements["definition"] = definition
     if not definition.verdict:
@@ -711,7 +746,7 @@ def pythagoras_orthogonal(
     statements["positivity_gate"] = StatementResult(positivity_gate, 0.0)
 
     if square and rank_gate and positivity_gate:
-        xi = pythagoras_witness_vector(pair, cfg=cfg)
+        xi = _witness_vector(pair, cfg)
         statements["witness_form"] = StatementResult(parallelogram and xi is not None, 0.0)
         if xi is not None:
             witnesses.append(("norming_vector", xi))
@@ -721,8 +756,8 @@ def pythagoras_orthogonal(
     # the parallelogram law
     statements["roberts"] = StatementResult(profile.roberts(), 0.0)
     statements["parallelogram"] = StatementResult(parallelogram, 0.0)
-    bj_xy, w_xy = bj_orthogonal(pair, cfg=cfg)
-    bj_yx, w_yx = bj_orthogonal(pair.swapped(), cfg=cfg)
+    bj_xy, w_xy = _bj_orthogonal(pair, cfg)
+    bj_yx, w_yx = _bj_orthogonal(pair.swapped(), cfg)
     statements["bj_forward"] = StatementResult(bj_xy, 0.0)
     statements["bj_reverse"] = StatementResult(bj_yx, 0.0)
     if w_xy is not None:
@@ -751,8 +786,8 @@ def pythagoras_via_bj_parallelogram(
         1.0 + alpha
     ):
         raise HypothesisViolation("requires |y|^2 to be a positive scalar multiple of I")
-    profile = LatticeProfile(pair, cfg=cfg)
-    bj, _ = bj_orthogonal(pair, cfg=cfg)
+    profile = LatticeProfile._of(pair, cfg)
+    bj, _ = _bj_orthogonal(pair, cfg)
     return profile.definition().verdict, bj and profile.parallelogram()
 
 
@@ -792,7 +827,7 @@ def limit_relations_check(
     tol = cfg.eps_opt * (1.0 + target)
     relations = abs(first - target) <= tol and abs(second - target) <= tol
 
-    profile = LatticeProfile(pair, cfg=cfg)
+    profile = LatticeProfile._of(pair, cfg)
     lams = profile.lams
     norms2 = np.ldexp(profile.norms, e) ** 2
     numer = target * (lambda0 * abs(alpha) ** 2 - (lambda0 + 1) * np.abs(lams) ** 2)

@@ -19,6 +19,7 @@ from modnorm import (
     matrix_to_json,
     save_matrix,
 )
+from modnorm import cli
 from modnorm.cli import main
 
 
@@ -139,7 +140,7 @@ def test_check_exit_internal_error(mats, monkeypatch, capsys, error):
     def broken(*args):
         raise error
 
-    monkeypatch.setattr("modnorm.cli.pythagoras_orthogonal", broken)
+    monkeypatch.setitem(cli._CHECKS, "pythagoras", (broken, "definition"))
     assert main(["check", "pythagoras", mats["a4"], mats["b4"]]) == 4
     assert "internal error" in capsys.readouterr().err
 
@@ -158,6 +159,17 @@ def test_small_scale_pair_keeps_the_unit_exit_code(tmp_path, capsys, kind):
         codes.append(main(["check", kind, _write(tmp_path, "x.json", x), _write(tmp_path, "y.json", y)]))
     capsys.readouterr()
     assert codes[1] == codes[0] in (0, 1)
+
+
+@pytest.mark.parametrize(
+    "kind, code", [("norm-additivity", 0), ("bj", 1), ("pythagoras", 1), ("triangle", 0)]
+)
+def test_unequal_moduli_pair_is_decided(tmp_path, capsys, kind, code):
+    x, y = _rng0_pair(1.0)
+    big, small = _write(tmp_path, "x.json", 1e6 * x), _write(tmp_path, "y.json", y)
+    assert main(["check", kind, big, small]) == code
+    assert main(["check", kind, small, big]) == code
+    capsys.readouterr()
 
 
 def test_python_m_modnorm(tmp_path):

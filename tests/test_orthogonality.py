@@ -504,6 +504,40 @@ def test_small_scales_keep_the_unit_verdicts(t):
     assert bj_orthogonal(t * x, t * y, CFG)[0] == bj_orthogonal(x, y, CFG)[0]
 
 
+def test_unequal_moduli_are_decided():
+    # ||y|| / ||x|| ~ 1e-6: y is not zero at the pair's scale, so no decider
+    # may reject |y|^2 as the zero matrix, and the statements homogeneous in
+    # x and y separately (maximizing sets, BJ, || |x||y| ||) read as they do
+    # on unit-scale inputs
+    x, y = _rng0_pair()
+    big = 1e6 * x
+    for a, b in ((big, y), (y, big)):
+        assert _verdicts(norm_additivity_report(a, b, CFG)) == (
+            {"gram_sum_norm": True, "modulus_product_norm": False, "maximizers_meet": False,
+             "product_in_range": False, "sum_in_range": True},
+            False,
+        )
+        assert _verdicts(triangle_equality(a, b, CFG)) == (
+            {"norm_sum": True, "sum_square_in_range": True, "product_in_inner_range": False},
+            False,
+        )
+        assert _verdicts(parallelogram_two_imply_third(a, b, CFG)) == (
+            {"parallelogram_at_one": True, "maximizers_meet": False,
+             "sum_diff_maximizers_meet": True},
+            False,
+        )
+        for decider in (pythagoras_identity, scaled_pythagoras_report):
+            with pytest.raises(HypothesisViolation):
+                decider(a, b, CFG)
+        assert not bj_orthogonal(a, b, CFG)[0]
+        verdicts, consistent = _verdicts(pythagoras_orthogonal(a, b, CFG))
+        assert consistent
+        assert not any(verdicts[label] for label in ("definition", "roberts", "bj_forward", "bj_reverse"))
+    # the lattice parallelogram law is left out for (y, big): its tolerance
+    # eps_eq (1 + rhs) is absolute where rhs < 1, at the small lattice points
+    assert not pythagoras_orthogonal(big, y, CFG).verdict("parallelogram")
+
+
 def test_extreme_magnitudes():
     tiny = np.array([[1e-300]], dtype=complex)
     assert not pythagoras_orthogonal(tiny, tiny, CFG).verdict("definition")
