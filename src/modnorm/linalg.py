@@ -36,6 +36,12 @@ def as_matrix(a: np.ndarray) -> np.ndarray:
     return m
 
 
+def read_only(m: np.ndarray) -> np.ndarray:
+    """m with its writeable flag cleared, so it can be shared between callers."""
+    m.flags.writeable = False
+    return m
+
+
 def _times_power_of_two(m: np.ndarray, e: int) -> np.ndarray:
     """m * 2^e, exact: the factor 2^e itself is never formed, so it cannot overflow."""
     return np.ldexp(m.real, e) + 1j * np.ldexp(m.imag, e)
@@ -64,7 +70,8 @@ class Pair:
     zero pair keeps exponent 0.  Scaling by a power of two is exact, so
     (2^k x, 2^k y) gives bit-identical normalized matrices and every verdict
     read from them is scale-free.  ||x||, ||y||, x^H x, y^H y and x^H y of
-    the normalized pair are computed once, here.
+    the normalized pair are computed once, here.  Every array is read-only,
+    so a ``Pair`` and whatever is built from it can be shared between callers.
     """
 
     __slots__ = ("x", "y", "exponent", "nx", "ny", "gx", "gy", "inner")
@@ -75,18 +82,19 @@ class Pair:
             raise ShapeError(f"shape mismatch: {xm.shape} vs {ym.shape}")
         top = max(float(np.max(np.abs(part))) for m in (xm, ym) for part in (m.real, m.imag))
         self.exponent = int(np.frexp(top)[1]) - 1 if top > 0.0 else 0
-        self.x = _times_power_of_two(xm, -self.exponent)
-        self.y = _times_power_of_two(ym, -self.exponent)
+        self.x = read_only(_times_power_of_two(xm, -self.exponent))
+        self.y = read_only(_times_power_of_two(ym, -self.exponent))
         self.nx, self.ny = spectral_norm(self.x), spectral_norm(self.y)
-        self.gx, self.gy = self.x.conj().T @ self.x, self.y.conj().T @ self.y
-        self.inner = self.x.conj().T @ self.y
+        self.gx = read_only(self.x.conj().T @ self.x)
+        self.gy = read_only(self.y.conj().T @ self.y)
+        self.inner = read_only(self.x.conj().T @ self.y)
 
     def swapped(self) -> Pair:
         """The pair (y, x), sharing every computed quantity."""
         out = object.__new__(Pair)
         out.x, out.y, out.exponent = self.y, self.x, self.exponent
         out.nx, out.ny, out.gx, out.gy = self.ny, self.nx, self.gy, self.gx
-        out.inner = self.inner.conj().T
+        out.inner = read_only(self.inner.conj().T)
         return out
 
 

@@ -5,8 +5,9 @@ Each decider evaluates every statement of the characterization it implements
 and aggregates verdicts, residuals, and witnesses into an
 ``OrthogonalityReport`` whose ``consistent`` flag asserts the required
 agreement between the statements.  The "for all lambda" notions read one
-``LatticeProfile`` per pair; the upper half of the Pythagoras definition is
-decided off the lattice as well, by an eta certificate confirmed with one norm.
+``LatticeProfile`` per pair, shared by every decider run on that pair; the
+upper half of the Pythagoras definition is decided off the lattice as well,
+by an eta certificate confirmed with one norm.
 
 Every decider reads one ``Pair``: the inputs divided by a power of two, with
 their norms and Gram matrices.  The characterizations are homogeneous, so
@@ -18,6 +19,8 @@ at their own unit scale, so a small but nonzero partner is judged relatively.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +32,7 @@ from .linalg import (
     hermitian_eig,
     numeric_rank,
     psd_check,
+    read_only,
     real_part,
     spectral_norm,
     top_eigenspace,
@@ -527,6 +531,11 @@ def scaled_pythagoras_report(
 # ---------------------------------------------------------------------------
 
 _ETA_SEEDS = 8  # lattice points whose right singular vectors are candidate etas
+# Profiles the deciders share, least recently used first.  A few entries cover
+# the deciders a caller runs back to back on one pair; about 40 KB each at n = 8.
+_SHARED_PROFILES = 16
+_shared_profiles: OrderedDict[tuple, LatticeProfile] = OrderedDict()
+_shared_profiles_lock = threading.Lock()
 
 
 class LatticeProfile:
@@ -545,6 +554,15 @@ class LatticeProfile:
     |lam|^2 ||y||^2 holds for every lam iff |c|^2 <= a b for every unit eta.
     The candidate etas are the right singular vectors at the lattice points
     nearest to violating it, and the best one is confirmed by one norm.
+
+    The deciders share one profile per normalized pair and config: a pair
+    seen again, as the same bits after ``Pair`` divides out its power of two,
+    with the same config object, reads the profile already built (see
+    ``_of``).  A shared profile returns results bit-identical to a fresh one
+    because every answer is a deterministic function of those bits and that
+    config, and its arrays are read-only, so no decider can change it under
+    another; no decider returns it.  ``LatticeProfile(x, y, cfg)`` always
+    builds a new profile.
     """
 
     def __init__(
@@ -554,16 +572,32 @@ class LatticeProfile:
 
     @classmethod
     def _of(cls, pair: Pair, cfg: ToleranceConfig) -> LatticeProfile:
-        """The profile of a pair already built by the caller."""
+        """The shared profile of a pair already built by the caller.
+
+        The key is the exact bits of the normalized pair and the identity of
+        ``cfg``; the entry holds ``cfg``, so its id cannot be reused while
+        the entry lives.  Two threads that miss together both build, and
+        either result may be kept: they are bit-identical.
+        """
+        key = (pair.x.shape, pair.x.tobytes(), pair.y.tobytes(), id(cfg))
+        with _shared_profiles_lock:
+            profile = _shared_profiles.get(key)
+            if profile is not None:
+                _shared_profiles.move_to_end(key)
+                return profile
         profile = cls.__new__(cls)
         profile._load(pair, cfg)
+        with _shared_profiles_lock:
+            _shared_profiles[key] = profile
+            if len(_shared_profiles) > _SHARED_PROFILES:
+                _shared_profiles.popitem(last=False)
         return profile
 
     def _load(self, pair: Pair, cfg: ToleranceConfig) -> None:
         self.x, self.y, self.nx, self.ny = pair.x, pair.y, pair.nx, pair.ny
         self.cfg = cfg
-        self.lams = np.asarray(cfg.lambda_lattice)
-        self.svals = np.linalg.svd(self._stack(self.lams), compute_uv=False)
+        self.lams = read_only(np.asarray(cfg.lambda_lattice))
+        self.svals = read_only(np.linalg.svd(self._stack(self.lams), compute_uv=False))
         self._definition: tuple[StatementResult, complex] | None = None
 
     def _stack(self, lams: np.ndarray) -> np.ndarray:
@@ -662,14 +696,14 @@ def roberts_check(
     x: np.ndarray, y: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> bool:
     """||x + lam y|| = ||x - lam y|| at every lattice point."""
-    return LatticeProfile(x, y, cfg).roberts()
+    return LatticeProfile._of(Pair(x, y), cfg).roberts()
 
 
 def parallelogram_law_check(
     x: np.ndarray, y: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> bool:
     """||x+lam y||^2 + ||x-lam y||^2 = 2(||x||^2 + |lam|^2 ||y||^2) on the lattice."""
-    return LatticeProfile(x, y, cfg).parallelogram()
+    return LatticeProfile._of(Pair(x, y), cfg).parallelogram()
 
 
 def pythagoras_witness_vector(

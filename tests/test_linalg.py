@@ -9,6 +9,7 @@ from modnorm import (
     DEFAULT_CONFIG,
     NonHermitianError,
     NonSquareError,
+    Pair,
     adjoint,
     hermitian_eig,
     min_modulus,
@@ -36,6 +37,17 @@ def test_as_matrix_rejects_bad_shapes():
         as_matrix(np.array([[np.inf]]))
     with pytest.raises(ValueError):
         as_matrix(np.array([[np.nan + 1j]]))
+
+
+def test_pair_arrays_are_read_only_copies():
+    rng = np.random.default_rng(5)
+    x, y = _rand(rng, 3), _rand(rng, 3)
+    pair = Pair(x, y)
+    for p in (pair, pair.swapped()):
+        for m in (p.x, p.y, p.gx, p.gy, p.inner):
+            with pytest.raises(ValueError):
+                m[0, 0] = 0.0
+    x[0, 0] = y[0, 0] = 0.0  # the caller's arrays stay its own
 
 
 def test_as_matrix_accepts_noncontiguous_views():

@@ -1,5 +1,8 @@
 """Tests for the orthogonality and norm-equality deciders."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from modnorm import (
     DEFAULT_CONFIG,
     HypothesisViolation,
     LatticeProfile,
+    ToleranceConfig,
     bj_orthogonal,
     canonical_json,
     evaluate,
@@ -293,9 +297,8 @@ def test_pythagoras_orthogonal_rank_gate_blocks_witness_clause():
     assert pythagoras_witness_vector(x, y, CFG) is None
 
 
-def test_pythagoras_orthogonal_one_lattice_pass(monkeypatch):
-    # the definition, rank gate, Roberts and parallelogram statements share
-    # one lattice stack; the eta certificate adds the SVDs of 8 of its points
+def _count_stacked_svds(monkeypatch):
+    """From now on, the size of every batched SVD, in call order."""
     svd = np.linalg.svd
     stacked = []
 
@@ -305,9 +308,116 @@ def test_pythagoras_orthogonal_one_lattice_pass(monkeypatch):
         return svd(m, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    rep = pythagoras_orthogonal(*_gate_true_pair(), CFG)
+    return stacked
+
+
+def _fresh_gate_pair(seed):
+    """``_gate_true_pair`` moved by seeded unitaries: still Pythagoras
+    orthogonal with both gates, and no other test builds it."""
+    rng = np.random.default_rng(seed)
+    u, v = _rand_unitary(rng, 4), _rand_unitary(rng, 4)
+    a, b = _gate_true_pair()
+    return u @ a @ v, u @ b @ v
+
+
+def test_pythagoras_orthogonal_one_lattice_pass(monkeypatch):
+    # the definition, rank gate, Roberts and parallelogram statements, and the
+    # Roberts and parallelogram deciders run after it, share one lattice
+    # stack; the eta certificate adds the SVDs of 8 of its points
+    x, y = _fresh_gate_pair(101)
+    stacked = _count_stacked_svds(monkeypatch)
+    rep = pythagoras_orthogonal(x, y, CFG)
     assert "witness_form" in rep.statements  # the gated parallelogram check ran
-    assert sum(stacked) <= len(CFG.lambda_lattice) + 8
+    assert roberts_check(x, y, CFG) and parallelogram_law_check(x, y, CFG)
+    assert len(CFG.lambda_lattice) <= sum(stacked) <= len(CFG.lambda_lattice) + 8
+
+
+def test_shared_profile_matches_a_fresh_build(monkeypatch):
+    rng = np.random.default_rng(102)
+    x, y = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(2))
+    first = pythagoras_orthogonal(x, y, CFG)
+    stacked = _count_stacked_svds(monkeypatch)
+    again = pythagoras_orthogonal(2.0**-20 * x, 2.0**-20 * y, CFG)
+    assert stacked == []  # (2^k x, 2^k y) normalizes to the same bits
+    assert canonical_json(again.to_dict()) == canonical_json(first.to_dict())
+    fresh = LatticeProfile(x, y, CFG)
+    assert again.statements["definition"] == fresh.definition()
+    assert roberts_check(x, y, CFG) == fresh.roberts()
+    assert parallelogram_law_check(x, y, CFG) == fresh.parallelogram()
+
+
+def test_shared_profile_follows_the_config(monkeypatch):
+    x, y = _fresh_gate_pair(103)
+    coarse = ToleranceConfig(lattice_phases=12)
+    assert roberts_check(x, y, CFG)
+    stacked = _count_stacked_svds(monkeypatch)
+    assert roberts_check(x, y, coarse)
+    assert stacked == [len(coarse.lambda_lattice)]
+
+
+def test_shared_profile_follows_in_place_writes():
+    x, y = np.diag([1.0, -1.0]).astype(complex), FLIP.copy()
+    assert roberts_check(x, y, CFG)
+    x[...] = np.eye(2)
+    y[...] = np.eye(2)  # written into x alone, the pair stays Roberts orthogonal
+    assert not roberts_check(x, y, CFG)
+    y[...] = FLIP  # only y changes
+    assert roberts_check(x, y, CFG)
+    x[...] = FLIP  # only x changes
+    assert not roberts_check(x, y, CFG)
+
+
+def test_shared_profile_is_per_order(monkeypatch):
+    rng = np.random.default_rng(104)
+    x, y = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2))
+    forward = pythagoras_orthogonal(x, y, CFG).statements["definition"]
+    stacked = _count_stacked_svds(monkeypatch)
+    reverse = pythagoras_orthogonal(y, x, CFG).statements["definition"]
+    assert sum(stacked) >= len(CFG.lambda_lattice)
+    assert reverse == LatticeProfile(y, x, CFG).definition()
+    assert reverse.residual != forward.residual
+
+
+def test_shared_profiles_under_threads():
+    # more threads than cores and more pairs than the table keeps, with a short
+    # switch interval, so lookups, insertions and evictions interleave
+    rng = np.random.default_rng(106)
+    pairs = [_fresh_gate_pair(200 + i) for i in range(12)]
+    pairs += [
+        tuple(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(2))
+        for _ in range(12)
+    ]
+    want = [(i < 12, i < 12) for i in range(len(pairs))]
+    got = [[] for _ in range(4)]
+
+    def work(k):
+        order = [(k * 7 + 5 * i) % len(pairs) for i in range(2 * len(pairs))]
+        for i in order:
+            x, y = pairs[i]
+            got[k].append((i, roberts_check(x, y, CFG), parallelogram_law_check(x, y, CFG)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(got))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for results in got:
+        assert len(results) == 2 * len(pairs)
+        assert all((r, p) == want[i] for i, r, p in results)
+
+
+def test_lattice_profile_arrays_are_read_only():
+    profile = LatticeProfile(*_gate_true_pair(), CFG)
+    with pytest.raises(ValueError):
+        profile.svals[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        profile.lams[0] = 0.0
 
 
 def _violation(x, y, lam):
