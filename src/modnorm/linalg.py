@@ -7,6 +7,9 @@ eigendecomposition and SVD.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +45,41 @@ def read_only(m: np.ndarray) -> np.ndarray:
     return m
 
 
+# Entries each shared table keeps.  A few cover the calls a caller makes back
+# to back on one pair.
+_SHARED_ENTRIES = 16
+
+
+class _SharedTable:
+    """Values built once per key and shared, least recently used evicted first.
+
+    A build must be a deterministic function of its key, and its value
+    immutable: a hit then returns what a fresh build would.  Two threads that
+    miss together both build, and either value may be kept.
+    """
+
+    def __init__(self) -> None:
+        self._entries: OrderedDict[Hashable, object] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: Hashable, build: Callable[[], object]) -> object:
+        """The value kept for ``key``, built by ``build()`` on a miss."""
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+                return value
+        value = build()
+        with self._lock:
+            self._entries[key] = value
+            if len(self._entries) > _SHARED_ENTRIES:
+                self._entries.popitem(last=False)
+        return value
+
+
 def _times_power_of_two(m: np.ndarray, e: int) -> np.ndarray:
     """m * 2^e, exact: the factor 2^e itself is never formed, so it cannot overflow."""
     return np.ldexp(m.real, e) + 1j * np.ldexp(m.imag, e)
@@ -70,11 +108,13 @@ class Pair:
     zero pair keeps exponent 0.  Scaling by a power of two is exact, so
     (2^k x, 2^k y) gives bit-identical normalized matrices and every verdict
     read from them is scale-free.  ||x||, ||y||, x^H x, y^H y and x^H y of
-    the normalized pair are computed once, here.  Every array is read-only,
-    so a ``Pair`` and whatever is built from it can be shared between callers.
+    the normalized pair are computed on first read and kept, so a caller that
+    needs only the normalized bits pays for none of them.  Every array is
+    read-only, so a ``Pair`` and whatever is built from it can be shared
+    between callers.
     """
 
-    __slots__ = ("x", "y", "exponent", "nx", "ny", "gx", "gy", "inner")
+    __slots__ = ("x", "y", "exponent", "_known", "_flipped")
 
     def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
         xm, ym = as_matrix(x), as_matrix(y)
@@ -84,17 +124,49 @@ class Pair:
         self.exponent = int(np.frexp(top)[1]) - 1 if top > 0.0 else 0
         self.x = read_only(_times_power_of_two(xm, -self.exponent))
         self.y = read_only(_times_power_of_two(ym, -self.exponent))
-        self.nx, self.ny = spectral_norm(self.x), spectral_norm(self.y)
-        self.gx = read_only(self.x.conj().T @ self.x)
-        self.gy = read_only(self.y.conj().T @ self.y)
-        self.inner = read_only(self.x.conj().T @ self.y)
+        # computed quantities, named by their role in the pair as built; a
+        # swapped pair shares this table and reads it with the roles exchanged
+        self._known: dict[str, object] = {}
+        self._flipped = False
+
+    def _read(self, role: str, compute: Callable[[], object]) -> object:
+        known = self._known
+        if role not in known:
+            # threads that miss together compute identical values; one is kept
+            known.setdefault(role, compute())
+        return known[role]
+
+    def _role(self, own: str, other: str) -> str:
+        return other if self._flipped else own
+
+    @property
+    def nx(self) -> float:
+        return self._read(self._role("nx", "ny"), lambda: spectral_norm(self.x))
+
+    @property
+    def ny(self) -> float:
+        return self._read(self._role("ny", "nx"), lambda: spectral_norm(self.y))
+
+    @property
+    def gx(self) -> np.ndarray:
+        return self._read(self._role("gx", "gy"), lambda: read_only(self.x.conj().T @ self.x))
+
+    @property
+    def gy(self) -> np.ndarray:
+        return self._read(self._role("gy", "gx"), lambda: read_only(self.y.conj().T @ self.y))
+
+    @property
+    def inner(self) -> np.ndarray:
+        """x^H y; the swapped pair reads the adjoint of the unswapped one."""
+        if not self._flipped:
+            return self._read("inner", lambda: read_only(self.x.conj().T @ self.y))
+        return self._read("inner_h", lambda: read_only(self.swapped().inner.conj().T))
 
     def swapped(self) -> Pair:
-        """The pair (y, x), sharing every computed quantity."""
+        """The pair (y, x), sharing every quantity computed on either."""
         out = object.__new__(Pair)
         out.x, out.y, out.exponent = self.y, self.x, self.exponent
-        out.nx, out.ny, out.gx, out.gy = self.ny, self.nx, self.gy, self.gx
-        out.inner = read_only(self.inner.conj().T)
+        out._known, out._flipped = self._known, not self._flipped
         return out
 
 

@@ -13,6 +13,11 @@ lambda*: in min_lambda ||A + lambda B||^2 = sup_{|xi|=1} M(xi) with
 M(xi) = min_mu ||(A + mu B) xi||^2, the supremum is attained in the top singular
 subspace of A + lambda* B at a unit vector whose quadratic form against
 B^H (A + lambda* B) vanishes, and weak duality makes the gap a certificate.
+
+min_lambda_norm and sup_m share one solve per pair: the solution is kept for
+the 16 most recently solved pairs, keyed like the lattice profile by the exact
+bits of the matrices and the identity of the config, so a caller that checks
+the duality with both makes one solve between them.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .config import DEFAULT_CONFIG, ToleranceConfig
 from .linalg import (
     Pair,
     ShapeError,
+    _SharedTable,
     as_matrix,
     min_modulus,
     spectral_norm,
@@ -41,6 +47,8 @@ _STATIONARY = 1e-10  # |u^H B v| <= _STATIONARY * ||B|| certifies lambda*
 _NEWTON_SVDS = 30  # SVDs one Newton run may spend
 _BACKTRACKS = 5  # trial points per Newton step
 _ROUNDING = 16 * np.finfo(float).eps
+# (cfg, solution) of the recent pairs, shared by min_lambda_norm and sup_m
+_shared_solves = _SharedTable()
 
 
 class HypothesisViolation(ValueError):
@@ -160,6 +168,13 @@ def _newton(
         steps += 1
 
 
+def _validated(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    am, bm = as_matrix(a), as_matrix(b)
+    if am.shape != bm.shape:
+        raise ShapeError(f"shape mismatch: {am.shape} vs {bm.shape}")
+    return am, bm
+
+
 def min_lambda_norm(
     a: np.ndarray, b: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> MinLambdaResult:
@@ -170,10 +185,27 @@ def min_lambda_norm(
     the scale of the pair).  Otherwise, at a kink, Nelder-Mead with one restart
     runs from the best point seen, and Newton polishes its point; the simplex
     point is kept if the polish raises the value beyond rounding.
+
+    The solution is shared with ``sup_m`` and any later call on the same pair
+    and config (see ``_shared_solve``).
     """
-    am, bm = as_matrix(a), as_matrix(b)
-    if am.shape != bm.shape:
-        raise ShapeError(f"shape mismatch: {am.shape} vs {bm.shape}")
+    return _shared_solve(*_validated(a, b), cfg)
+
+
+def _shared_solve(am: np.ndarray, bm: np.ndarray, cfg: ToleranceConfig) -> MinLambdaResult:
+    """``_solve`` once per pair and config among the recent ones.
+
+    The key is the exact bits of the caller's matrices, not of a normalized
+    ``Pair``, because the solver works in the caller's units, plus the
+    identity of ``cfg``; the entry holds ``cfg``, so its id cannot be reused
+    while the entry lives.  A write into the caller's arrays changes the key.
+    """
+    key = (am.shape, am.tobytes(), bm.tobytes(), id(cfg))
+    return _shared_solves.get(key, lambda: (cfg, _solve(am, bm, cfg)))[1]
+
+
+def _solve(am: np.ndarray, bm: np.ndarray, cfg: ToleranceConfig) -> MinLambdaResult:
+    """The solver behind ``min_lambda_norm``, on a validated pair."""
     na, nb = spectral_norm(am), spectral_norm(bm)
     # B counts as zero relative to A; exact B = 0 always does
     if nb <= cfg.eps_rank * na:
@@ -245,9 +277,11 @@ def sup_m(
     D = A + lambda* B (its first basis vector if no zero is found).  Weak duality,
     M(xi) <= ||A + lambda B||^2 for every unit xi and lambda, makes the bracket
     [M(xi*), ||A + lambda* B||^2] a certificate however xi* was found.
+    lambda* is the shared solution of ``min_lambda_norm``, so this call and
+    ``min_lambda_norm`` on the same pair solve for it once between them.
     """
-    am, bm = as_matrix(a), as_matrix(b)
-    d = am + min_lambda_norm(am, bm, cfg).lambda_star * bm
+    am, bm = _validated(a, b)
+    d = am + _shared_solve(am, bm, cfg).lambda_star * bm
     sub = top_right_singular_subspace(d, cfg, rel_tol=1e-7)
     zero = zero_unit_vector(sub.conj().T @ (d.conj().T @ bm) @ sub, cfg)
     xi = sub @ zero[0] if zero is not None else sub[:, 0]
@@ -282,12 +316,18 @@ def _bj_orthogonal(pair: Pair, cfg: ToleranceConfig) -> tuple[bool, DensityState
 def bj_lower_bound_check(
     x: np.ndarray, y: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> bool:
-    """Lattice check of ||x + lam y||^2 >= ||x||^2 + |lam|^2 m(|y|^2)."""
+    """Lattice check of ||x + lam y||^2 >= ||x||^2 + |lam|^2 m(|y|^2).
+
+    The norms are read from the pair's shared ``LatticeProfile``.
+    """
+    # orthogonality imports this module, so its profile is imported here
+    from .orthogonality import LatticeProfile
+
     pair = Pair(x, y)
     my = float(np.linalg.svd(pair.y, compute_uv=False)[-1]) ** 2
-    lams = np.asarray(cfg.lambda_lattice)
-    lhs = _batched_norms(pair.x, pair.y, lams) ** 2
-    rhs = pair.nx**2 + np.abs(lams) ** 2 * my
+    profile = LatticeProfile._of(pair, cfg)
+    lhs = profile.norms**2
+    rhs = pair.nx**2 + np.abs(profile.lams) ** 2 * my
     slack = cfg.eps_opt * (1.0 + rhs)
     return bool(np.all(lhs >= rhs - slack))
 

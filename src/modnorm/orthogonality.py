@@ -19,8 +19,6 @@ at their own unit scale, so a small but nonzero partner is judged relatively.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +27,7 @@ from .config import DEFAULT_CONFIG, ToleranceConfig
 from .linalg import (
     NonSquareError,
     Pair,
+    _SharedTable,
     hermitian_eig,
     numeric_rank,
     psd_check,
@@ -531,11 +530,8 @@ def scaled_pythagoras_report(
 # ---------------------------------------------------------------------------
 
 _ETA_SEEDS = 8  # lattice points whose right singular vectors are candidate etas
-# Profiles the deciders share, least recently used first.  A few entries cover
-# the deciders a caller runs back to back on one pair; about 40 KB each at n = 8.
-_SHARED_PROFILES = 16
-_shared_profiles: OrderedDict[tuple, LatticeProfile] = OrderedDict()
-_shared_profiles_lock = threading.Lock()
+# Profiles the deciders share; about 40 KB each at n = 8.
+_shared_profiles = _SharedTable()
 
 
 class LatticeProfile:
@@ -576,21 +572,15 @@ class LatticeProfile:
 
         The key is the exact bits of the normalized pair and the identity of
         ``cfg``; the entry holds ``cfg``, so its id cannot be reused while
-        the entry lives.  Two threads that miss together both build, and
-        either result may be kept: they are bit-identical.
+        the entry lives.
         """
         key = (pair.x.shape, pair.x.tobytes(), pair.y.tobytes(), id(cfg))
-        with _shared_profiles_lock:
-            profile = _shared_profiles.get(key)
-            if profile is not None:
-                _shared_profiles.move_to_end(key)
-                return profile
+        return _shared_profiles.get(key, lambda: cls._built(pair, cfg))
+
+    @classmethod
+    def _built(cls, pair: Pair, cfg: ToleranceConfig) -> LatticeProfile:
         profile = cls.__new__(cls)
         profile._load(pair, cfg)
-        with _shared_profiles_lock:
-            _shared_profiles[key] = profile
-            if len(_shared_profiles) > _SHARED_PROFILES:
-                _shared_profiles.popitem(last=False)
         return profile
 
     def _load(self, pair: Pair, cfg: ToleranceConfig) -> None:

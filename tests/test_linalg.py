@@ -50,6 +50,22 @@ def test_pair_arrays_are_read_only_copies():
     x[0, 0] = y[0, 0] = 0.0  # the caller's arrays stay its own
 
 
+def test_pair_quantities_are_computed_once_and_shared_with_the_swap():
+    rng = np.random.default_rng(6)
+    x, y = _rand(rng, 3), _rand(rng, 3)
+    pair = Pair(x, y)
+    swap = pair.swapped()
+    # read first on either side, each quantity is the other side's object
+    assert swap.gx is pair.gy and pair.gx is swap.gy
+    assert swap.nx == pair.ny and swap.ny == pair.nx
+    assert swap.swapped().inner is pair.inner
+    # with the expressions of an eager build
+    assert pair.gx.tobytes() == (pair.x.conj().T @ pair.x).tobytes()
+    assert pair.inner.tobytes() == (pair.x.conj().T @ pair.y).tobytes()
+    assert swap.inner.tobytes() == pair.inner.conj().T.tobytes()
+    assert pair.nx == spectral_norm(pair.x)
+
+
 def test_as_matrix_accepts_noncontiguous_views():
     a = _rand(np.random.default_rng(0), 3)
     assert as_matrix(a.conj().T).shape == (3, 3)

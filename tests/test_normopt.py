@@ -1,6 +1,9 @@
 """Tests for the shifted-norm minimizer, dual sphere functional, and
 Birkhoff-James decisions."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,12 +13,14 @@ from modnorm import (
     DEFAULT_CONFIG,
     HypothesisViolation,
     ShapeError,
+    ToleranceConfig,
     bj_lower_bound_check,
     bj_orthogonal,
     evaluate,
     m_functional,
     min_lambda_norm,
     pythagoras_witness_vector,
+    roberts_check,
     spectral_norm,
     sup_m,
     unique_alpha0,
@@ -388,3 +393,131 @@ def test_min_lambda_scale_and_unitary_invariance(seed, n, exponent):
     v, _ = np.linalg.qr(_rand(rng, n))
     rotated = min_lambda_norm(u @ a @ v, u @ b @ v, CFG)
     assert rotated.value == pytest.approx(base.value, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the shared min-lambda solve
+# ---------------------------------------------------------------------------
+
+
+def _count_solves(monkeypatch):
+    """From now on, a fresh table of shared solves, and the count of solves
+    (one Newton run from the grid each at a simple top)."""
+    import modnorm.linalg
+    import modnorm.normopt
+
+    newton = modnorm.normopt._newton
+    runs = [0]
+
+    def counting_newton(*args, **kwargs):
+        runs[0] += 1
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr(modnorm.normopt, "_shared_solves", modnorm.linalg._SharedTable())
+    monkeypatch.setattr(modnorm.normopt, "_newton", counting_newton)
+    return runs
+
+
+def _same_bits(first, second):
+    def bits(res):
+        return np.array([res.lambda_star, res.value]).tobytes(), res.iterations
+
+    return bits(first) == bits(second)
+
+
+def test_min_lambda_then_sup_m_solve_once(monkeypatch):
+    rng = np.random.default_rng(1201)
+    a, b = _rand(rng, 4), _rand(rng, 4)
+    runs = _count_solves(monkeypatch)
+    primal = min_lambda_norm(a, b, CFG)
+    dual, _ = sup_m(a, b, CFG)
+    assert runs[0] == 1
+    assert dual <= primal.value**2 * (1.0 + 1e-12)
+    assert dual >= primal.value**2 * (1.0 - 1e-9)
+
+
+def test_shared_solve_matches_a_fresh_build(monkeypatch):
+    import modnorm.linalg
+    import modnorm.normopt
+
+    rng = np.random.default_rng(1202)
+    a, b = _rand(rng, 5), _rand(rng, 5)
+    kink = np.eye(3, dtype=complex), _normal(rng, 3)  # Nelder-Mead runs here
+    for x, y in ((a, b), kink):
+        built = min_lambda_norm(x, y, CFG)
+        hit, (value, xi) = min_lambda_norm(x, y, CFG), sup_m(x, y, CFG)
+        assert hit is built
+        monkeypatch.setattr(modnorm.normopt, "_shared_solves", modnorm.linalg._SharedTable())
+        fresh_value, fresh_xi = sup_m(x, y, CFG)
+        assert _same_bits(min_lambda_norm(x, y, CFG), hit)
+        assert value == fresh_value and xi.tobytes() == fresh_xi.tobytes()
+
+
+def test_shared_solve_misses_on_another_config_writes_and_order(monkeypatch):
+    rng = np.random.default_rng(1203)
+    a, b = _rand(rng, 3), _rand(rng, 3)
+    runs = _count_solves(monkeypatch)
+    base = min_lambda_norm(a, b, CFG)
+    other = ToleranceConfig()  # equal to CFG, but another object
+    assert other == CFG and _same_bits(min_lambda_norm(a, b, other), base)
+    assert runs[0] == 2
+    reverse = min_lambda_norm(b, a, CFG)
+    assert runs[0] == 3 and reverse.value != base.value
+    a[0, 0] += 1.0  # the caller writes into its own array
+    moved = min_lambda_norm(a, b, CFG)
+    assert runs[0] == 4 and moved.value != base.value
+    assert _same_bits(moved, min_lambda_norm(a.copy(), b.copy(), CFG))
+    assert runs[0] == 4
+
+
+def test_shared_solves_under_threads():
+    # more threads than cores and more pairs than the table keeps, with a short
+    # switch interval, so lookups, insertions and evictions interleave
+    rng = np.random.default_rng(1204)
+    pairs = [(_rand(rng, 3), _rand(rng, 3)) for _ in range(24)]
+    want = []
+    for x, y in pairs:
+        value, xi = sup_m(x, y, CFG)
+        want.append((min_lambda_norm(x, y, CFG), value, xi.tobytes()))
+    got = [[] for _ in range(4)]
+
+    def work(k):
+        order = [(k * 7 + 5 * i) % len(pairs) for i in range(2 * len(pairs))]
+        for i in order:
+            x, y = pairs[i]
+            opt = min_lambda_norm(x, y, CFG)
+            value, xi = sup_m(x, y, CFG)
+            got[k].append((i, opt, value, xi.tobytes()))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(got))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for results in got:
+        assert len(results) == 2 * len(pairs)
+        for i, opt, value, xi in results:
+            assert _same_bits(opt, want[i][0]) and (value, xi) == want[i][1:]
+
+
+def test_bj_lower_bound_check_reads_the_shared_profile(monkeypatch):
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    pairs = [(np.diag([1.0, 0.0]).astype(complex), flip, True), (np.eye(2), 2 * np.eye(2), False)]
+    for x, y, _ in pairs:
+        roberts_check(x, y, CFG)  # builds the shared lattice profile of the pair
+    svd, stacked = np.linalg.svd, []
+
+    def counting_svd(m, *args, **kwargs):
+        if np.ndim(m) == 3:
+            stacked.append(len(m))
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    assert [bj_lower_bound_check(x, y, CFG) for x, y, _ in pairs] == [p[2] for p in pairs]
+    assert stacked == []

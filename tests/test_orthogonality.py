@@ -12,11 +12,13 @@ from modnorm import (
     DEFAULT_CONFIG,
     HypothesisViolation,
     LatticeProfile,
+    Pair,
     ToleranceConfig,
     bj_orthogonal,
     canonical_json,
     evaluate,
     limit_relations_check,
+    min_lambda_norm,
     norm_additivity_report,
     parallelogram_law_check,
     parallelogram_two_imply_third,
@@ -410,6 +412,36 @@ def test_shared_profiles_under_threads():
     for results in got:
         assert len(results) == 2 * len(pairs)
         assert all((r, p) == want[i] for i, r, p in results)
+
+
+def test_shared_tables_keep_the_most_recent_entries(monkeypatch):
+    import modnorm.linalg
+    import modnorm.normopt
+    import modnorm.orthogonality
+
+    profiles, solves = modnorm.linalg._SharedTable(), modnorm.linalg._SharedTable()
+    monkeypatch.setattr(modnorm.orthogonality, "_shared_profiles", profiles)
+    monkeypatch.setattr(modnorm.normopt, "_shared_solves", solves)
+    keep = modnorm.linalg._SHARED_ENTRIES
+    assert keep == 16
+    rng = np.random.default_rng(107)
+    pairs = [
+        tuple(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(2))
+        for _ in range(keep + 4)
+    ]
+    built = []
+    for x, y in pairs:
+        built.append(LatticeProfile._of(Pair(x, y), CFG))
+        min_lambda_norm(x, y, CFG)
+        assert len(profiles) <= keep and len(solves) <= keep
+    assert len(profiles) == len(solves) == keep
+    # the kept profiles are returned again; an evicted one is built afresh
+    assert LatticeProfile._of(Pair(*pairs[-1]), CFG) is built[-1]
+    stacked = _count_stacked_svds(monkeypatch)
+    again = LatticeProfile._of(Pair(*pairs[0]), CFG)
+    assert again is not built[0] and stacked == [len(CFG.lambda_lattice)]
+    assert again.svals.tobytes() == built[0].svals.tobytes()
+    assert len(profiles) == keep
 
 
 def test_lattice_profile_arrays_are_read_only():
