@@ -51,6 +51,7 @@ from .numrange import (
     chord_through_zero,
     range_boundary,
     range_contains,
+    support_dips_below,
     support_function,
     support_values,
     zero_unit_vector,

@@ -40,7 +40,10 @@ class ToleranceConfig:
     eps_eq      relative tolerance for algebraic identities (eigensolver grade)
     eps_opt     tolerance for optimization-mediated equalities
     eps_rank    relative singular-value cutoff for numeric rank
-    phase_grid  number of angles for phase / support-function scans
+    phase_grid  number of angles at which ``range_boundary`` samples the
+                boundary of a numerical range (the ``numrange`` command and the
+                zero-chord polygon); membership in W(A) is decided exactly and
+                reads no grid
     rng_seed    seed for every derived pseudo-random draw
 
     ``lattice_negation`` is derived, not set: entry i is the index of

@@ -290,10 +290,20 @@ def top_right_singular_subspace(
     a: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG, rel_tol: float | None = None
 ) -> np.ndarray:
     """Orthonormal basis of right singular vectors attaining the top singular value."""
-    m = as_matrix(a)
-    _, s, vh = np.linalg.svd(m)
+    _, s, vh = np.linalg.svd(as_matrix(a))
+    return top_right_space(s, vh, cfg, rel_tol)
+
+
+def top_right_space(
+    s: np.ndarray,
+    vh: np.ndarray,
+    cfg: ToleranceConfig = DEFAULT_CONFIG,
+    rel_tol: float | None = None,
+) -> np.ndarray:
+    """``top_right_singular_subspace`` read from the singular values s and the
+    V^H of a full SVD already taken."""
     if s[0] == 0.0:
-        return np.eye(m.shape[1], dtype=np.complex128)
+        return np.eye(vh.shape[1], dtype=np.complex128)
     tol = (rel_tol if rel_tol is not None else cfg.eps_eq) * s[0]
     keep = s >= s[0] - tol
     # a wide matrix has more rows of vh than singular values

@@ -17,7 +17,9 @@ B^H (A + lambda* B) vanishes, and weak duality makes the gap a certificate.
 min_lambda_norm and sup_m share one solve per pair: the solution is kept for
 the 16 most recently solved pairs, keyed like the lattice profile by the exact
 bits of the matrices and the identity of the config, so a caller that checks
-the duality with both makes one solve between them.
+the duality with both makes one solve between them.  The solution keeps ||B||
+and, where the solve factored it, the SVD of A + lambda* B, which sup_m reads
+instead of factoring again.
 """
 
 from __future__ import annotations
@@ -34,8 +36,10 @@ from .linalg import (
     _SharedTable,
     as_matrix,
     min_modulus,
+    read_only,
     spectral_norm,
     top_right_singular_subspace,
+    top_right_space,
     unit_scaled,
 )
 from .numrange import zero_unit_vector
@@ -73,6 +77,21 @@ class _NewtonRun:
     value: float
     steps: int
     certified: bool
+    svd: tuple[np.ndarray, np.ndarray]  # (s, V^H) of A + lam B
+
+
+@dataclass(frozen=True)
+class _Solution:
+    """A shared solve: the result, ||B||, and (s, V^H) of A + lambda* B when
+    the solve factored that matrix (None otherwise)."""
+
+    result: MinLambdaResult
+    nb: float
+    svd: tuple[np.ndarray, np.ndarray] | None
+
+    def __post_init__(self) -> None:
+        for m in self.svd or ():
+            read_only(m)
 
 
 def _batched_norms(a: np.ndarray, b: np.ndarray, lams: np.ndarray) -> np.ndarray:
@@ -126,7 +145,7 @@ def _newton(
     svds, steps, reach = 1, 0, 2.0 * (1.0 + na / nb)
     certified = None  # the first point where the certificate held
     while True:
-        here = _NewtonRun(lam, float(s[0]), steps, True)
+        here = _NewtonRun(lam, float(s[0]), steps, True, (s, vh))
         if s[0] == 0.0:
             return here
         d = u.conj().T @ bm @ vh.conj().T
@@ -189,10 +208,10 @@ def min_lambda_norm(
     The solution is shared with ``sup_m`` and any later call on the same pair
     and config (see ``_shared_solve``).
     """
-    return _shared_solve(*_validated(a, b), cfg)
+    return _shared_solve(*_validated(a, b), cfg).result
 
 
-def _shared_solve(am: np.ndarray, bm: np.ndarray, cfg: ToleranceConfig) -> MinLambdaResult:
+def _shared_solve(am: np.ndarray, bm: np.ndarray, cfg: ToleranceConfig) -> _Solution:
     """``_solve`` once per pair and config among the recent ones.
 
     The key is the exact bits of the caller's matrices, not of a normalized
@@ -204,19 +223,20 @@ def _shared_solve(am: np.ndarray, bm: np.ndarray, cfg: ToleranceConfig) -> MinLa
     return _shared_solves.get(key, lambda: (cfg, _solve(am, bm, cfg)))[1]
 
 
-def _solve(am: np.ndarray, bm: np.ndarray, cfg: ToleranceConfig) -> MinLambdaResult:
+def _solve(am: np.ndarray, bm: np.ndarray, cfg: ToleranceConfig) -> _Solution:
     """The solver behind ``min_lambda_norm``, on a validated pair."""
     na, nb = spectral_norm(am), spectral_norm(bm)
     # B counts as zero relative to A; exact B = 0 always does
     if nb <= cfg.eps_rank * na:
-        return MinLambdaResult(lambda_star=0.0, value=na, iterations=0)
+        return _Solution(MinLambdaResult(lambda_star=0.0, value=na, iterations=0), nb, None)
     radius = 1.0 + na / nb
     grid = np.linspace(-radius, radius, _START_GRID)
     re, im = np.meshgrid(grid, grid)
     lams = (re + 1j * im).ravel()
     run = _newton(am, bm, lams[int(np.argmin(_batched_norms(am, bm, lams)))], na, nb)
     if run.certified:
-        return MinLambdaResult(lambda_star=run.lam, value=run.value, iterations=run.steps)
+        result = MinLambdaResult(lambda_star=run.lam, value=run.value, iterations=run.steps)
+        return _Solution(result, nb, run.svd)
 
     def objective(x: np.ndarray) -> float:
         return float(np.linalg.norm(am + (x[0] + 1j * x[1]) * bm, 2))
@@ -235,16 +255,17 @@ def _solve(am: np.ndarray, bm: np.ndarray, cfg: ToleranceConfig) -> MinLambdaRes
         options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 400},
     )
     best = res2 if res2.fun <= res.fun else res
-    lam, value = complex(best.x[0], best.x[1]), float(best.fun)
+    lam, value, svd = complex(best.x[0], best.x[1]), float(best.fun), None
     polish = _newton(am, bm, lam, na, nb)
     # with no step taken, the polish would only swap in another SVD's rounding
     if polish.steps and polish.value <= value * (1.0 + 1e-14):
-        lam, value = polish.lam, polish.value
-    return MinLambdaResult(
+        lam, value, svd = polish.lam, polish.value, polish.svd
+    result = MinLambdaResult(
         lambda_star=lam,
         value=value,
         iterations=run.steps + int(res.nit + res2.nit) + polish.steps,
     )
+    return _Solution(result, nb, svd)
 
 
 def m_functional(
@@ -261,9 +282,16 @@ def m_functional(
     v = np.asarray(xi, dtype=np.complex128).ravel()
     if abs(np.linalg.norm(v) - 1.0) > cfg.eps_eq * 10:
         raise ValueError("xi must be a unit vector")
+    return _m_value(am, bm, v, spectral_norm(bm), cfg)
+
+
+def _m_value(
+    am: np.ndarray, bm: np.ndarray, v: np.ndarray, nb: float, cfg: ToleranceConfig
+) -> float:
+    """``m_functional`` at a unit v, given ||B|| = nb."""
     av, bv = am @ v, bm @ v
     nbv = np.linalg.norm(bv)
-    if nbv <= cfg.eps_rank * max(spectral_norm(bm), 1e-300):
+    if nbv <= cfg.eps_rank * max(nb, 1e-300):
         return float(np.linalg.norm(av) ** 2)
     return float(np.linalg.norm(av) ** 2 - abs(np.vdot(av, bv)) ** 2 / nbv**2)
 
@@ -278,14 +306,19 @@ def sup_m(
     M(xi) <= ||A + lambda B||^2 for every unit xi and lambda, makes the bracket
     [M(xi*), ||A + lambda* B||^2] a certificate however xi* was found.
     lambda* is the shared solution of ``min_lambda_norm``, so this call and
-    ``min_lambda_norm`` on the same pair solve for it once between them.
+    ``min_lambda_norm`` on the same pair solve for it once between them; ||B||
+    and, where the solve factored it, the SVD of D come with that solution.
     """
     am, bm = _validated(a, b)
-    d = am + _shared_solve(am, bm, cfg).lambda_star * bm
-    sub = top_right_singular_subspace(d, cfg, rel_tol=1e-7)
+    solution = _shared_solve(am, bm, cfg)
+    d = am + solution.result.lambda_star * bm
+    if solution.svd is None:
+        sub = top_right_singular_subspace(d, cfg, rel_tol=1e-7)
+    else:
+        sub = top_right_space(*solution.svd, cfg, rel_tol=1e-7)
     zero = zero_unit_vector(sub.conj().T @ (d.conj().T @ bm) @ sub, cfg)
     xi = sub @ zero[0] if zero is not None else sub[:, 0]
-    return m_functional(am, bm, xi, cfg), xi
+    return _m_value(am, bm, xi, solution.nb, cfg), xi
 
 
 def bj_orthogonal(

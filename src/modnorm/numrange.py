@@ -1,9 +1,18 @@
 """Classical numerical range W(A): support functions, boundary, membership.
 
-W(A) = { <xi, A xi> : ||xi|| = 1 } is compact and convex, so membership reduces
-to a support-function scan over rotation angles, refined by one bounded scalar
-minimization around the tightest angle.  A zero of the quadratic form is built
-on the sampled boundary polygon and finished by a closed-form 2x2 step.
+W(A) = { <xi, A xi> : ||xi|| = 1 } is compact and convex, with support
+function h(theta) = lambda_max(Re(e^{-i theta} A)).  Membership is decided
+exactly, without an angle scan or an optimizer.  For a Hermitian A, W(A) is
+the interval [lambda_min, lambda_max], read from one ``eigvalsh``.  For a
+general A, h(theta) - level changes sign only at angles where w = e^{i theta}
+is an eigenvalue of the quadratic pencil det(w^2 A^H - 2 level w I + A) = 0;
+one QZ on its 2n x 2n companion form finds them, and h at the midpoints of
+the arcs between them decides the sign on each arc.  This is the arc
+algorithm for definite Hermitian pairs (Higham, Tisseur & Van Dooren, Linear
+Algebra Appl. 351-352, 2002; Guo, Higham & Tisseur, SIAM J. Matrix Anal.
+Appl. 31, 2009).  ``cfg.phase_grid`` sizes only the sampled boundary
+(``range_boundary``), on whose polygon a zero of the quadratic form is built
+and finished by a closed-form 2x2 step.
 Conventions: <a, b> = a^H b (conjugate-linear in the first slot, matching
 ``np.vdot``).
 """
@@ -13,12 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.linalg.lapack import zggev
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
-from .linalg import NonSquareError, as_matrix, spectral_norm
+from .linalg import NonSquareError, as_matrix, spectral_norm, unit_exponent, unit_scaled
 
-_REFINE_WIDTH = 1e-6
+# chord_through_zero stops bisecting a boundary edge narrower than this angle
+_BISECTION_FLOOR = 1e-6
 
 
 def _require_square(a: np.ndarray) -> np.ndarray:
@@ -34,19 +44,25 @@ def _rotated_hermitian(a: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return (rot + rot.conj().transpose(0, 2, 1)) / 2
 
 
+def _support(m: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """``support_values`` on a validated square matrix."""
+    return np.linalg.eigvalsh(_rotated_hermitian(m, thetas))[:, -1]
+
+
 def support_values(a: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """h(theta) = lambda_max(Re(e^{-i theta} a)) for a batch of angles."""
-    m = _require_square(a)
-    w = np.linalg.eigvalsh(_rotated_hermitian(m, np.atleast_1d(np.asarray(thetas, float))))
-    return w[:, -1]
+    return _support(_require_square(a), np.atleast_1d(np.asarray(thetas, float)))
+
+
+def _support_vector(m: np.ndarray, theta: float) -> tuple[float, np.ndarray]:
+    """``support_function`` on a validated square matrix."""
+    w, v = np.linalg.eigh(_rotated_hermitian(m, np.array([theta]))[0])
+    return float(w[-1]), v[:, -1]
 
 
 def support_function(a: np.ndarray, theta: float) -> tuple[float, np.ndarray]:
     """Support value h(theta) and a maximizing unit eigenvector."""
-    m = _require_square(a)
-    h = _rotated_hermitian(m, np.array([theta]))[0]
-    w, v = np.linalg.eigh(h)
-    return float(w[-1]), v[:, -1]
+    return _support_vector(_require_square(a), theta)
 
 
 @dataclass(frozen=True)
@@ -71,27 +87,59 @@ def range_boundary(
     return RangeBoundary(angles=thetas, support_values=w[:, -1], extreme_points=pts, vectors=vecs)
 
 
-def _contains(
-    m: np.ndarray, z: complex, thetas: np.ndarray, support: np.ndarray, tol: float
-) -> bool:
-    """z in W(m) from the support values of m at the equispaced angles thetas.
+def _dips_below(c: np.ndarray, level: float) -> bool:
+    """Whether h(theta) < level at some angle, for a validated square c.
 
-    One sampled margin h(theta) - Re(e^{-i theta} z) below -tol certifies
-    non-membership.  Otherwise the margin is minimized over the two sample
-    intervals around the tightest angle, down to width 1e-6.
+    h - level changes sign only where level is an eigenvalue of
+    Re(e^{-i theta} c), that is where w = e^{i theta} solves
+    det(w^2 c^H - 2 level w I + c) = 0.  One QZ on the companion pencil
+    [[0, I], [-c, 2 level I]] - w [[I, 0], [0, c^H]] finds those w.  The
+    angles of every finite nonzero eigenvalue are kept: an extra angle only
+    splits an arc, so it cannot hide one where h < level.  h at the midpoint
+    of each arc between consecutive angles then decides the sign on that
+    arc; with no angle, h - level has one sign and any angle decides.
+
+    The question is homogeneous in (c, level), so both are first scaled by
+    the power of two that puts ||c||_F in [1, 2).  Since |h| <= ||c||_2 <=
+    ||c||_F, a c with ||c||_F <= |level| is decided by the sign of level.
     """
-    marg = support - np.real(np.exp(-1j * thetas) * z)
-    if np.min(marg) < -tol:
-        return False
-    k = int(np.argmin(marg))
-    step = 2 * np.pi / thetas.size
-    res = minimize_scalar(
-        lambda th: float(support_values(m, np.array([th]))[0] - np.real(np.exp(-1j * th) * z)),
-        bounds=(thetas[k] - step, thetas[k] + step),
-        method="bounded",
-        options={"xatol": _REFINE_WIDTH},
+    size = float(np.linalg.norm(c))
+    if size <= abs(level):
+        return level > 0.0
+    level = float(np.ldexp(level, unit_exponent(size)))
+    c = unit_scaled(c, size)
+    n = c.shape[0]
+    lin = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    lead = np.zeros_like(lin)
+    idx = np.arange(n)
+    lin[idx, n + idx] = 1.0
+    lin[n:, :n] = -c
+    lin[n + idx, n + idx] = 2.0 * level
+    lead[idx, idx] = 1.0
+    lead[n:, n:] = c.conj().T
+    alpha, beta, _, _, _, info = zggev(
+        lin, lead, compute_vl=0, compute_vr=0, overwrite_a=1, overwrite_b=1
     )
-    return bool(res.fun >= -tol)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"QZ failed on the companion pencil (info {info})")
+    # the eigenvalue alpha / beta is finite and nonzero where both are nonzero
+    keep = (alpha != 0) & (beta != 0)
+    angles = np.sort(np.angle(alpha[keep] * np.conj(beta[keep])))
+    if angles.size == 0:
+        mids = np.zeros(1)
+    else:
+        mids = (angles + np.append(angles[1:], angles[0] + 2 * np.pi)) / 2
+    return bool(np.min(_support(c, mids)) < level)
+
+
+def support_dips_below(a: np.ndarray, level: float) -> bool:
+    """Whether the support function of W(a) falls below ``level`` at some angle.
+
+    For level > 0 this says that 0 lies outside W(a) or within ``level`` of
+    its boundary; for level = -tol, that 0 lies farther than tol outside
+    W(a).  Decided exactly by the arc test of the module docstring.
+    """
+    return _dips_below(_require_square(a), float(level))
 
 
 def range_contains(
@@ -100,15 +148,21 @@ def range_contains(
     cfg: ToleranceConfig = DEFAULT_CONFIG,
     tol: float | None = None,
 ) -> bool:
-    """Support-function membership test for z in W(a), sampled at
-    cfg.phase_grid angles and refined around the tightest one; z is accepted
-    when the least margin is at least -tol, default eps_eq * (1 + ||a||).
+    """Whether z lies in W(a) within tol, default eps_eq * (1 + ||a||).
+
+    z is accepted when h(theta) - Re(e^{-i theta} z) >= -tol at every angle,
+    that is when its distance to W(a) is at most tol.  For a equal to its
+    adjoint bit for bit, that distance is measured to [lambda_min,
+    lambda_max]; otherwise a - z I goes through the arc test at level -tol.
     """
     m = _require_square(a)
     if tol is None:
         tol = cfg.eps_eq * (1.0 + spectral_norm(m))
-    thetas = 2 * np.pi * np.arange(cfg.phase_grid) / cfg.phase_grid
-    return _contains(m, complex(z), thetas, support_values(m, thetas), tol)
+    z = complex(z)
+    if np.array_equal(m, m.conj().T):
+        w = np.linalg.eigvalsh(m)
+        return abs(complex(z.real - np.clip(z.real, w[0], w[-1]), z.imag)) <= tol
+    return not _dips_below(m - z * np.eye(m.shape[0]), -tol)
 
 
 def _segment_weight(z1: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -170,7 +224,8 @@ def chord_through_zero(
 ) -> tuple[np.ndarray, np.ndarray, float, float] | None:
     """Two unit vectors xi1, xi2 and weight t with z1 + t (z2 - z1) ~ 0, z_k = <xi_k, c xi_k>.
 
-    Returns (xi1, xi2, t, residual), or None when 0 is outside W(c).  Used to
+    Returns (xi1, xi2, t, residual), or None when 0 is outside W(c), which
+    the exact membership test decides before the boundary is sampled.  Used to
     rebuild zero-trace density states from at most two pure states.  On the
     sampled boundary polygon of W(c), xi1 attains the vertex p farthest from 0 and
     xi2, in the span of the exit edge's vertex vectors, the point where the ray
@@ -184,9 +239,9 @@ def chord_through_zero(
         e[0] = 1.0
         return e, e, 1.0, float(abs(np.vdot(e, m @ e)))
     tol = cfg.eps_opt * (1.0 + scale)
-    bound = range_boundary(m, cfg)
-    if not _contains(m, 0j, bound.angles, bound.support_values, tol):
+    if _dips_below(m, -tol):
         return None
+    bound = range_boundary(m, cfg)
     thetas, pts, vecs = bound.angles, bound.extreme_points, bound.vectors
     on_ray = cfg.eps_eq * (1.0 + scale)
     while True:
@@ -199,10 +254,10 @@ def chord_through_zero(
         i = int(np.argmin(dist))
         s = float(ts[i])
         width = (thetas[(i + 1) % pts.size] - thetas[i]) % (2 * np.pi)
-        if dist[i] <= tol or width <= _REFINE_WIDTH:
+        if dist[i] <= tol or width <= _BISECTION_FLOOR:
             break
         mid = thetas[i] + width / 2
-        _, xi = support_function(m, mid)
+        _, xi = _support_vector(m, mid)
         thetas = np.insert(thetas, i + 1, mid)
         pts = np.insert(pts, i + 1, np.vdot(xi, m @ xi))
         vecs = np.insert(vecs, i + 1, xi, axis=0)

@@ -40,7 +40,7 @@ from .linalg import (
     unit_scaled,
 )
 from .normopt import HypothesisViolation, _bj_orthogonal
-from .numrange import range_contains, support_values, zero_unit_vector
+from .numrange import range_contains, support_dips_below, zero_unit_vector
 from .states import (
     DensityState,
     SubspaceProjection,
@@ -762,9 +762,8 @@ def pythagoras_orthogonal(
         # lambda_min(Re(e^{i phi} C)) = -h(pi - phi), so a rotation of C = <x, y>
         # is positive iff a support value of C is at most 0
         inner = pair.inner
-        thetas = 2 * np.pi * np.arange(cfg.phase_grid) / cfg.phase_grid
         scale = max(spectral_norm(inner), 1.0)
-        positivity_gate = bool(np.any(support_values(inner, thetas) <= cfg.eps_eq * scale))
+        positivity_gate = support_dips_below(inner, cfg.eps_eq * scale)
 
     statements["rank_gate"] = StatementResult(rank_gate, 0.0)
     statements["positivity_gate"] = StatementResult(positivity_gate, 0.0)

@@ -436,6 +436,27 @@ def test_min_lambda_then_sup_m_solve_once(monkeypatch):
     assert dual >= primal.value**2 * (1.0 - 1e-9)
 
 
+def test_sup_m_reads_norm_and_factorization_from_the_shared_solve(monkeypatch):
+    # ||B|| and the SVD of A + lambda* B come with a certified solve, so sup_m
+    # factors no n x n matrix of its own (np.linalg.norm(., 2) is an SVD too)
+    rng = np.random.default_rng(1205)
+    a, b = _rand(rng, 4), _rand(rng, 4)
+    _count_solves(monkeypatch)
+    min_lambda_norm(a, b, CFG)
+    shapes = []
+    svd = np.linalg.svd
+
+    def counting_svd(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    inner = sys.modules.get("numpy.linalg._linalg") or sys.modules["numpy.linalg.linalg"]
+    monkeypatch.setattr(inner, "svd", counting_svd)
+    sup_m(a, b, CFG)
+    assert (4, 4) not in shapes
+
+
 def test_shared_solve_matches_a_fresh_build(monkeypatch):
     import modnorm.linalg
     import modnorm.normopt

@@ -1,16 +1,21 @@
 """Tests for numerical-range support functions, membership, and zero witnesses."""
 
+import sys
+
 import numpy as np
 import pytest
 import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import modnorm
 from modnorm import (
     DEFAULT_CONFIG,
     chord_through_zero,
+    pythagoras_orthogonal,
     range_boundary,
     range_contains,
+    support_dips_below,
     support_function,
     support_values,
     zero_unit_vector,
@@ -103,8 +108,8 @@ def test_range_rejects_nonsquare():
 
 def test_range_contains_refines_between_samples():
     # W of the nilpotent shift is the disc of radius 1/2.  A point just past the
-    # rim, midway between two sample angles, passes every sampled direction and
-    # only the refinement between them finds the violated one.
+    # rim, midway between two boundary sample angles, passes every sampled
+    # direction; the exact test still finds the violated one between them.
     a = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     tol = 1e-6
     theta = np.pi / CFG.phase_grid
@@ -183,8 +188,9 @@ def test_chord_through_zero_calls_no_optimizer(monkeypatch):
 
 
 def test_chord_through_zero_solves_the_phase_grid_once(monkeypatch):
-    # the membership test reads the boundary's support values, so the
-    # phase_grid rotated Hermitians are solved once, not once per question
+    # membership is decided by the exact arc test, before the boundary is
+    # sampled, so the phase_grid rotated Hermitians are solved once when 0 is
+    # in W(c) and not at all when it is not
     stacks = []
     for name in ("eigh", "eigvalsh"):
         real = getattr(np.linalg, name)
@@ -198,6 +204,10 @@ def test_chord_through_zero_solves_the_phase_grid_once(monkeypatch):
     a = _rand(np.random.default_rng(9), 4)
     assert chord_through_zero(a - np.trace(a) / 4 * np.eye(4), CFG) is not None
     assert stacks.count(CFG.phase_grid) == 1
+    stacks.clear()
+    far = a + (np.linalg.norm(a, 2) + 1.0) * np.eye(4)
+    assert chord_through_zero(far, CFG) is None
+    assert stacks.count(CFG.phase_grid) == 0
 
 
 def test_zero_unit_vector_traceless():
@@ -277,3 +287,184 @@ def test_support_function_upper_bounds_samples(seed):
         v /= np.linalg.norm(v)
         z = np.vdot(v, a @ v)
         assert np.real(np.exp(-1j * theta) * z) <= h + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# exact membership
+# ---------------------------------------------------------------------------
+
+# Normal, so W is the triangle of its eigenvalues: a sliver that passes
+# 5.78e-9 from 0, four times the default tolerance 1.46e-9.  Its smallest
+# support value lies between two of the phase_grid sample angles.
+SLIVER = np.diag(
+    [5.12606e-6 + 2.86474e-6j, -0.333252573 - 0.18557467j, -0.399699957 - 0.222859238j]
+)
+
+
+def _exact_min_support(eigs):
+    """min over theta of h(theta) for the polygon spanned by eigs.
+
+    h is the upper envelope of |mu| cos(theta - arg mu), so its minimum lies
+    at a kink, where two pieces cross, or at the minimum of one piece.
+    """
+    diffs = (eigs[:, None] - eigs[None, :]).ravel()
+    thetas = np.concatenate(
+        [np.angle(eigs) + np.pi, np.angle(diffs) + np.pi / 2, np.angle(diffs) - np.pi / 2]
+    )
+    return float(np.min(np.max(np.real(np.exp(-1j * thetas)[:, None] * eigs[None, :]), axis=1)))
+
+
+def _hull_edge(rng, eigs):
+    """Two eigenvalues spanning an edge of their convex hull, and its outer normal."""
+    while True:
+        i, j = rng.choice(eigs.size, size=2, replace=False)
+        normal = 1j * (eigs[j] - eigs[i]) / abs(eigs[j] - eigs[i])
+        side = np.real(np.conj(normal) * (eigs - eigs[i]))
+        if np.all(side <= 1e-12):
+            return eigs[i], eigs[j], normal
+        if np.all(side >= -1e-12):
+            return eigs[i], eigs[j], -normal
+
+
+def test_range_contains_rejects_the_sliver():
+    assert _exact_min_support(np.diag(SLIVER)) == pytest.approx(-5.78e-9, rel=1e-2)
+    assert not range_contains(SLIVER, 0.0, CFG)
+
+
+def test_range_contains_matches_the_polygon_of_a_normal_matrix():
+    # 0 placed 1e-9 to 1e-3 from a vertex or an edge, inside or outside
+    rng = np.random.default_rng(5)
+    decided = 0
+    for k in range(400):
+        n = int(rng.integers(2, 9))
+        eigs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        d = 10 ** rng.uniform(-9, -3) * rng.choice([-1.0, 1.0])
+        if k % 2:
+            phi = rng.uniform(0, 2 * np.pi)
+            z = eigs[np.argmax(np.real(np.exp(-1j * phi) * eigs))] + d * np.exp(1j * phi)
+        else:
+            p, q, normal = _hull_edge(rng, eigs)
+            z = p + rng.uniform(0.1, 0.9) * (q - p) + d * normal
+        u = _rand_unitary(rng, n)
+        c = u @ np.diag(eigs - z) @ u.conj().T
+        margin = _exact_min_support(eigs - z)
+        tol = CFG.eps_eq * (1.0 + np.linalg.norm(c, 2))
+        if abs(margin) > 2 * tol:
+            decided += 1
+            assert range_contains(c, 0.0, CFG) == (margin > 0), (k, margin, tol)
+    assert decided >= 300
+
+
+def test_range_contains_matches_a_dense_scan_of_a_general_matrix():
+    # the support sampled at 4000 angles is within 2e-3 * ||c|| of its
+    # minimum (h is ||c||-Lipschitz), so it is the reference where the margin
+    # is larger than that
+    rng = np.random.default_rng(12)
+    thetas = 2 * np.pi * np.arange(4000) / 4000
+    decided = 0
+    for k in range(60):
+        n = 2 + k % 7
+        a = _rand(rng, n)
+        phi = rng.uniform(0, 2 * np.pi)
+        h = support_values(a, np.array([phi]))[0]
+        z = (h + 10 ** rng.uniform(-2, 0) * rng.choice([-1.0, 1.0])) * np.exp(1j * phi)
+        margin = np.min(support_values(a, thetas) - np.real(np.exp(-1j * thetas) * z))
+        if abs(margin) > 2e-3 * (1.0 + np.linalg.norm(a - z * np.eye(n), 2)):
+            decided += 1
+            assert range_contains(a, z, CFG) == (margin > 0), (k, margin)
+    assert decided >= 30
+
+
+def test_range_contains_on_hermitian_input():
+    # W(h) is [lambda_min, lambda_max]: z is accepted within tol of it
+    rng = np.random.default_rng(6)
+    for n in (1, 2, 5, 8):
+        b = _rand(rng, n)
+        h = (b + b.conj().T) / 2
+        lo, hi = np.linalg.eigvalsh(h)[[0, -1]]
+        tol = CFG.eps_eq * (1.0 + np.linalg.norm(h, 2))
+        mid = (lo + hi) / 2
+        inside = (hi + 0.5 * tol, lo - 0.5 * tol, mid + 0.5j * tol, hi + 0.3 * tol - 0.3j * tol)
+        outside = (hi + 3 * tol, lo - 3 * tol, mid + 3j * tol, lo - 2 * tol + 2j * tol)
+        assert all(range_contains(h, z, CFG) for z in inside), n
+        assert not any(range_contains(h, z, CFG) for z in outside), n
+
+
+def test_support_dips_below_between_samples():
+    # the sliver's support dips below 0 only between two sample angles
+    thetas = 2 * np.pi * np.arange(CFG.phase_grid) / CFG.phase_grid
+    assert support_values(SLIVER, thetas).min() > 0.0
+    assert support_dips_below(SLIVER, 0.0)
+    assert not support_dips_below(SLIVER, -1e-8)
+    # the disc of radius 1/2 has h = 1/2 at every angle
+    disc = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    assert support_dips_below(disc, 0.5 + 1e-9)
+    assert not support_dips_below(disc, 0.5 - 1e-9)
+    assert support_dips_below(np.zeros((3, 3)), 1e-12)
+    assert not support_dips_below(np.zeros((3, 3)), 0.0)
+
+
+def _forbid_scans_and_optimizers(monkeypatch):
+    """Make every scipy.optimize function raise, and return the sizes of the
+    stacked Hermitian eigenproblems solved from now on."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an optimizer was called")
+
+    for name in ("minimize", "minimize_scalar", "root_scalar", "brentq", "brute"):
+        monkeypatch.setattr(scipy.optimize, name, forbidden)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("modnorm"):
+            for attr, val in list(vars(mod).items()):
+                if getattr(val, "__module__", "").startswith("scipy.optimize"):
+                    monkeypatch.setattr(mod, attr, forbidden)
+    stacks = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def counting(m, *args, _real=real, **kwargs):
+            if np.ndim(m) == 3:
+                stacks.append(len(m))
+            return _real(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return stacks
+
+
+def test_numrange_binds_no_optimizer():
+    bound = [
+        attr
+        for attr, val in vars(modnorm.numrange).items()
+        if getattr(val, "__module__", "").startswith("scipy.optimize")
+    ]
+    assert bound == []
+
+
+def test_range_contains_scans_no_angles(monkeypatch):
+    stacks = _forbid_scans_and_optimizers(monkeypatch)
+    rng = np.random.default_rng(10)
+    for n in (2, 4, 8):
+        a = _rand(rng, n)
+        range_contains(a, np.trace(a) / n, CFG)
+        range_contains(a, 10.0 * np.linalg.norm(a, 2), CFG)
+        range_contains(a + a.conj().T, 0.5, CFG)
+        assert max(stacks, default=0) <= 2 * n
+    assert range_contains(SLIVER, 1e-3 * np.trace(SLIVER), CFG) is True
+    assert CFG.phase_grid not in stacks
+
+
+def test_pythagoras_orthogonal_scans_no_angles(monkeypatch):
+    # the positivity gate is exact; only the norming-vector step, run when
+    # both gates hold, samples the boundary of a compressed numerical range
+    stacks = _forbid_scans_and_optimizers(monkeypatch)
+    rng = np.random.default_rng(11)
+    gates = set()
+    for n in (2, 4, 8):
+        x, y = _rand(rng, n), _rand(rng, n)
+        for pair in ((x, y), (x, 1j * x), (x, x), (np.eye(n), np.diag(np.arange(n) - 1.5))):
+            stacks.clear()
+            report = pythagoras_orthogonal(*pair, CFG)
+            gates.add(report.verdict("positivity_gate"))
+            if "witness_form" not in report.statements:
+                assert max(stacks, default=0) <= 2 * n
+    assert gates == {False, True}
