@@ -241,18 +241,34 @@ def _solve(am: np.ndarray, bm: np.ndarray, cfg: ToleranceConfig) -> _Solution:
     def objective(x: np.ndarray) -> float:
         return float(np.linalg.norm(am + (x[0] + 1j * x[1]) * bm, 2))
 
+    # scipy's default simplex steps 5% of each coordinate, so from a start
+    # with Im lambda at rounding level it searches the real axis alone; the
+    # steps here are the grid spacing, then a thousandth of it for the restart
+    spacing = grid[1] - grid[0]
+    edges = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    x0 = np.array([run.lam.real, run.lam.imag])
     res = minimize(
         objective,
-        x0=np.array([run.lam.real, run.lam.imag]),
+        x0=x0,
         method="Nelder-Mead",
-        options={"xatol": 1e-11, "fatol": 1e-14, "maxiter": 600},
+        options={
+            "xatol": 1e-11,
+            "fatol": 1e-14,
+            "maxiter": 600,
+            "initial_simplex": x0 + spacing * edges,
+        },
     )
     # one restart from the polished point guards against simplex collapse
     res2 = minimize(
         objective,
         x0=res.x,
         method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 400},
+        options={
+            "xatol": 1e-12,
+            "fatol": 1e-15,
+            "maxiter": 400,
+            "initial_simplex": res.x + 1e-3 * spacing * edges,
+        },
     )
     best = res2 if res2.fun <= res.fun else res
     lam, value, svd = complex(best.x[0], best.x[1]), float(best.fun), None

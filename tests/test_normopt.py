@@ -356,6 +356,9 @@ def test_no_optimizer_runs_at_a_simple_top(monkeypatch):
     st.integers(min_value=2, max_value=8),
     st.booleans(),
 )
+# Nelder-Mead started at Im lambda ~ 4e-16 with scipy's default simplex kept
+# to the real axis and stopped at 0.2337; the minimum is 0.0792, off the axis
+@example(seed=2946, n=2, kink=True)
 def test_min_lambda_is_a_local_minimum(seed, n, kink):
     # no point on two small circles around lambda* does better, whichever
     # solver produced it; x = I with normal y puts a kink at the minimum
