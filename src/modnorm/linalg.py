@@ -1,8 +1,12 @@
 """Dense complex linear algebra primitives.
 
-Matrices are plain complex ``np.ndarray`` values; every function validates its
-input and treats it as immutable.  All spectral machinery reduces to Hermitian
-eigendecomposition and SVD.
+Matrices are plain complex ``np.ndarray`` values, treated as immutable.  The
+public functions validate their input with ``as_matrix``.  ``_spectral_norm``,
+``_hermitian_eig`` and ``_top_right_subspace`` are the cores of
+``spectral_norm``, ``hermitian_eig`` and ``top_right_singular_subspace``: they
+skip the validation, and package code calls them on arrays it has validated
+or built from validated ones.  All spectral machinery reduces to Hermitian
+eigendecomposition and SVD, one LAPACK call per quantity.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ def as_matrix(a: np.ndarray) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -141,11 +145,11 @@ class Pair:
 
     @property
     def nx(self) -> float:
-        return self._read(self._role("nx", "ny"), lambda: spectral_norm(self.x))
+        return self._read(self._role("nx", "ny"), lambda: _spectral_norm(self.x))
 
     @property
     def ny(self) -> float:
-        return self._read(self._role("ny", "nx"), lambda: spectral_norm(self.y))
+        return self._read(self._role("ny", "nx"), lambda: _spectral_norm(self.y))
 
     @property
     def gx(self) -> np.ndarray:
@@ -218,32 +222,58 @@ def hermitian_eig(
     """Spectral decomposition of a Hermitian matrix, eigenvalues descending.
 
     Inputs within eps_eq of Hermitian are symmetrized first so floating-point
-    drift cannot poison downstream spectral logic.
+    drift cannot poison downstream spectral logic.  The drift is bounded by
+    its Frobenius norm first, and only a bound above eps_eq / 2 takes the two
+    SVD norms of the exact gate (see ``_hermitian_drift``).
     """
     m = as_matrix(h)
     if m.shape[0] != m.shape[1]:
         raise NonSquareError(f"hermitian_eig needs a square matrix, got {m.shape}")
-    scale = np.linalg.norm(m, 2) if m.any() else 0.0
-    drift = np.linalg.norm(m - m.conj().T, 2)
-    if drift > cfg.eps_eq * max(scale, 1e-300) and drift > cfg.eps_eq:
+    return _hermitian_eig(m, cfg)
+
+
+def _hermitian_eig(m: np.ndarray, cfg: ToleranceConfig) -> SpectralDecomposition:
+    """``hermitian_eig`` on a validated square matrix."""
+    drift = _hermitian_drift(m, cfg.eps_eq)
+    if drift is not None:
         raise NonHermitianError(f"matrix is not Hermitian (residual {drift:.3e})")
     w, v = np.linalg.eigh((m + m.conj().T) / 2)
     order = np.argsort(w)[::-1]
     return SpectralDecomposition(eigenvalues=w[order], eigenvectors=v[:, order])
 
 
+def _hermitian_drift(m: np.ndarray, tol: float) -> float | None:
+    """||m - m^H||_2 when it exceeds tol * max(||m||_2, 1), else None.
+
+    Since ||K||_2 <= ||K||_F, a Frobenius drift within tol / 2 passes without
+    an SVD; the margin of one half keeps the verdict that of the two SVD
+    norms despite the rounding of either.  Any other drift takes both.
+    """
+    k = m - m.conj().T
+    if np.linalg.norm(k) <= 0.5 * tol:
+        return None
+    drift = _spectral_norm(k)
+    return drift if drift > tol * max(_spectral_norm(m), 1.0) else None
+
+
 def spectral_norm(a: np.ndarray) -> float:
     """Operator (largest singular value) norm."""
-    m = as_matrix(a)
-    if not m.any():
-        return 0.0
-    return float(np.linalg.norm(m, 2))
+    return _spectral_norm(as_matrix(a))
+
+
+def _spectral_norm(m: np.ndarray) -> float:
+    """``spectral_norm`` on a validated matrix: one SVD without vectors.
+
+    ``np.linalg.norm(m, 2)`` takes the same SVD behind a ``moveaxis`` and an
+    ``amax``, so the two agree bit for bit.
+    """
+    return float(np.linalg.svd(m, compute_uv=False)[0]) if m.any() else 0.0
 
 
 def modulus(x: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Positive square root of x*x."""
     m = as_matrix(x)
-    dec = hermitian_eig(m.conj().T @ m, cfg)
+    dec = _hermitian_eig(m.conj().T @ m, cfg)
     w = np.clip(dec.eigenvalues, 0.0, None)
     v = dec.eigenvectors
     return (v * np.sqrt(w)) @ v.conj().T
@@ -290,7 +320,14 @@ def top_right_singular_subspace(
     a: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG, rel_tol: float | None = None
 ) -> np.ndarray:
     """Orthonormal basis of right singular vectors attaining the top singular value."""
-    _, s, vh = np.linalg.svd(as_matrix(a))
+    return _top_right_subspace(as_matrix(a), cfg, rel_tol)
+
+
+def _top_right_subspace(
+    m: np.ndarray, cfg: ToleranceConfig, rel_tol: float | None = None
+) -> np.ndarray:
+    """``top_right_singular_subspace`` on a validated matrix."""
+    _, s, vh = np.linalg.svd(m)
     return top_right_space(s, vh, cfg, rel_tol)
 
 

@@ -34,11 +34,11 @@ from .linalg import (
     Pair,
     ShapeError,
     _SharedTable,
+    _spectral_norm,
+    _top_right_subspace,
     as_matrix,
     min_modulus,
     read_only,
-    spectral_norm,
-    top_right_singular_subspace,
     top_right_space,
     unit_scaled,
 )
@@ -225,7 +225,7 @@ def _shared_solve(am: np.ndarray, bm: np.ndarray, cfg: ToleranceConfig) -> _Solu
 
 def _solve(am: np.ndarray, bm: np.ndarray, cfg: ToleranceConfig) -> _Solution:
     """The solver behind ``min_lambda_norm``, on a validated pair."""
-    na, nb = spectral_norm(am), spectral_norm(bm)
+    na, nb = _spectral_norm(am), _spectral_norm(bm)
     # B counts as zero relative to A; exact B = 0 always does
     if nb <= cfg.eps_rank * na:
         return _Solution(MinLambdaResult(lambda_star=0.0, value=na, iterations=0), nb, None)
@@ -239,7 +239,7 @@ def _solve(am: np.ndarray, bm: np.ndarray, cfg: ToleranceConfig) -> _Solution:
         return _Solution(result, nb, run.svd)
 
     def objective(x: np.ndarray) -> float:
-        return float(np.linalg.norm(am + (x[0] + 1j * x[1]) * bm, 2))
+        return _spectral_norm(am + (x[0] + 1j * x[1]) * bm)
 
     # scipy's default simplex steps 5% of each coordinate, so from a start
     # with Im lambda at rounding level it searches the real axis alone; the
@@ -298,7 +298,7 @@ def m_functional(
     v = np.asarray(xi, dtype=np.complex128).ravel()
     if abs(np.linalg.norm(v) - 1.0) > cfg.eps_eq * 10:
         raise ValueError("xi must be a unit vector")
-    return _m_value(am, bm, v, spectral_norm(bm), cfg)
+    return _m_value(am, bm, v, _spectral_norm(bm), cfg)
 
 
 def _m_value(
@@ -329,7 +329,7 @@ def sup_m(
     solution = _shared_solve(am, bm, cfg)
     d = am + solution.result.lambda_star * bm
     if solution.svd is None:
-        sub = top_right_singular_subspace(d, cfg, rel_tol=1e-7)
+        sub = _top_right_subspace(d, cfg, rel_tol=1e-7)
     else:
         sub = top_right_space(*solution.svd, cfg, rel_tol=1e-7)
     zero = zero_unit_vector(sub.conj().T @ (d.conj().T @ bm) @ sub, cfg)

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg.lapack import zggev
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
-from .linalg import NonSquareError, as_matrix, spectral_norm, unit_exponent, unit_scaled
+from .linalg import NonSquareError, _spectral_norm, as_matrix, unit_exponent, unit_scaled
 
 # chord_through_zero stops bisecting a boundary edge narrower than this angle
 _BISECTION_FLOOR = 1e-6
@@ -79,7 +79,11 @@ def range_boundary(
     a: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> RangeBoundary:
     """Sample the boundary at cfg.phase_grid equispaced angles."""
-    m = _require_square(a)
+    return _boundary(_require_square(a), cfg)
+
+
+def _boundary(m: np.ndarray, cfg: ToleranceConfig) -> RangeBoundary:
+    """``range_boundary`` on a validated square matrix."""
     thetas = 2 * np.pi * np.arange(cfg.phase_grid) / cfg.phase_grid
     w, v = np.linalg.eigh(_rotated_hermitian(m, thetas))
     vecs = v[:, :, -1]
@@ -157,7 +161,7 @@ def range_contains(
     """
     m = _require_square(a)
     if tol is None:
-        tol = cfg.eps_eq * (1.0 + spectral_norm(m))
+        tol = cfg.eps_eq * (1.0 + _spectral_norm(m))
     z = complex(z)
     if np.array_equal(m, m.conj().T):
         w = np.linalg.eigvalsh(m)
@@ -233,7 +237,7 @@ def chord_through_zero(
     than eps_opt * (1 + ||c||), the edge nearest 0 is bisected in angle.
     """
     m = _require_square(c)
-    scale = spectral_norm(m)
+    scale = _spectral_norm(m)
     if scale <= cfg.eps_eq:
         e = np.zeros(m.shape[0], dtype=np.complex128)
         e[0] = 1.0
@@ -241,7 +245,7 @@ def chord_through_zero(
     tol = cfg.eps_opt * (1.0 + scale)
     if _dips_below(m, -tol):
         return None
-    bound = range_boundary(m, cfg)
+    bound = _boundary(m, cfg)
     thetas, pts, vecs = bound.angles, bound.extreme_points, bound.vectors
     on_ray = cfg.eps_eq * (1.0 + scale)
     while True:
@@ -287,4 +291,4 @@ def zero_unit_vector(
     if chord is None:
         return None
     xi, res = _zero_in_span(m, chord[0], chord[1])
-    return (xi, res) if res <= cfg.eps_opt * (1.0 + spectral_norm(m)) else None
+    return (xi, res) if res <= cfg.eps_opt * (1.0 + _spectral_norm(m)) else None

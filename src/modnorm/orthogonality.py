@@ -28,14 +28,13 @@ from .linalg import (
     NonSquareError,
     Pair,
     _SharedTable,
-    hermitian_eig,
+    _hermitian_eig,
+    _spectral_norm,
+    _top_right_subspace,
     numeric_rank,
-    psd_check,
     read_only,
     real_part,
     spectral_norm,
-    top_eigenspace,
-    top_right_singular_subspace,
     unit_exponent,
     unit_scaled,
 )
@@ -112,7 +111,7 @@ def _modulus_product(pair: Pair, tol: float) -> StatementResult:
     """
     k = unit_exponent(pair.nx * pair.ny)
     rhs = float(np.ldexp(pair.nx * pair.ny, k))
-    return _eq(float(np.ldexp(spectral_norm(pair.x @ pair.y.conj().T), k)), rhs, tol, rhs)
+    return _eq(float(np.ldexp(_spectral_norm(pair.x @ pair.y.conj().T), k)), rhs, tol, rhs)
 
 
 def _maximizers(g: np.ndarray, norm: float, cfg: ToleranceConfig) -> SubspaceProjection:
@@ -149,7 +148,7 @@ def triangle_equality(
     """||x+y|| = ||x|| + ||y|| and its two numerical-range characterizations."""
     pair = Pair(x, y)
     nx, ny = pair.nx, pair.ny
-    nsum = spectral_norm(pair.x + pair.y)
+    nsum = _spectral_norm(pair.x + pair.y)
     gsum = _sum_gram(pair)
     tol = cfg.eps_opt
     scale2 = (nx + ny) ** 2
@@ -168,7 +167,7 @@ def triangle_equality(
     witnesses: list[tuple[str, object]] = []
     if statements["norm_sum"].verdict and nsum > cfg.eps_eq:
         # top eigenvector of |x+y|^2 realizes the shared maximizing state
-        basis = top_eigenspace(gsum, cfg)
+        basis = _hermitian_eig(gsum, cfg).top_space(cfg)
         phi = DensityState.pure(basis[:, 0])
         ok = (
             abs(evaluate(phi, pair.gx) - nx**2) <= 10 * tol * (1.0 + nx**2)
@@ -254,7 +253,7 @@ def norm_additivity_report(
         witnesses.append(("joint_maximizing_state", witness))
 
     statements = {
-        "gram_sum_norm": _eq(spectral_norm(gx + gy), nx**2 + ny**2, tol, nx**2 + ny**2),
+        "gram_sum_norm": _eq(_spectral_norm(gx + gy), nx**2 + ny**2, tol, nx**2 + ny**2),
         "modulus_product_norm": _modulus_product(pair, tol),
         "maximizers_meet": StatementResult(meet, 0.0),
         "product_in_range": StatementResult(_product_in_range(pair, cfg), 0.0),
@@ -276,7 +275,7 @@ def product_norm_check(
         raise NonSquareError("product_norm_check needs square matrices")
     na, nb = pair.nx, pair.ny
     tol = cfg.eps_opt
-    first = abs(spectral_norm(pair.gx + pair.gy) - (na**2 + nb**2)) <= tol * (
+    first = abs(_spectral_norm(pair.gx + pair.gy) - (na**2 + nb**2)) <= tol * (
         1.0 + na**2 + nb**2
     )
     second = _modulus_product(pair, tol).verdict
@@ -308,7 +307,7 @@ def parallelogram_two_imply_third(
     """
     pair = Pair(x, y)
     plus, minus = pair.x + pair.y, pair.x - pair.y
-    np_, nm = spectral_norm(plus), spectral_norm(minus)
+    np_, nm = _spectral_norm(plus), _spectral_norm(minus)
     rhs = 2 * (pair.nx**2 + pair.ny**2)
 
     meet_xy, w1 = _meet_or_degenerate(pair.gx, pair.gy, pair.nx, pair.ny, cfg)
@@ -343,9 +342,9 @@ def triangle_witness(
         raise NonSquareError("triangle_witness needs square matrices")
     na, nb = pair.nx, pair.ny
     total = pair.x + pair.y
-    if abs(spectral_norm(total) - (na + nb)) > cfg.eps_opt * (1.0 + na + nb):
+    if abs(_spectral_norm(total) - (na + nb)) > cfg.eps_opt * (1.0 + na + nb):
         return None
-    xi = top_right_singular_subspace(total, cfg)[:, 0]
+    xi = _top_right_subspace(total, cfg)[:, 0]
     n = total.shape[0]
     e1 = np.zeros(n, dtype=np.complex128)
     e1[0] = 1.0
@@ -386,10 +385,18 @@ def _real_ratio_pairs(cfg: ToleranceConfig, count: int = 20) -> list[tuple[compl
 def _scaled_residuals(pair: Pair, coefficients: list[tuple[complex, complex]]) -> np.ndarray:
     """Signed residuals (rhs - lhs) / (1 + rhs) of the scaled identity
     ||alpha x + beta y||^2 = |alpha|^2 ||x||^2 + |beta|^2 ||y||^2, one per
-    coefficient pair (alpha, beta)."""
+    coefficient pair (alpha, beta).
+
+    Each alpha x + beta y is formed on its own, as a single norm would read
+    it, and all their norms come from one batched SVD.
+    """
+    stack = np.empty((len(coefficients), *pair.x.shape), dtype=np.complex128)
+    for k, (alpha, beta) in enumerate(coefficients):
+        stack[k] = alpha * pair.x + beta * pair.y
+    norms = np.linalg.svd(stack, compute_uv=False)[:, 0]
     out = []
-    for alpha, beta in coefficients:
-        lhs = spectral_norm(alpha * pair.x + beta * pair.y) ** 2
+    for (alpha, beta), norm in zip(coefficients, norms):
+        lhs = float(norm) ** 2
         rhs = abs(alpha) ** 2 * pair.nx**2 + abs(beta) ** 2 * pair.ny**2
         out.append((rhs - lhs) / (1.0 + rhs))
     return np.array(out)
@@ -401,7 +408,7 @@ def pythagoras_identity(
     """Pythagoras identity characterizations under Re(<x,y>) <= 0."""
     pair = Pair(x, y)
     re_inner = real_part(pair.inner)
-    if not psd_check(-re_inner, cfg):
+    if not _hermitian_eig(-re_inner, cfg).is_psd(cfg):
         raise HypothesisViolation("pythagoras_identity requires Re(<x,y>) <= 0")
 
     nx, ny, gx, gy = pair.nx, pair.ny, pair.gx, pair.gy
@@ -411,7 +418,7 @@ def pythagoras_identity(
     witnesses: list[tuple[str, object]] = []
 
     statements = {
-        "pythagoras": _eq(spectral_norm(pair.x + pair.y) ** 2, rhs, tol, rhs),
+        "pythagoras": _eq(_spectral_norm(pair.x + pair.y) ** 2, rhs, tol, rhs),
         "sum_in_range": StatementResult(
             range_contains(gsum, rhs, cfg, tol=tol * (1.0 + rhs)), 0.0
         ),
@@ -422,13 +429,13 @@ def pythagoras_identity(
     if nx <= cfg.eps_eq or ny <= cfg.eps_eq:
         exists = True
         if max(nx, ny) > cfg.eps_eq:
-            basis = top_eigenspace(gy if nx <= cfg.eps_eq else gx, cfg)
+            basis = _hermitian_eig(gy if nx <= cfg.eps_eq else gx, cfg).top_space(cfg)
             witnesses.append(("zero_real_joint_state", DensityState.pure(basis[:, 0])))
     else:
         inter = subspace_intersection(_maximizers(gx, nx, cfg), _maximizers(gy, ny, cfg), cfg)
         if inter.shape[1] > 0:
             comp = inter.conj().T @ re_inner @ inter
-            dec = hermitian_eig(comp, cfg)
+            dec = _hermitian_eig(comp, cfg)
             lo, hi = dec.eigenvalues[-1], dec.eigenvalues[0]
             slack = tol * (1.0 + nx * ny)
             if lo <= slack and hi >= -slack:
@@ -447,7 +454,7 @@ def pythagoras_identity(
     statements["zero_real_joint_state"] = StatementResult(exists, 0.0)
 
     decomposed_first = abs(
-        spectral_norm(gsum) - spectral_norm(gx + gy)
+        _spectral_norm(gsum) - _spectral_norm(gx + gy)
     ) <= tol * (1.0 + rhs)
     decomposed_second = _modulus_product(pair, tol).verdict
     statements["decomposed"] = StatementResult(decomposed_first and decomposed_second, 0.0)
@@ -476,9 +483,9 @@ def scaled_pythagoras_report(
     """
     pair = Pair(x, y)
     nx, ny, gx, gy = pair.nx, pair.ny, pair.gx, pair.gy
-    if spectral_norm(real_part(pair.inner)) > cfg.eps_eq * (1.0 + nx * ny):
+    if _spectral_norm(real_part(pair.inner)) > cfg.eps_eq * (1.0 + nx * ny):
         raise HypothesisViolation("scaled_pythagoras_report requires Re(<x,y>) = 0")
-    zero_inner = spectral_norm(pair.inner) <= cfg.eps_eq * (1.0 + nx * ny)
+    zero_inner = _spectral_norm(pair.inner) <= cfg.eps_eq * (1.0 + nx * ny)
 
     rhs = nx**2 + ny**2
     tol = cfg.eps_opt
@@ -493,7 +500,7 @@ def scaled_pythagoras_report(
 
     real_worst = float(np.abs(_scaled_residuals(pair, _real_ratio_pairs(cfg))).max())
     statements = {
-        "pythagoras": _eq(spectral_norm(pair.x + pair.y) ** 2, rhs, tol, rhs),
+        "pythagoras": _eq(_spectral_norm(pair.x + pair.y) ** 2, rhs, tol, rhs),
         "scaled_real_ratio": StatementResult(real_worst <= tol, real_worst),
         "modulus_product_norm": _modulus_product(pair, tol),
     }
@@ -501,7 +508,7 @@ def scaled_pythagoras_report(
     # maximizing-set equality S_{|x+y|^2} = S_{|x|^2} cap S_{|y|^2}
     p_x, p_y = _maximizers(gx, nx, cfg), _maximizers(gy, ny, cfg)
     inter = subspace_intersection(p_x, p_y, cfg)
-    sum_basis = top_eigenspace(_sum_gram(pair), cfg)
+    sum_basis = _hermitian_eig(_sum_gram(pair), cfg).top_space(cfg)
     if inter.shape[1] != sum_basis.shape[1]:
         equal_sets = False
     elif inter.shape[1] == 0:
@@ -638,7 +645,7 @@ class LatticeProfile:
         resid, lam = float(abs(signed[worst])), complex(self.lams[worst])
         eta_lam = self._eta_candidate(signed)
         confirmed = float(
-            self._residual(spectral_norm(self.x + eta_lam * self.y) ** 2, np.array(eta_lam))
+            self._residual(_spectral_norm(self.x + eta_lam * self.y) ** 2, np.array(eta_lam))
         )
         if confirmed > resid:
             resid, lam = confirmed, eta_lam
@@ -712,10 +719,10 @@ def _witness_vector(pair: Pair, cfg: ToleranceConfig) -> np.ndarray | None:
     """``pythagoras_witness_vector`` on a pair already built by the caller."""
     if pair.nx <= cfg.eps_eq or pair.ny <= cfg.eps_eq:
         zm = pair.x if pair.nx > cfg.eps_eq else pair.y
-        sub = top_right_singular_subspace(zm, cfg)
+        sub = _top_right_subspace(zm, cfg)
         return np.asarray(sub[:, 0])
-    p = SubspaceProjection.from_basis(top_right_singular_subspace(pair.x, cfg))
-    q = SubspaceProjection.from_basis(top_right_singular_subspace(pair.y, cfg))
+    p = SubspaceProjection.from_basis(_top_right_subspace(pair.x, cfg))
+    q = SubspaceProjection.from_basis(_top_right_subspace(pair.y, cfg))
     inter = subspace_intersection(p, q, cfg)
     if inter.shape[1] == 0:
         return None
@@ -762,7 +769,7 @@ def pythagoras_orthogonal(
         # lambda_min(Re(e^{i phi} C)) = -h(pi - phi), so a rotation of C = <x, y>
         # is positive iff a support value of C is at most 0
         inner = pair.inner
-        scale = max(spectral_norm(inner), 1.0)
+        scale = max(_spectral_norm(inner), 1.0)
         positivity_gate = support_dips_below(inner, cfg.eps_eq * scale)
 
     statements["rank_gate"] = StatementResult(rank_gate, 0.0)
@@ -805,7 +812,7 @@ def pythagoras_via_bj_parallelogram(
     pair = Pair(x, y)
     gy = pair.gy
     alpha = float(np.trace(gy).real) / gy.shape[0]
-    if alpha <= cfg.eps_eq or spectral_norm(gy - alpha * np.eye(gy.shape[0])) > cfg.eps_eq * (
+    if alpha <= cfg.eps_eq or _spectral_norm(gy - alpha * np.eye(gy.shape[0])) > cfg.eps_eq * (
         1.0 + alpha
     ):
         raise HypothesisViolation("requires |y|^2 to be a positive scalar multiple of I")

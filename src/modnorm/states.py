@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
-from .linalg import as_matrix, hermitian_eig, spectral_norm
+from .linalg import _hermitian_drift, _spectral_norm, as_matrix, hermitian_eig
 from .numrange import chord_through_zero
 
 
@@ -23,7 +23,12 @@ class ZeroMatrixError(ValueError):
 
 @dataclass(frozen=True)
 class DensityState:
-    """A positive unit-trace matrix rho representing phi = tr(rho .)."""
+    """A positive unit-trace matrix rho representing phi = tr(rho .).
+
+    rho must be Hermitian within 1e-9 * max(||rho||, 1) in the spectral norm.
+    The drift is bounded by its Frobenius norm first, and only a bound above
+    5e-10 takes the two SVD norms of the exact check.
+    """
 
     rho: np.ndarray
 
@@ -31,8 +36,7 @@ class DensityState:
         m = as_matrix(self.rho)
         if m.shape[0] != m.shape[1]:
             raise ValueError("density matrix must be square")
-        scale = max(spectral_norm(m), 1.0)
-        if np.linalg.norm(m - m.conj().T, 2) > 1e-9 * scale:
+        if _hermitian_drift(m, 1e-9) is not None:
             raise ValueError("density matrix must be Hermitian")
         if abs(np.trace(m).real - 1.0) > 1e-9:
             raise ValueError("density matrix must have unit trace")
@@ -146,7 +150,7 @@ def witness_in_set_with_zero(
     if chord is None:
         return None
     xi1, xi2, t, resid = chord
-    if resid > cfg.eps_opt * (1.0 + spectral_norm(m)):
+    if resid > cfg.eps_opt * (1.0 + _spectral_norm(m)):
         return None
     v1 = p.basis @ xi1
     v2 = p.basis @ xi2

@@ -125,6 +125,48 @@ def test_check_exit_input_error(tmp_path, mats, capsys):
     capsys.readouterr()
 
 
+# the public deciders and the ``modnorm check`` kind of each, None where the
+# command line has none
+NON_FINITE_DECIDERS = {
+    "bj_orthogonal": "bj",
+    "norm_additivity_report": "norm-additivity",
+    "triangle_equality": "triangle",
+    "pythagoras_identity": "pythagoras-identity",
+    "pythagoras_orthogonal": "pythagoras",
+    "roberts_check": "roberts",
+    "min_lambda_norm": "min-lambda",
+    "sup_m": None,
+}
+NON_FINITE = {"nan": np.nan, "inf": np.inf, "imag_inf": complex(0.0, -np.inf)}
+
+
+@pytest.mark.parametrize("entry", sorted(NON_FINITE))
+@pytest.mark.parametrize("slot", [0, 1], ids=["x", "y"])
+@pytest.mark.parametrize("name", sorted(NON_FINITE_DECIDERS))
+def test_deciders_reject_non_finite_input(name, slot, entry):
+    # LinAlgError is a ValueError too, so the message names the validation
+    pair = [np.eye(2, dtype=complex), np.diag([0.0, 1j])]
+    pair[slot][1, 0] = NON_FINITE[entry]
+    with pytest.raises(ValueError, match="finite"):
+        getattr(modnorm, name)(*pair, modnorm.DEFAULT_CONFIG)
+
+
+@pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize(
+    "kind", sorted(kind for kind in NON_FINITE_DECIDERS.values() if kind is not None)
+)
+def test_check_rejects_non_finite_entries(tmp_path, mats, capsys, kind, entry):
+    # Python's json reads these literals as floats, so the entry reaches the loader
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        f'{{"rows": 2, "cols": 2, "data": [[[1, 0], [0, 0]], [[0, {entry}], [0, 1]]]}}',
+        encoding="utf-8",
+    )
+    assert main(["check", kind, str(bad), mats["e22"]]) == 3
+    assert main(["check", kind, mats["e11"], str(bad)]) == 3
+    assert "not finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "error",
     [

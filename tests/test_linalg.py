@@ -120,6 +120,30 @@ def test_hermitian_eig_rejects_nonhermitian():
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def _drifted(scale, drift, n=4):
+    """A Hermitian matrix of norm ``scale`` plus (i drift / 2) I, so that
+    ||m - m^H||_2 = drift and ||m - m^H||_F = 2 drift."""
+    return np.diag(np.linspace(scale, scale / 2, n)) + 0.5j * drift * np.eye(n)
+
+
+@pytest.mark.parametrize(
+    "scale, drift, accepted",
+    [(1.0, 0.9 * CFG.eps_eq, True), (1.0, 1.1 * CFG.eps_eq, False), (1e3, 1e-7, True)],
+)
+def test_hermitian_gate_boundary(scale, drift, accepted):
+    # every Frobenius drift here is above eps_eq / 2, so the two SVD norms
+    # decide, as they always did: drift <= eps_eq * max(||m||, 1)
+    m = _drifted(scale, drift)
+    assert np.linalg.norm(m - m.conj().T) > CFG.eps_eq / 2
+    exact = np.linalg.norm(m - m.conj().T, 2) <= CFG.eps_eq * max(np.linalg.norm(m, 2), 1.0)
+    assert exact == accepted
+    if accepted:
+        np.testing.assert_allclose(hermitian_eig(m, CFG).eigenvalues, np.diag(m).real)
+    else:
+        with pytest.raises(NonHermitianError):
+            hermitian_eig(m, CFG)
+
+
 def test_modulus_examples():
     np.testing.assert_allclose(
         modulus(np.array([[0.0, 1.0], [0.0, 0.0]])), np.diag([0.0, 1.0]), atol=1e-12
@@ -155,6 +179,15 @@ def test_spectral_norm_power_iteration_oracle():
         v = v / np.linalg.norm(v)
     estimate = float(np.sqrt(np.vdot(v, g @ v).real))
     assert spectral_norm(a) == pytest.approx(estimate, rel=1e-9)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (5, 5), (8, 8), (8, 3), (3, 8), (1, 1), (1, 6)])
+def test_spectral_norm_is_bit_identical_to_numpy(shape):
+    rng = np.random.default_rng(sum(shape))
+    for _ in range(40):
+        m = _rand(rng, *shape) * 10.0 ** rng.uniform(-6, 6)
+        assert spectral_norm(m) == float(np.linalg.norm(m, 2))
+    assert spectral_norm(np.zeros(shape)) == float(np.linalg.norm(np.zeros(shape), 2)) == 0.0
 
 
 def test_min_modulus_examples():

@@ -697,6 +697,11 @@ def _shared_top(rng, n):
     return _rand_unitary(rng, n) @ np.diag(sx) @ v, _rand_unitary(rng, n) @ np.diag(sy) @ v
 
 
+def _colinear(rng, n):
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return x, rng.uniform(0.5, 2.0) * x
+
+
 def _identity_true(rng, n):
     """Common singular bases with a purely imaginary ratio: Re<x, y> = 0 and
     the Pythagoras identity holds."""
@@ -713,8 +718,7 @@ def _family_pair(rng, family):
     if family == "shared_top":
         return _shared_top(rng, n)
     if family == "colinear":
-        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        return x, rng.uniform(0.5, 2.0) * x
+        return _colinear(rng, n)
     if family == "identity_true":
         return _identity_true(rng, n)
     return tuple(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2))
@@ -755,3 +759,86 @@ def test_verdicts_are_unitarily_invariant(seed, family):
         if plain is not None:
             assert _verdicts(rotated) == _verdicts(plain), decider.__name__
     assert bj_orthogonal(u @ x @ v, u @ y @ v, CFG)[0] == bj_orthogonal(x, y, CFG)[0]
+
+
+# ---------------------------------------------------------------------------
+# operation counts
+# ---------------------------------------------------------------------------
+
+def test_scaled_identity_norms_are_one_stacked_svd(monkeypatch):
+    # x = W diag(1, 0, .3, .2) U, y = W diag(.5i, .5 + 1e-8, .03i, .02i) U: the
+    # identity holds within eps_opt, while every real-ratio combination reads
+    # a positive residual of about 1e-8, so the worst one depends on every bit
+    # of the 20 scaled norms
+    rng = np.random.default_rng(41)
+    w, u = _rand_unitary(rng, 4), _rand_unitary(rng, 4)
+    x = w @ np.diag([1.0, 0.0, 0.3, 0.2]) @ u
+    y = w @ np.diag([0.5j, 0.5 + 1e-8, 0.03j, 0.02j]) @ u
+    stacked = _count_stacked_svds(monkeypatch)
+    batched = pythagoras_identity(x, y, CFG)
+    assert stacked == [20]
+    assert batched.verdict("pythagoras")
+    assert batched.statements["scaled_lower_bound"].residual > 0.0
+    monkeypatch.undo()
+    svd = np.linalg.svd
+
+    def looping_svd(m, *args, **kwargs):
+        if np.ndim(m) == 3:
+            return np.array([svd(a, *args, **kwargs) for a in m])
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", looping_svd)
+    looped = pythagoras_identity(x, y, CFG)
+    assert looped.statements == batched.statements
+    assert canonical_json(looped.to_dict()) == canonical_json(batched.to_dict())
+
+
+def _count_factorizations(monkeypatch):
+    """From now on, the number of SVD and eigh calls, each batched call
+    counting once; SVDs behind ``np.linalg.norm`` count too."""
+    counts = {"svd": 0, "eigh": 0}
+    modules = [np.linalg, sys.modules.get("numpy.linalg._linalg")]
+    for name in counts:
+        original = getattr(np.linalg, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if module is not None and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+def _bj_true(rng, n):
+    """A two-dimensional norming subspace of x on which x^H y is traceless."""
+    u, v = _rand_unitary(rng, n), _rand_unitary(rng, n)
+    x = u @ np.diag(np.concatenate([[1.0, 1.0], rng.uniform(0.3, 0.8, n - 2)])) @ v.conj().T
+    k = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    k[1, 1] = -k[0, 0]
+    return x, np.linalg.solve(x.conj().T, v @ k @ v.conj().T)
+
+
+# One seeded 4x4 pair on which each decider's primary statement holds, and
+# the most SVD and eigh calls the decider may make on it.
+COUNTED = {
+    "bj_orthogonal": (bj_orthogonal, _bj_true, 4, 2),
+    "norm_additivity_report": (norm_additivity_report, _shared_top, 4, 3),
+    "triangle_equality": (triangle_equality, _colinear, 3, 1),
+    "pythagoras_identity": (pythagoras_identity, _identity_true, 7, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNTED))
+def test_factorization_counts_stay_bounded(monkeypatch, name):
+    # counts do not depend on the machine, so a decider that starts to
+    # factor one matrix twice fails here even when no timing notices
+    decider, family, max_svds, max_eighs = COUNTED[name]
+    x, y = family(np.random.default_rng(7), 4)
+    counts = _count_factorizations(monkeypatch)
+    out = decider(x, y, CFG)
+    holds = out[0] if name == "bj_orthogonal" else next(iter(out.statements.values())).verdict
+    assert holds
+    assert counts["svd"] <= max_svds, counts
+    assert counts["eigh"] <= max_eighs, counts

@@ -49,6 +49,29 @@ def test_density_validation():
         DensityState(rho=np.diag([1.5, -0.5]))  # not PSD
 
 
+@pytest.mark.parametrize(
+    "rho, drift, error",
+    [
+        (np.diag([0.5, 0.25, 0.125, 0.125]), 0.9e-9, None),
+        (np.diag([0.5, 0.25, 0.125, 0.125]), 1.1e-9, "Hermitian"),
+        # the Hermitian check passes at this scale and the positivity check fails
+        (np.diag([1e3, -999.0, 0.0, 0.0]), 1e-7, "positive semidefinite"),
+    ],
+)
+def test_density_hermitian_check_boundary(rho, drift, error):
+    # rho + (i drift / 2) I has ||m - m^H||_2 = drift and a Frobenius drift of
+    # 2 drift, above 5e-10, so the two SVD norms decide, as they always did:
+    # drift <= 1e-9 * max(||m||, 1)
+    m = rho + 0.5j * drift * np.eye(4)
+    exact = np.linalg.norm(m - m.conj().T, 2) <= 1e-9 * max(np.linalg.norm(m, 2), 1.0)
+    assert exact == (error != "Hermitian")
+    if error is None:
+        DensityState(rho=m)
+    else:
+        with pytest.raises(ValueError, match=error):
+            DensityState(rho=m)
+
+
 def test_evaluate_is_linear_and_positive():
     rng = np.random.default_rng(0)
     v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
