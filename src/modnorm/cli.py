@@ -10,7 +10,6 @@ else a computation raises).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 import traceback
@@ -102,10 +101,8 @@ def _min_lambda_dict(a: np.ndarray, b: np.ndarray, cfg: ToleranceConfig) -> dict
     }
 
 
-def _numrange_dict(a: np.ndarray, cfg: ToleranceConfig, angles: int | None) -> dict:
-    if angles is not None:
-        cfg = dataclasses.replace(cfg, phase_grid=angles)
-    bound = range_boundary(a, cfg)
+def _numrange_dict(a: np.ndarray, angles: int = 360) -> dict:
+    bound = range_boundary(a, angles)
     return {
         "kind": "numrange",
         "angles": [float(t) for t in bound.angles],
@@ -120,7 +117,7 @@ def _run_check(args: argparse.Namespace, cfg: ToleranceConfig) -> int:
 
     kind = args.kind
     if kind == "numrange":
-        _emit(_numrange_dict(x, cfg, None), args.out)
+        _emit(_numrange_dict(x), args.out)
         return EXIT_TRUE
     if y is None:
         print("error: this check needs two matrix files", file=sys.stderr)
@@ -166,7 +163,10 @@ def _run_suite_cmd(args: argparse.Namespace, cfg: ToleranceConfig) -> int:
 
 
 def _run_numrange_cmd(args: argparse.Namespace, cfg: ToleranceConfig) -> int:
-    _emit(_numrange_dict(load_matrix(args.a), cfg, args.angles), args.out)
+    if args.angles < 1:
+        print("error: --angles must be positive", file=sys.stderr)
+        return EXIT_INPUT
+    _emit(_numrange_dict(load_matrix(args.a), args.angles), args.out)
     return EXIT_TRUE
 
 
@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_range = sub.add_parser("numrange", help="sample the numerical range boundary")
     p_range.add_argument("a", help="path to the matrix JSON file")
-    p_range.add_argument("--angles", type=int, help="number of boundary angles")
+    p_range.add_argument("--angles", type=int, default=360, help="number of boundary angles")
     _add_common_flags(p_range)
     p_range.set_defaults(fn=_run_numrange_cmd)
 

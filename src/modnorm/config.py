@@ -40,10 +40,6 @@ class ToleranceConfig:
     eps_eq      relative tolerance for algebraic identities (eigensolver grade)
     eps_opt     tolerance for optimization-mediated equalities
     eps_rank    relative singular-value cutoff for numeric rank
-    phase_grid  number of angles at which ``range_boundary`` samples the
-                boundary of a numerical range (the ``numrange`` command and the
-                zero-chord polygon); membership in W(A) is decided exactly and
-                reads no grid
     rng_seed    seed for every derived pseudo-random draw
 
     ``lattice_negation`` is derived, not set: entry i is the index of
@@ -53,7 +49,6 @@ class ToleranceConfig:
     eps_eq: float = 1e-9
     eps_opt: float = 1e-6
     eps_rank: float = 1e-10
-    phase_grid: int = 360
     rng_seed: int = DEFAULT_SEED
     lattice_mag_exponents: tuple[int, int] = (-8, 8)
     lattice_phases: int = 24

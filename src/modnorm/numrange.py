@@ -10,9 +10,10 @@ one QZ on its 2n x 2n companion form finds them, and h at the midpoints of
 the arcs between them decides the sign on each arc.  This is the arc
 algorithm for definite Hermitian pairs (Higham, Tisseur & Van Dooren, Linear
 Algebra Appl. 351-352, 2002; Guo, Higham & Tisseur, SIAM J. Matrix Anal.
-Appl. 31, 2009).  ``cfg.phase_grid`` sizes only the sampled boundary
-(``range_boundary``), on whose polygon a zero of the quadratic form is built
-and finished by a closed-form 2x2 step.
+Appl. 31, 2009).  A zero of the quadratic form is built on a polygon
+inscribed in W(A), refined by cutting planes from its four axis support
+points, and finished by a closed-form 2x2 step; ``range_boundary`` samples
+the boundary at a given number of angles for display.
 Conventions: <a, b> = a^H b (conjugate-linear in the first slot, matching
 ``np.vdot``).
 """
@@ -26,9 +27,6 @@ from scipy.linalg.lapack import zggev
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .linalg import NonSquareError, _spectral_norm, as_matrix, unit_exponent, unit_scaled
-
-# chord_through_zero stops bisecting a boundary edge narrower than this angle
-_BISECTION_FLOOR = 1e-6
 
 
 def _require_square(a: np.ndarray) -> np.ndarray:
@@ -75,16 +73,16 @@ class RangeBoundary:
     vectors: np.ndarray
 
 
-def range_boundary(
-    a: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG
-) -> RangeBoundary:
-    """Sample the boundary at cfg.phase_grid equispaced angles."""
-    return _boundary(_require_square(a), cfg)
+def range_boundary(a: np.ndarray, angles: int = 360) -> RangeBoundary:
+    """Sample the boundary at ``angles`` equispaced angles, at least one."""
+    if angles < 1:
+        raise ValueError(f"range_boundary needs at least one angle, got {angles}")
+    return _boundary(_require_square(a), angles)
 
 
-def _boundary(m: np.ndarray, cfg: ToleranceConfig) -> RangeBoundary:
+def _boundary(m: np.ndarray, angles: int) -> RangeBoundary:
     """``range_boundary`` on a validated square matrix."""
-    thetas = 2 * np.pi * np.arange(cfg.phase_grid) / cfg.phase_grid
+    thetas = 2 * np.pi * np.arange(angles) / angles
     w, v = np.linalg.eigh(_rotated_hermitian(m, thetas))
     vecs = v[:, :, -1]
     pts = np.einsum("ki,ij,kj->k", vecs.conj(), m, vecs)
@@ -229,12 +227,16 @@ def chord_through_zero(
     """Two unit vectors xi1, xi2 and weight t with z1 + t (z2 - z1) ~ 0, z_k = <xi_k, c xi_k>.
 
     Returns (xi1, xi2, t, residual), or None when 0 is outside W(c), which
-    the exact membership test decides before the boundary is sampled.  Used to
-    rebuild zero-trace density states from at most two pure states.  On the
-    sampled boundary polygon of W(c), xi1 attains the vertex p farthest from 0 and
-    xi2, in the span of the exit edge's vertex vectors, the point where the ray
-    from p through 0 leaves the polygon.  While 0 lies outside the polygon by more
-    than eps_opt * (1 + ||c||), the edge nearest 0 is bisected in angle.
+    the exact membership test decides first.  Used to rebuild zero-trace
+    density states from at most two pure states.  The polygon inscribed in
+    W(c) starts from the support points at theta = 0, pi/2, pi, 3 pi/2, the
+    extreme eigenvectors of Re c and Im c.  While 0 lies outside it, the edge
+    with the largest signed gap to 0 along its outward normal n is cut by the
+    support point at angle arg n (Johnson, SIAM J. Numer. Anal. 15, 1978),
+    until that gap, or the outward move of the new point, is at most
+    eps_opt * (1 + ||c||).  On the final polygon, xi1 attains the vertex p
+    farthest from 0 and xi2, in the span of the exit edge's vertex vectors,
+    the point where the ray from p through 0 leaves the polygon.
     """
     m = _require_square(c)
     scale = _spectral_norm(m)
@@ -245,24 +247,24 @@ def chord_through_zero(
     tol = cfg.eps_opt * (1.0 + scale)
     if _dips_below(m, -tol):
         return None
-    bound = _boundary(m, cfg)
-    thetas, pts, vecs = bound.angles, bound.extreme_points, bound.vectors
+    start = _boundary(m, 4)
+    pts, vecs = start.extreme_points, start.vectors
     on_ray = cfg.eps_eq * (1.0 + scale)
     while True:
         k, i, s, x = _ray_exit(pts, on_ray)
         if x >= 0.0:
             break
         d = np.roll(pts, -1) - pts
-        ts = _segment_weight(pts, d)
-        dist = np.abs(pts + ts * d)
-        i = int(np.argmin(dist))
-        s = float(ts[i])
-        width = (thetas[(i + 1) % pts.size] - thetas[i]) % (2 * np.pi)
-        if dist[i] <= tol or width <= _BISECTION_FLOOR:
+        length = np.abs(d)
+        normal = -1j * d / np.where(length > 0.0, length, 1.0)
+        gap = np.where(length > 0.0, -np.real(np.conj(normal) * pts), -np.inf)
+        i = int(np.argmax(gap))
+        s = float(_segment_weight(pts[i], d[i]))
+        if gap[i] <= tol:
             break
-        mid = thetas[i] + width / 2
-        _, xi = _support_vector(m, mid)
-        thetas = np.insert(thetas, i + 1, mid)
+        h, xi = _support_vector(m, float(np.angle(normal[i])))
+        if h + gap[i] <= tol:  # the new point moves edge i outward by h + gap
+            break
         pts = np.insert(pts, i + 1, np.vdot(xi, m @ xi))
         vecs = np.insert(vecs, i + 1, xi, axis=0)
 

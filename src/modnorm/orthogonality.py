@@ -145,20 +145,14 @@ def _sum_gram(pair: Pair) -> np.ndarray:
 def triangle_equality(
     x: np.ndarray, y: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> OrthogonalityReport:
-    """||x+y|| = ||x|| + ||y|| and its two numerical-range characterizations."""
+    """||x+y|| = ||x|| + ||y|| and its numerical-range characterization."""
     pair = Pair(x, y)
     nx, ny = pair.nx, pair.ny
     nsum = _spectral_norm(pair.x + pair.y)
-    gsum = _sum_gram(pair)
     tol = cfg.eps_opt
-    scale2 = (nx + ny) ** 2
 
     statements = {
         "norm_sum": _eq(nsum, nx + ny, tol, nx + ny),
-        "sum_square_in_range": StatementResult(
-            range_contains(gsum, (nx + ny) ** 2, cfg, tol=tol * (1.0 + scale2)),
-            0.0,
-        ),
         "product_in_inner_range": StatementResult(
             range_contains(pair.inner, nx * ny, cfg, tol=tol * (1.0 + nx * ny)),
             0.0,
@@ -167,7 +161,7 @@ def triangle_equality(
     witnesses: list[tuple[str, object]] = []
     if statements["norm_sum"].verdict and nsum > cfg.eps_eq:
         # top eigenvector of |x+y|^2 realizes the shared maximizing state
-        basis = _hermitian_eig(gsum, cfg).top_space(cfg)
+        basis = _hermitian_eig(_sum_gram(pair), cfg).top_space(cfg)
         phi = DensityState.pure(basis[:, 0])
         ok = (
             abs(evaluate(phi, pair.gx) - nx**2) <= 10 * tol * (1.0 + nx**2)
@@ -178,7 +172,7 @@ def triangle_equality(
             witnesses.append(("shared_maximizing_state", phi))
 
     consistent = _check_consistent(
-        statements, [["norm_sum", "sum_square_in_range", "product_in_inner_range"]]
+        statements, [["norm_sum", "product_in_inner_range"]]
     )
     return OrthogonalityReport("triangle", statements, witnesses, consistent, cfg)
 
@@ -417,12 +411,7 @@ def pythagoras_identity(
     tol = cfg.eps_opt
     witnesses: list[tuple[str, object]] = []
 
-    statements = {
-        "pythagoras": _eq(_spectral_norm(pair.x + pair.y) ** 2, rhs, tol, rhs),
-        "sum_in_range": StatementResult(
-            range_contains(gsum, rhs, cfg, tol=tol * (1.0 + rhs)), 0.0
-        ),
-    }
+    statements = {"pythagoras": _eq(_spectral_norm(pair.x + pair.y) ** 2, rhs, tol, rhs)}
 
     # joint maximizing state with vanishing real inner part
     exists = False
@@ -467,7 +456,7 @@ def pythagoras_identity(
 
     consistent = _check_consistent(
         statements,
-        [["pythagoras", "sum_in_range", "zero_real_joint_state", "decomposed"]],
+        [["pythagoras", "zero_real_joint_state", "decomposed"]],
         [("pythagoras", "scaled_lower_bound")],
     )
     return OrthogonalityReport("pythagoras-identity", statements, witnesses, consistent, cfg)

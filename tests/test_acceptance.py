@@ -188,7 +188,7 @@ def _identity_pair(rng, n: int, make_true: bool):
 def test_criterion_06_pythagoras_identity_agreement():
     bad = 0
     witness_bad = 0
-    labels = ("pythagoras", "sum_in_range", "zero_real_joint_state", "decomposed")
+    labels = ("pythagoras", "zero_real_joint_state", "decomposed")
     fixture = pythagoras_identity(np.eye(2, dtype=complex), np.diag([0.0, 1j]), CFG)
     if not (fixture.consistent and fixture.verdict("pythagoras")):
         bad += 1

@@ -257,6 +257,13 @@ def test_numrange_command(mats, capsys):
     assert max(out["support_values"]) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_numrange_command_rejects_no_angles(mats, capsys):
+    for angles in ("0", "-3"):
+        assert main(["numrange", mats["e11"], "--angles", angles]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--angles" in captured.err
+
+
 def test_suite_command(mats, tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code = main(["suite", "corner-block", "--seed", "7", "--count", "3", "--out", str(out_path)])

@@ -193,6 +193,17 @@ def test_bj_identity_against_cube_roots_of_unity():
     assert abs(evaluate(witness, y)) <= 1e-9
 
 
+def test_bj_identity_against_a_thin_triangle_in_any_basis():
+    # W(y) is a thin triangle with 0 at its centroid: the identity is BJ
+    # orthogonal to y and to every unitary conjugate of it
+    ev = np.array([1.03482584 + 0.85205943j, 0.24028732 + 0.19833095j, -1.27511316 - 1.05039038j])
+    y = np.diag(ev - ev.mean())
+    assert bj_orthogonal(np.eye(3), y, CFG)[0]
+    for seed in (0, 1, 2):
+        q, _ = np.linalg.qr(_rand(np.random.default_rng(seed), 3))
+        assert bj_orthogonal(np.eye(3), q @ y @ q.conj().T, CFG)[0], seed
+
+
 def test_wide_pair_through_sup_m_and_witness_vector():
     rng = np.random.default_rng(9)
     a = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))

@@ -1,5 +1,6 @@
 """Tests for numerical-range support functions, membership, and zero witnesses."""
 
+import inspect
 import sys
 
 import numpy as np
@@ -23,6 +24,8 @@ from modnorm import (
 from modnorm.linalg import NonSquareError
 
 CFG = DEFAULT_CONFIG
+# the number of angles at which range_boundary samples by default
+ANGLES = inspect.signature(range_boundary).parameters["angles"].default
 
 
 def _rand(rng, n):
@@ -56,8 +59,8 @@ def test_support_function_vector_attains():
 def test_range_boundary_shapes_and_convexity():
     rng = np.random.default_rng(1)
     a = _rand(rng, 3)
-    bound = range_boundary(a, CFG)
-    assert len(bound.angles) == CFG.phase_grid
+    bound = range_boundary(a)
+    assert len(bound.angles) == ANGLES
     # every boundary point satisfies all support constraints
     for z in bound.extreme_points:
         proj = np.real(np.exp(-1j * bound.angles) * z)
@@ -112,8 +115,8 @@ def test_range_contains_refines_between_samples():
     # direction; the exact test still finds the violated one between them.
     a = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     tol = 1e-6
-    theta = np.pi / CFG.phase_grid
-    thetas = 2 * np.pi * np.arange(CFG.phase_grid) / CFG.phase_grid
+    theta = np.pi / ANGLES
+    thetas = 2 * np.pi * np.arange(ANGLES) / ANGLES
     outside = (0.5 + 2 * tol) * np.exp(1j * theta)
     sampled = support_values(a, thetas) - np.real(np.exp(-1j * thetas) * outside)
     assert sampled.min() > 10 * tol
@@ -187,27 +190,34 @@ def test_chord_through_zero_calls_no_optimizer(monkeypatch):
     assert calls == []
 
 
-def test_chord_through_zero_solves_the_phase_grid_once(monkeypatch):
-    # membership is decided by the exact arc test, before the boundary is
-    # sampled, so the phase_grid rotated Hermitians are solved once when 0 is
-    # in W(c) and not at all when it is not
+def test_chord_through_zero_starts_from_four_support_points(monkeypatch):
+    # membership is decided by the exact arc test first; only when 0 is in
+    # W(c) does the polygon start, from one stack of the four axis support
+    # problems, and every later cut solves a single Hermitian eigenproblem
     stacks = []
-    for name in ("eigh", "eigvalsh"):
-        real = getattr(np.linalg, name)
+    real = np.linalg.eigh
 
-        def counting(m, *args, _real=real, **kwargs):
-            if np.ndim(m) == 3:
-                stacks.append(len(m))
-            return _real(m, *args, **kwargs)
+    def counting(m, *args, **kwargs):
+        if np.ndim(m) == 3:
+            stacks.append(len(m))
+        return real(m, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counting)
+    monkeypatch.setattr(np.linalg, "eigh", counting)
     a = _rand(np.random.default_rng(9), 4)
     assert chord_through_zero(a - np.trace(a) / 4 * np.eye(4), CFG) is not None
-    assert stacks.count(CFG.phase_grid) == 1
+    assert stacks == [4]
     stacks.clear()
     far = a + (np.linalg.norm(a, 2) + 1.0) * np.eye(4)
     assert chord_through_zero(far, CFG) is None
-    assert stacks.count(CFG.phase_grid) == 0
+    assert stacks == []
+
+
+def test_range_boundary_needs_an_angle():
+    a = np.diag([0.0, 1.0]).astype(complex)
+    assert len(range_boundary(a, 1).angles) == 1
+    for angles in (0, -3):
+        with pytest.raises(ValueError):
+            range_boundary(a, angles)
 
 
 def test_zero_unit_vector_traceless():
@@ -235,6 +245,44 @@ def test_zero_unit_vector_shifted_disc():
     assert abs(np.vdot(xi, a @ xi)) <= 1e-6 * (1 + 1.3)
 
 
+# Normal and traceless, so W is a thin triangle with 0 at its centroid.  Its
+# four axis support points are only two of its vertices, so the starting
+# polygon is a segment with 0 off it, and the cut must go to the side that
+# faces 0.
+_THIN = np.array([1.03482584 + 0.85205943j, 0.24028732 + 0.19833095j, -1.27511316 - 1.05039038j])
+THIN_TRIANGLE = np.diag(_THIN - _THIN.mean())
+
+
+def _agreement_cases(rng):
+    """Traceless random and normal matrices, n = 2-8, each also shifted so that
+    0 lies 1e-8 to 1e-2 * (1 + ||c||) inside the support line at a random
+    angle, next to its support point."""
+    for n in range(2, 9):
+        for _ in range(12):
+            u = _rand_unitary(rng, n)
+            normal = u @ np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n)) @ u.conj().T
+            for c in (_rand(rng, n), normal):
+                c = c - np.trace(c) / n * np.eye(n)
+                phi = rng.uniform(0, 2 * np.pi)
+                _, xi = support_function(c, phi)
+                d = 10 ** rng.uniform(-8, -2) * (1.0 + np.linalg.norm(c, 2))
+                yield c
+                yield c - (np.vdot(xi, c @ xi) - d * np.exp(1j * phi)) * np.eye(n)
+
+
+def test_zero_unit_vector_agrees_with_membership():
+    # whenever 0 lies in W(c) exactly, the zero of the quadratic form is found
+    inside = 0
+    for c in (THIN_TRIANGLE, *_agreement_cases(np.random.default_rng(11))):
+        if not range_contains(c, 0.0, CFG, tol=0.0):
+            continue
+        inside += 1
+        out = zero_unit_vector(c, CFG)
+        assert out is not None
+        assert abs(np.vdot(out[0], c @ out[0])) <= CFG.eps_opt * (1.0 + np.linalg.norm(c, 2))
+    assert inside >= 280
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=5))
 @example(seed=33554431, n=3)  # scan minimum not strict: Brent bracket was invalid
@@ -253,15 +301,17 @@ def test_traceless_always_has_zero_vector(seed, n):
 def test_zero_unit_vector_is_an_exact_zero():
     # the 2x2 step solves for the zero instead of settling for the tolerance
     rng = np.random.default_rng(3)
+    cases = [THIN_TRIANGLE]
     for n in range(2, 8):
         for _ in range(50):
             a = _rand(rng, n)
-            a = a - (np.trace(a) / n) * np.eye(n)
-            out = zero_unit_vector(a, CFG)
-            assert out is not None
-            xi, _ = out
-            assert np.linalg.norm(xi) == pytest.approx(1.0, abs=1e-12)
-            assert abs(np.vdot(xi, a @ xi)) <= 1e-12 * (1.0 + np.linalg.norm(a, 2)), n
+            cases.append(a - (np.trace(a) / n) * np.eye(n))
+    for k, a in enumerate(cases):
+        out = zero_unit_vector(a, CFG)
+        assert out is not None, k
+        xi, _ = out
+        assert np.linalg.norm(xi) == pytest.approx(1.0, abs=1e-12)
+        assert abs(np.vdot(xi, a @ xi)) <= 1e-12 * (1.0 + np.linalg.norm(a, 2)), k
 
 
 def test_zero_unit_vector_on_a_small_matrix():
@@ -295,7 +345,7 @@ def test_support_function_upper_bounds_samples(seed):
 
 # Normal, so W is the triangle of its eigenvalues: a sliver that passes
 # 5.78e-9 from 0, four times the default tolerance 1.46e-9.  Its smallest
-# support value lies between two of the phase_grid sample angles.
+# support value lies between two of the default range_boundary angles.
 SLIVER = np.diag(
     [5.12606e-6 + 2.86474e-6j, -0.333252573 - 0.18557467j, -0.399699957 - 0.222859238j]
 )
@@ -392,7 +442,7 @@ def test_range_contains_on_hermitian_input():
 
 def test_support_dips_below_between_samples():
     # the sliver's support dips below 0 only between two sample angles
-    thetas = 2 * np.pi * np.arange(CFG.phase_grid) / CFG.phase_grid
+    thetas = 2 * np.pi * np.arange(ANGLES) / ANGLES
     assert support_values(SLIVER, thetas).min() > 0.0
     assert support_dips_below(SLIVER, 0.0)
     assert not support_dips_below(SLIVER, -1e-8)
@@ -450,7 +500,7 @@ def test_range_contains_scans_no_angles(monkeypatch):
         range_contains(a + a.conj().T, 0.5, CFG)
         assert max(stacks, default=0) <= 2 * n
     assert range_contains(SLIVER, 1e-3 * np.trace(SLIVER), CFG) is True
-    assert CFG.phase_grid not in stacks
+    assert ANGLES not in stacks
 
 
 def test_pythagoras_orthogonal_scans_no_angles(monkeypatch):

@@ -70,7 +70,6 @@ def _gate_false_pair():
 def test_triangle_equality_true():
     rep = triangle_equality(E11, 2 * E11, CFG)
     assert rep.verdict("norm_sum")
-    assert rep.verdict("sum_square_in_range")
     assert rep.verdict("product_in_inner_range")
     assert rep.consistent
     labels = dict(rep.witnesses)
@@ -81,7 +80,6 @@ def test_triangle_equality_true():
 def test_triangle_equality_false():
     rep = triangle_equality(E11, E22, CFG)
     assert not rep.verdict("norm_sum")
-    assert not rep.verdict("sum_square_in_range")
     assert not rep.verdict("product_in_inner_range")
     assert rep.consistent
 
@@ -182,7 +180,7 @@ def test_pythagoras_identity_true():
     x = np.diag([1.0, 1.0]).astype(complex)
     y = np.diag([0.0, 1j])
     rep = pythagoras_identity(x, y, CFG)
-    for label in ("pythagoras", "sum_in_range", "zero_real_joint_state", "decomposed"):
+    for label in ("pythagoras", "zero_real_joint_state", "decomposed"):
         assert rep.verdict(label), label
     assert rep.verdict("scaled_lower_bound")
     assert rep.consistent
@@ -193,7 +191,7 @@ def test_pythagoras_identity_true():
 
 def test_pythagoras_identity_false():
     rep = pythagoras_identity(E11, 1j * E22, CFG)
-    for label in ("pythagoras", "sum_in_range", "zero_real_joint_state", "decomposed"):
+    for label in ("pythagoras", "zero_real_joint_state", "decomposed"):
         assert not rep.verdict(label), label
     assert rep.consistent
 
@@ -660,7 +658,7 @@ def test_unequal_moduli_are_decided():
             False,
         )
         assert _verdicts(triangle_equality(a, b, CFG)) == (
-            {"norm_sum": True, "sum_square_in_range": True, "product_in_inner_range": False},
+            {"norm_sum": True, "product_in_inner_range": False},
             False,
         )
         assert _verdicts(parallelogram_two_imply_third(a, b, CFG)) == (
