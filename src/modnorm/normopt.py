@@ -367,7 +367,7 @@ def bj_lower_bound_check(
 ) -> bool:
     """Lattice check of ||x + lam y||^2 >= ||x||^2 + |lam|^2 m(|y|^2).
 
-    The norms are read from the pair's shared ``LatticeProfile``.
+    The squared norms are read from the pair's shared ``LatticeProfile``.
     """
     # orthogonality imports this module, so its profile is imported here
     from .orthogonality import LatticeProfile
@@ -375,7 +375,7 @@ def bj_lower_bound_check(
     pair = Pair(x, y)
     my = float(np.linalg.svd(pair.y, compute_uv=False)[-1]) ** 2
     profile = LatticeProfile._of(pair, cfg)
-    lhs = profile.norms**2
+    lhs = profile.norms2
     rhs = pair.nx**2 + np.abs(profile.lams) ** 2 * my
     slack = cfg.eps_opt * (1.0 + rhs)
     return bool(np.all(lhs >= rhs - slack))

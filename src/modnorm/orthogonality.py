@@ -5,9 +5,11 @@ Each decider evaluates every statement of the characterization it implements
 and aggregates verdicts, residuals, and witnesses into an
 ``OrthogonalityReport`` whose ``consistent`` flag asserts the required
 agreement between the statements.  The "for all lambda" notions read one
-``LatticeProfile`` per pair, shared by every decider run on that pair; the
-upper half of the Pythagoras definition is decided off the lattice as well,
-by an eta certificate confirmed with one norm.
+``LatticeProfile`` per pair, shared by every decider run on that pair: the
+squared norms ||x + lam y||^2 at every lattice point, from one batched
+``eigvalsh`` of the Gram pencil.  The upper half of the Pythagoras
+definition is decided off the lattice as well, by an eta certificate
+confirmed with one norm.
 
 Every decider reads one ``Pair``: the inputs divided by a power of two, with
 their norms and Gram matrices.  The characterizations are homogeneous, so
@@ -31,7 +33,6 @@ from .linalg import (
     _hermitian_eig,
     _spectral_norm,
     _top_right_subspace,
-    numeric_rank,
     read_only,
     real_part,
     spectral_norm,
@@ -531,11 +532,16 @@ _shared_profiles = _SharedTable()
 
 
 class LatticeProfile:
-    """Every singular value of x + lam y over the lambda lattice, from one
-    batched SVD of the normalized ``Pair``.
+    """||x + lam y||^2 over the lambda lattice, from one batched ``eigvalsh``
+    of the Gram pencil of the normalized ``Pair``.
 
+    ||x + lam y||^2 is the largest eigenvalue of
+    G(lam) = x^H x + |lam|^2 y^H y + lam x^H y + conj(lam) y^H x, and the pair
+    already holds the three Gram matrices, so the whole lattice costs four
+    broadcast adds and one stacked Hermitian eigenvalue solve.  ``norms2``
+    keeps those eigenvalues, clipped at 0, and ``norms`` their square roots.
     Each lattice-quantified statement about the pair reads this one profile.
-    The lattice is closed under negation, so sigma_max(x - lam_i y) is row
+    The lattice is closed under negation, so ||x - lam_i y|| is entry
     ``cfg.lattice_negation[i]`` of the same profile.
 
     ``definition`` decides the upper half of the Pythagoras definition off the
@@ -546,6 +552,7 @@ class LatticeProfile:
     |lam|^2 ||y||^2 holds for every lam iff |c|^2 <= a b for every unit eta.
     The candidate etas are the right singular vectors at the lattice points
     nearest to violating it, and the best one is confirmed by one norm.
+    ``rank_gate`` takes the SVDs of its own lattice points.
 
     The deciders share one profile per normalized pair and config: a pair
     seen again, as the same bits after ``Pair`` divides out its power of two,
@@ -583,16 +590,18 @@ class LatticeProfile:
         self.x, self.y, self.nx, self.ny = pair.x, pair.y, pair.nx, pair.ny
         self.cfg = cfg
         self.lams = read_only(np.asarray(cfg.lambda_lattice))
-        self.svals = read_only(np.linalg.svd(self._stack(self.lams), compute_uv=False))
+        lams = self.lams[:, None, None]
+        # eigvalsh reads the lower triangle only, so G need not be Hermitian
+        # bit for bit
+        gram = pair.gx + np.abs(lams) ** 2 * pair.gy + lams * pair.inner
+        gram += lams.conj() * pair.inner.conj().T
+        self.norms2 = read_only(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+        self.norms = read_only(np.sqrt(self.norms2))
         self._definition: tuple[StatementResult, complex] | None = None
+        self._rank_gate: bool | None = None
 
     def _stack(self, lams: np.ndarray) -> np.ndarray:
         return self.x[None, :, :] + lams[:, None, None] * self.y[None, :, :]
-
-    @property
-    def norms(self) -> np.ndarray:
-        """||x + lam y|| at each lattice point, in the units of the normalized pair."""
-        return self.svals[:, 0]
 
     def _residual(self, lhs: np.ndarray, lams: np.ndarray) -> np.ndarray:
         """Signed (||x + lam y||^2 - ||x||^2 - |lam|^2 ||y||^2) / (1 + rhs)."""
@@ -629,7 +638,7 @@ class LatticeProfile:
         return complex(t[best] * np.conj(c[best]) / mod[best]) if mod[best] > 0.0 else 0j
 
     def _decide_definition(self) -> tuple[StatementResult, complex]:
-        signed = self._residual(self.norms**2, self.lams)
+        signed = self._residual(self.norms2, self.lams)
         worst = int(np.argmax(np.abs(signed)))
         resid, lam = float(abs(signed[worst])), complex(self.lams[worst])
         eta_lam = self._eta_candidate(signed)
@@ -666,14 +675,24 @@ class LatticeProfile:
 
     def parallelogram(self) -> bool:
         """||x+lam y||^2 + ||x-lam y||^2 = 2(||x||^2 + |lam|^2 ||y||^2) on the lattice."""
-        plus = self.norms**2
+        plus = self.norms2
         minus = plus[self.cfg.lattice_negation]
         rhs = 2 * (self.nx**2 + np.abs(self.lams) ** 2 * self.ny**2)
         return bool(np.all(np.abs(plus + minus - rhs) <= self.cfg.eps_eq * (1.0 + rhs)))
 
     def rank_gate(self) -> bool:
-        """Some x + lam y on the four innermost magnitude rings has numeric rank > 1."""
-        svals = self.svals[: 4 * self.cfg.lattice_phases]
+        """Some x + lam y on the four innermost magnitude rings has numeric rank > 1.
+
+        The rings are read from SVDs of their own, the innermost point first:
+        the other points are factored only when it has rank at most 1.
+        """
+        if self._rank_gate is None:
+            rings = self.lams[: 4 * self.cfg.lattice_phases]
+            self._rank_gate = self._rank_above_one(rings[:1]) or self._rank_above_one(rings[1:])
+        return self._rank_gate
+
+    def _rank_above_one(self, lams: np.ndarray) -> bool:
+        svals = np.linalg.svd(self._stack(lams), compute_uv=False)
         ranks = (svals > self.cfg.eps_rank * np.maximum(svals[:, :1], 1e-300)).sum(axis=1)
         return bool(np.any(ranks > 1))
 
@@ -848,7 +867,7 @@ def limit_relations_check(
 
     profile = LatticeProfile._of(pair, cfg)
     lams = profile.lams
-    norms2 = np.ldexp(profile.norms, e) ** 2
+    norms2 = np.ldexp(profile.norms2, 2 * e)
     numer = target * (lambda0 * abs(alpha) ** 2 - (lambda0 + 1) * np.abs(lams) ** 2)
     numer = numer - np.real(ac * c_lim) * np.abs(lambda0 * alpha - (lambda0 + 1) * lams) ** 2
     bound = numer / (abs(alpha) ** 2 * lambda0 * (lambda0 + 1))

@@ -9,6 +9,7 @@ orthogonal projections.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -27,7 +28,9 @@ class DensityState:
 
     rho must be Hermitian within 1e-9 * max(||rho||, 1) in the spectral norm.
     The drift is bounded by its Frobenius norm first, and only a bound above
-    5e-10 takes the two SVD norms of the exact check.
+    5e-10 takes the two SVD norms of the exact check.  ``pure`` and ``mix``
+    (with nonnegative real weights) build matrices that pass these checks by
+    construction, and skip them.
     """
 
     rho: np.ndarray
@@ -44,15 +47,38 @@ class DensityState:
             raise ValueError("density matrix must be positive semidefinite")
 
     @staticmethod
+    def _unchecked(rho: np.ndarray) -> "DensityState":
+        """A state whose rho is a density matrix by construction."""
+        state = object.__new__(DensityState)
+        object.__setattr__(state, "rho", rho)
+        return state
+
+    @staticmethod
     def pure(xi: np.ndarray) -> "DensityState":
+        """The pure state of xi: v v^H for v = xi / ||xi||, Hermitian and positive
+        up to the rounding of each product and of trace 1 up to rounding, so
+        it is not checked again."""
         v = np.asarray(xi, dtype=np.complex128).ravel()
-        v = v / np.linalg.norm(v)
-        return DensityState(rho=np.outer(v, v.conj()))
+        norm = np.linalg.norm(v)
+        if not (np.isfinite(norm) and norm > 0.0):
+            raise ValueError("a pure state needs a finite nonzero vector")
+        v = v / norm
+        return DensityState._unchecked(np.outer(v, v.conj()))
 
     @staticmethod
     def mix(states: list[tuple[float, "DensityState"]]) -> "DensityState":
+        """The normalized combination of the states' rho.  With nonnegative
+        real weights it is a convex combination of density matrices, so it
+        is not checked again; any other weight takes the checks of the
+        constructor."""
         rho = sum(w * s.rho for w, s in states)
-        return DensityState(rho=rho / np.trace(rho).real)
+        trace = np.trace(rho).real
+        if not trace > 0.0:
+            raise ValueError("a mixture needs a positive total trace")
+        rho = rho / trace
+        if all(isinstance(w, Real) and w >= 0 for w, _ in states) and np.isfinite(rho).all():
+            return DensityState._unchecked(rho)
+        return DensityState(rho=rho)
 
 
 def evaluate(phi: DensityState, a: np.ndarray) -> complex:

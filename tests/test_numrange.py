@@ -505,9 +505,11 @@ def test_range_contains_scans_no_angles(monkeypatch):
 
 def test_pythagoras_orthogonal_scans_no_angles(monkeypatch):
     # the positivity gate is exact; only the norming-vector step, run when
-    # both gates hold, samples the boundary of a compressed numerical range
+    # both gates hold, samples the boundary of a compressed numerical range;
+    # the lattice profile is at most one eigvalsh stack of the Gram pencil
     stacks = _forbid_scans_and_optimizers(monkeypatch)
     rng = np.random.default_rng(11)
+    lattice = len(CFG.lambda_lattice)
     gates = set()
     for n in (2, 4, 8):
         x, y = _rand(rng, n), _rand(rng, n)
@@ -515,6 +517,7 @@ def test_pythagoras_orthogonal_scans_no_angles(monkeypatch):
             stacks.clear()
             report = pythagoras_orthogonal(*pair, CFG)
             gates.add(report.verdict("positivity_gate"))
+            assert stacks.count(lattice) <= 1 and ANGLES not in stacks
             if "witness_form" not in report.statements:
-                assert max(stacks, default=0) <= 2 * n
+                assert max((s for s in stacks if s != lattice), default=0) <= 2 * n
     assert gates == {False, True}

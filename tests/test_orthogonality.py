@@ -297,17 +297,22 @@ def test_pythagoras_orthogonal_rank_gate_blocks_witness_clause():
     assert pythagoras_witness_vector(x, y, CFG) is None
 
 
-def _count_stacked_svds(monkeypatch):
-    """From now on, the size of every batched SVD, in call order."""
-    svd = np.linalg.svd
+LATTICE = len(CFG.lambda_lattice)
+
+
+def _count_stacks(monkeypatch):
+    """From now on, the function name and size of every batched SVD and
+    ``eigvalsh``, in call order."""
     stacked = []
+    for name in ("svd", "eigvalsh"):
+        real = getattr(np.linalg, name)
 
-    def counting_svd(m, *args, **kwargs):
-        if np.ndim(m) == 3:
-            stacked.append(len(m))
-        return svd(m, *args, **kwargs)
+        def counting(m, *args, _name=name, _real=real, **kwargs):
+            if np.ndim(m) == 3:
+                stacked.append((_name, len(m)))
+            return _real(m, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg, name, counting)
     return stacked
 
 
@@ -321,24 +326,28 @@ def _fresh_gate_pair(seed):
 
 
 def test_pythagoras_orthogonal_one_lattice_pass(monkeypatch):
-    # the definition, rank gate, Roberts and parallelogram statements, and the
-    # Roberts and parallelogram deciders run after it, share one lattice
-    # stack; the eta certificate adds the SVDs of 8 of its points
+    # the definition, Roberts and parallelogram statements, and the Roberts
+    # and parallelogram deciders run after it, share one lattice-sized
+    # eigvalsh stack; the eta certificate adds the SVDs of 8 of its points
+    # and the rank gate those of at most the four innermost rings
     x, y = _fresh_gate_pair(101)
-    stacked = _count_stacked_svds(monkeypatch)
+    stacked = _count_stacks(monkeypatch)
     rep = pythagoras_orthogonal(x, y, CFG)
     assert "witness_form" in rep.statements  # the gated parallelogram check ran
     assert roberts_check(x, y, CFG) and parallelogram_law_check(x, y, CFG)
-    assert len(CFG.lambda_lattice) <= sum(stacked) <= len(CFG.lambda_lattice) + 8
+    assert [s for s in stacked if s[1] == LATTICE] == [("eigvalsh", LATTICE)]
+    svds = [size for name, size in stacked if name == "svd"]
+    assert sum(svds) <= 4 * CFG.lattice_phases + 8
 
 
 def test_shared_profile_matches_a_fresh_build(monkeypatch):
     rng = np.random.default_rng(102)
     x, y = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(2))
     first = pythagoras_orthogonal(x, y, CFG)
-    stacked = _count_stacked_svds(monkeypatch)
+    stacked = _count_stacks(monkeypatch)
     again = pythagoras_orthogonal(2.0**-20 * x, 2.0**-20 * y, CFG)
-    assert stacked == []  # (2^k x, 2^k y) normalizes to the same bits
+    # (2^k x, 2^k y) normalizes to the same bits: no lattice stack, no SVD
+    assert [s for s in stacked if s[0] == "svd" or s[1] == LATTICE] == []
     assert canonical_json(again.to_dict()) == canonical_json(first.to_dict())
     fresh = LatticeProfile(x, y, CFG)
     assert again.statements["definition"] == fresh.definition()
@@ -350,9 +359,9 @@ def test_shared_profile_follows_the_config(monkeypatch):
     x, y = _fresh_gate_pair(103)
     coarse = ToleranceConfig(lattice_phases=12)
     assert roberts_check(x, y, CFG)
-    stacked = _count_stacked_svds(monkeypatch)
+    stacked = _count_stacks(monkeypatch)
     assert roberts_check(x, y, coarse)
-    assert stacked == [len(coarse.lambda_lattice)]
+    assert stacked == [("eigvalsh", len(coarse.lambda_lattice))]
 
 
 def test_shared_profile_follows_in_place_writes():
@@ -370,12 +379,16 @@ def test_shared_profile_follows_in_place_writes():
 def test_shared_profile_is_per_order(monkeypatch):
     rng = np.random.default_rng(104)
     x, y = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2))
-    forward = pythagoras_orthogonal(x, y, CFG).statements["definition"]
-    stacked = _count_stacked_svds(monkeypatch)
-    reverse = pythagoras_orthogonal(y, x, CFG).statements["definition"]
-    assert sum(stacked) >= len(CFG.lambda_lattice)
-    assert reverse == LatticeProfile(y, x, CFG).definition()
-    assert reverse.residual != forward.residual
+    forward = pythagoras_orthogonal(x, y, CFG)
+    stacked = _count_stacks(monkeypatch)
+    reverse = pythagoras_orthogonal(y, x, CFG)
+    assert stacked.count(("eigvalsh", LATTICE)) == 1
+    fresh = LatticeProfile(y, x, CFG)
+    assert reverse.statements["definition"] == fresh.definition()
+    # x + i y = i (y - i x): the worst residuals agree, at lam = i forward and
+    # lam = -i in reverse
+    lam = dict(reverse.witnesses)["violating_lambda"]
+    assert lam == fresh.definition_lambda != dict(forward.witnesses)["violating_lambda"]
 
 
 def test_shared_profiles_under_threads():
@@ -435,19 +448,129 @@ def test_shared_tables_keep_the_most_recent_entries(monkeypatch):
     assert len(profiles) == len(solves) == keep
     # the kept profiles are returned again; an evicted one is built afresh
     assert LatticeProfile._of(Pair(*pairs[-1]), CFG) is built[-1]
-    stacked = _count_stacked_svds(monkeypatch)
+    stacked = _count_stacks(monkeypatch)
     again = LatticeProfile._of(Pair(*pairs[0]), CFG)
-    assert again is not built[0] and stacked == [len(CFG.lambda_lattice)]
-    assert again.svals.tobytes() == built[0].svals.tobytes()
+    assert again is not built[0] and stacked == [("eigvalsh", LATTICE)]
+    assert again.norms2.tobytes() == built[0].norms2.tobytes()
     assert len(profiles) == keep
 
 
 def test_lattice_profile_arrays_are_read_only():
     profile = LatticeProfile(*_gate_true_pair(), CFG)
     with pytest.raises(ValueError):
-        profile.svals[0, 0] = 0.0
+        profile.norms2[0] = 0.0
+    with pytest.raises(ValueError):
+        profile.norms[0] = 0.0
     with pytest.raises(ValueError):
         profile.lams[0] = 0.0
+
+
+def _agreement_pairs():
+    """Seeded pairs, n = 2-8, on which the Gram pencil must read as an SVD
+    does: random, colinear (x + lam0 y = 0 at a lattice point), rank one,
+    rank one at the innermost lattice point only, ||y|| / ||x|| near 2^20
+    and 2^-20, tall and wide."""
+    rng = np.random.default_rng(108)
+    lattice = np.asarray(CFG.lambda_lattice)
+
+    def rand(m, n):
+        return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+
+    for n in range(2, 9):
+        x = rand(n, n)
+        yield x, rand(n, n)
+        yield x, -x / lattice[rng.integers(lattice.size)]
+        yield rand(n, 1) @ rand(1, n), rand(n, n)
+        column = rand(n, 1)
+        yield column @ rand(1, n), column @ rand(1, n)
+        yield _rank_one_at_innermost(rng, n)
+        yield x, 2.0**20 * rand(n, n)
+        yield x, 2.0**-20 * rand(n, n)
+        yield rand(n + 2, n), rand(n + 2, n)
+        yield rand(n, n + 2), rand(n, n + 2)
+
+
+def _rank_one_at_innermost(rng, n):
+    """x + lam y of rank one at lam = lambda_lattice[0] and of full rank elsewhere."""
+    u, v, y = (
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for shape in ((n, 1), (1, n), (n, n))
+    )
+    return u @ v - CFG.lambda_lattice[0] * y, y
+
+
+def _svd_reference(x, y, cfg):
+    """sigma_1(x + lam y)^2 at the lattice points, the lattice definition
+    residual, and the Roberts, parallelogram and rank-gate verdicts, from one
+    SVD per point of the pair divided by the power of two that puts its
+    largest |Re| or |Im| entry in [1, 2)."""
+    top = max(np.abs(part).max() for m in (x, y) for part in (m.real, m.imag))
+    scale = 2.0 ** (int(np.frexp(top)[1]) - 1)
+    x, y = x / scale, y / scale
+    lams = np.asarray(cfg.lambda_lattice)
+    svals = np.linalg.svd(x[None] + lams[:, None, None] * y[None], compute_uv=False)
+    nx, ny = np.linalg.norm(x, 2), np.linalg.norm(y, 2)
+    plus = svals[:, 0]
+    minus = plus[cfg.lattice_negation]
+    rhs = nx**2 + np.abs(lams) ** 2 * ny**2
+
+    def residual(lam):
+        rhs = nx**2 + abs(lam) ** 2 * ny**2
+        return abs(np.linalg.norm(x + lam * y, 2) ** 2 - rhs) / (1.0 + rhs)
+
+    rings = svals[: 4 * cfg.lattice_phases]
+    return {
+        "squares": plus**2,
+        "rhs": rhs,
+        "lattice_residual": float(np.max(np.abs(plus**2 - rhs) / (1.0 + rhs))),
+        "residual_at": residual,
+        "roberts": bool(
+            np.all(np.abs(plus - minus) <= cfg.eps_eq * (1.0 + nx + np.abs(lams) * ny))
+        ),
+        "parallelogram": bool(
+            np.all(np.abs(plus**2 + minus**2 - 2 * rhs) <= cfg.eps_eq * (1.0 + 2 * rhs))
+        ),
+        "rank_gate": bool(np.any((rings > cfg.eps_rank * rings[:, :1]).sum(axis=1) > 1)),
+    }
+
+
+def test_lattice_profile_agrees_with_a_batched_svd():
+    verdicts, gates = set(), set()
+    for x, y in _agreement_pairs():
+        ref = _svd_reference(x, y, CFG)
+        profile = LatticeProfile(x, y, CFG)
+        assert np.all(np.abs(profile.norms2 - ref["squares"]) <= 1e-13 * (1.0 + ref["rhs"]))
+        # the definition reads its residual at a lattice point or at the lam
+        # of the eta certificate, confirmed by one norm
+        definition = profile.definition()
+        want = max(ref["lattice_residual"], ref["residual_at"](profile.definition_lambda))
+        assert definition.residual == pytest.approx(want, rel=1e-9, abs=1e-13)
+        assert definition.verdict == (want <= CFG.eps_opt)
+        assert profile.roberts() == ref["roberts"]
+        assert profile.parallelogram() == ref["parallelogram"]
+        assert profile.rank_gate() == ref["rank_gate"]
+        verdicts.add(definition.verdict)
+        gates.add(ref["rank_gate"])
+    assert verdicts == gates == {False, True}
+
+
+def test_rank_gate_reads_the_other_rings_only_after_a_rank_one_point(monkeypatch):
+    # e1 e1^T + lam e1 e2^T has rank one at every lam: all four innermost
+    # rings are read and the gate stays closed
+    x, y = _outer(0, 0, 3), _outer(0, 1, 3)
+    generic = LatticeProfile(*_fresh_gate_pair(109), CFG)
+    rank_one = LatticeProfile(x, y, CFG)
+    innermost = LatticeProfile(*_rank_one_at_innermost(np.random.default_rng(110), 4), CFG)
+    others = ("svd", 4 * CFG.lattice_phases - 1)
+    assert not _svd_reference(x, y, CFG)["rank_gate"]
+    stacked = _count_stacks(monkeypatch)
+    assert generic.rank_gate() and stacked == [("svd", 1)]
+    stacked.clear()
+    assert not rank_one.rank_gate()
+    assert stacked == [("svd", 1), others]
+    stacked.clear()
+    assert not rank_one.rank_gate() and stacked == []  # read once per profile
+    assert innermost.rank_gate() and stacked == [("svd", 1), others]
 
 
 def _violation(x, y, lam):
@@ -772,9 +895,9 @@ def test_scaled_identity_norms_are_one_stacked_svd(monkeypatch):
     w, u = _rand_unitary(rng, 4), _rand_unitary(rng, 4)
     x = w @ np.diag([1.0, 0.0, 0.3, 0.2]) @ u
     y = w @ np.diag([0.5j, 0.5 + 1e-8, 0.03j, 0.02j]) @ u
-    stacked = _count_stacked_svds(monkeypatch)
+    stacked = _count_stacks(monkeypatch)
     batched = pythagoras_identity(x, y, CFG)
-    assert stacked == [20]
+    assert stacked == [("svd", 20)]
     assert batched.verdict("pythagoras")
     assert batched.statements["scaled_lower_bound"].residual > 0.0
     monkeypatch.undo()

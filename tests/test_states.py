@@ -49,6 +49,41 @@ def test_density_validation():
         DensityState(rho=np.diag([1.5, -0.5]))  # not PSD
 
 
+def test_pure_and_mix_skip_the_checks_their_construction_guarantees(monkeypatch):
+    rng = np.random.default_rng(3)
+    vectors = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in range(1, 9)]
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(m, *args, **kwargs):
+        calls.append(np.shape(m))
+        return eigvalsh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    states = [DensityState.pure(v) for v in vectors]
+    states += [
+        DensityState.mix([(0.3, DensityState.pure(v)), (0.7, DensityState.pure(v[::-1]))])
+        for v in vectors
+    ]
+    assert calls == []
+    for phi in states:
+        DensityState(rho=phi.rho)  # the checking constructor accepts each one
+    assert len(calls) == len(states)
+    # the constructor still checks what it is given
+    with pytest.raises(ValueError, match="Hermitian"):
+        DensityState(rho=np.array([[0.5, 0.5], [0.0, 0.5]]))
+    for bad in (np.zeros(3), np.array([1.0, np.nan]), np.array([np.inf, 0.0])):
+        with pytest.raises(ValueError):
+            DensityState.pure(bad)
+    e0, e1 = DensityState.pure(_basis_vec(2, 0)), DensityState.pure(_basis_vec(2, 1))
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        DensityState.mix([(2.0, e0), (-1.0, e1)])  # a negative weight is checked
+    with pytest.raises(ValueError, match="Hermitian"):
+        DensityState.mix([(1j, e0), (1.0, e1)])  # so is a complex one
+    with pytest.raises(ValueError):
+        DensityState.mix([(0.0, e0), (0.0, e1)])
+
+
 @pytest.mark.parametrize(
     "rho, drift, error",
     [
