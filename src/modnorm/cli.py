@@ -4,7 +4,8 @@ minimizer queries.
 Exit codes for ``check``: 0 primary verdict true, 1 false, 2 hypothesis
 violation, 3 input error (a matrix file that does not load, a missing
 matrix, or shapes that do not fit the check), 4 internal error (anything
-else a computation raises).
+else a computation raises).  Every command exits 3 on a usage error and on
+an invalid ``MODNORM_SEED``.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def _default_seed() -> int:
         try:
             return int(env)
         except ValueError as exc:
-            raise SystemExit(f"invalid MODNORM_SEED: {env!r}") from exc
+            raise ValueError(f"invalid MODNORM_SEED: {env!r}") from exc
     return DEFAULT_SEED
 
 
@@ -137,7 +138,7 @@ def _run_check(args: argparse.Namespace, cfg: ToleranceConfig) -> int:
             "gram_sum_norm": StatementResult(first, 0.0),
             "adjoint_product_norm": StatementResult(second, 0.0),
         }
-        report = OrthogonalityReport("product-norm", statements, [], first == second, cfg)
+        report = OrthogonalityReport("product-norm", statements, [], first == second)
         _emit({"kind": kind, **report.to_dict()}, args.out)
         return EXIT_TRUE if first else EXIT_FALSE
     if kind == "roberts":
@@ -230,10 +231,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help exits 0; a usage error is an input error, not 2
+        return EXIT_TRUE if exc.code == 0 else EXIT_INPUT
     try:
         cfg = _build_config(args)
-    except ValueError as exc:  # tolerances or lattice flags out of range
+    except ValueError as exc:  # MODNORM_SEED, tolerances or lattice flags out of range
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:

@@ -3,7 +3,8 @@
 These exact values serve as independent oracles for the numerical deciders:
 a two-parameter block-matrix norm, rank-one pairs, corner-block pairs, a
 weighted-shift truncation with a certified error bound, and a diagonal
-realization of a pair of hat functions on [0, 1].
+realization of a pair of hat functions on [0, 1].  The seeded generators at
+the end draw the random families the suites and the acceptance gate share.
 
 Conventions: <a, b> = b^H a (linear in the first slot here, matching the
 rank-one operator (x (x) y) z = <z, y> x with matrix x y^H).
@@ -245,3 +246,77 @@ def rank_persistence(
         if numeric_rank(am + al * bm, cfg) != 1:
             return False
     return True
+
+
+def case_rng(seed: int, index: int) -> np.random.Generator:
+    """Generator for case ``index`` of a run seeded with ``seed``."""
+    return np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF, index]))
+
+
+def rand_complex(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def rand_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Haar-distributed n x n unitary (QR with the phases of diag R divided out)."""
+    q, r = np.linalg.qr(rand_complex(rng, n, n))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def rand_unit(rng: np.random.Generator, n: int) -> np.ndarray:
+    v = rand_complex(rng, n)
+    return v / np.linalg.norm(v)
+
+
+def shared_top_pair(
+    rng: np.random.Generator, n: int, shared: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pair whose squared-modulus top eigenspaces meet (shared) or are disjoint."""
+    v = rand_unitary(rng, n)
+    sx = np.sort(rng.uniform(0.2, 0.9, n))[::-1]
+    sy = np.sort(rng.uniform(0.2, 0.9, n))[::-1]
+    sx[0], sy[0] = 1.0, 1.0
+    if not shared:
+        sy = np.roll(sy, 1)  # y attains its norm on a different column of v
+    x = rand_unitary(rng, n) @ np.diag(sx) @ v.conj().T
+    y = rand_unitary(rng, n) @ np.diag(sy) @ v.conj().T
+    return x, y
+
+
+def bj_engineered_true(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Invertible x with a two-dimensional norming subspace and traceless cross block."""
+    u = rand_unitary(rng, n)
+    v = rand_unitary(rng, n)
+    s = np.concatenate([[1.0, 1.0], rng.uniform(0.3, 0.8, n - 2)])
+    x = u @ np.diag(s) @ v.conj().T
+    # choose x^H y = v k v^H with k traceless on the norming 2x2 corner, so the
+    # compression of the cross block to the norming subspace is exactly traceless
+    k = rand_complex(rng, n, n)
+    k[1, 1] = -k[0, 0]
+    y = np.linalg.solve(x.conj().T, v @ k @ v.conj().T)
+    return x, y
+
+
+def gate_pair(
+    rng: np.random.Generator, n: int, want_true: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pair with orthogonal ranges (inner product zero) passing both gates.
+
+    With <A, B> = 0 the positivity gate holds trivially; Pythagoras then
+    reduces to whether the top norming subspaces of |A| and |B| meet.
+    """
+    if n < 4:
+        raise ValueError(f"gate pairs need n >= 4, got {n}")
+    u = rand_unitary(rng, n)
+    v = rand_unitary(rng, n)
+    half = n // 2
+    sa = np.zeros((n, n), dtype=np.complex128)
+    sb = np.zeros((n, n), dtype=np.complex128)
+    # ran A inside u[:, :half], ran B inside u[:, half:]: A^H B = 0
+    sa += np.outer(u[:, 0], v[:, 0].conj())
+    sa += 0.5 * np.outer(u[:, 1], v[:, 1].conj())
+    scale_b = float(rng.uniform(0.5, 1.5))
+    top_b = 0 if want_true else 1
+    sb += scale_b * np.outer(u[:, half], v[:, top_b].conj())
+    sb += 0.4 * scale_b * np.outer(u[:, half + 1], v[:, 2].conj())
+    return sa, sb

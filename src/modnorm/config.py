@@ -21,7 +21,9 @@ def _build_lattice(
     n_phases: int,
     n_random: int,
     seed: int,
-) -> tuple[complex, ...]:
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lattice points and the index of each one's negation: phase j of a ring
+    negates to phase (j + P/2) mod P, seeded point r to its -r twin."""
     k_lo, k_hi = mag_exponents
     mags = 2.0 ** np.arange(k_lo, k_hi + 1)
     phases = np.exp(2j * np.pi * np.arange(n_phases) / n_phases)
@@ -30,7 +32,11 @@ def _build_lattice(
     half = n_random // 2
     rand = rng.standard_normal(half) + 1j * rng.standard_normal(half)
     pts = np.concatenate([grid, rand, -rand])
-    return tuple(complex(z) for z in pts)
+    turned = (np.arange(n_phases) + n_phases // 2) % n_phases
+    ring_negation = (n_phases * np.arange(mags.size)[:, None] + turned).ravel()
+    rand_index = grid.size + np.arange(half)
+    negation = np.concatenate([ring_negation, rand_index + half, rand_index])
+    return pts, negation
 
 
 @dataclass(frozen=True)
@@ -42,8 +48,9 @@ class ToleranceConfig:
     eps_rank    relative singular-value cutoff for numeric rank
     rng_seed    seed for every derived pseudo-random draw
 
-    ``lattice_negation`` is derived, not set: entry i is the index of
-    -lambda_lattice[i], so sigma(x - lam y) is a permutation of sigma(x + lam y).
+    ``lambda_lattice`` and ``lattice_negation`` are derived, not set: entry i
+    of the latter is the index of -lambda_lattice[i] (hence an even
+    ``lattice_phases``), so sigma(x - lam y) is a permutation of sigma(x + lam y).
     """
 
     eps_eq: float = 1e-9
@@ -53,28 +60,26 @@ class ToleranceConfig:
     lattice_mag_exponents: tuple[int, int] = (-8, 8)
     lattice_phases: int = 24
     lattice_random: int = 64
-    lambda_lattice: tuple[complex, ...] = field(default=(), repr=False)
+    lambda_lattice: tuple[complex, ...] = field(init=False, repr=False, compare=False)
     lattice_negation: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if min(self.eps_eq, self.eps_opt, self.eps_rank) <= 0:
             raise ValueError("tolerances must be strictly positive")
-        if not self.lambda_lattice:
-            lattice = _build_lattice(
-                self.lattice_mag_exponents,
-                self.lattice_phases,
-                self.lattice_random,
-                self.rng_seed,
-            )
-            object.__setattr__(self, "lambda_lattice", lattice)
-        if not self.lambda_lattice:
+        if self.lattice_phases < 2 or self.lattice_phases % 2:
+            raise ValueError(f"lattice_phases must be positive and even, got {self.lattice_phases}")
+        pts, negation = _build_lattice(
+            self.lattice_mag_exponents,
+            self.lattice_phases,
+            self.lattice_random,
+            self.rng_seed,
+        )
+        if not pts.size:
             raise ValueError("lambda lattice must be nonempty")
-        pts = np.asarray(self.lambda_lattice)
-        sums = np.abs(pts[:, None] + pts[None, :])
-        negation = sums.argmin(axis=1)
-        if sums[np.arange(pts.size), negation].max() > 1e-12 * (1.0 + np.abs(pts).max()):
+        if np.abs(pts[negation] + pts).max() > 1e-12 * (1.0 + np.abs(pts).max()):
             raise ValueError("lambda lattice must be closed under negation")
         negation.flags.writeable = False
+        object.__setattr__(self, "lambda_lattice", tuple(complex(z) for z in pts))
         object.__setattr__(self, "lattice_negation", negation)
 
     def rng(self, *extra_keys: int) -> np.random.Generator:

@@ -21,7 +21,7 @@ at their own unit scale, so a small but nonzero partner is judged relatively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,7 +65,6 @@ class OrthogonalityReport:
     statements: dict[str, StatementResult]
     witnesses: list[tuple[str, object]]
     consistent: bool
-    tolerances: ToleranceConfig = field(repr=False, default=DEFAULT_CONFIG)
 
     def verdict(self, label: str) -> bool:
         return self.statements[label].verdict
@@ -175,7 +174,7 @@ def triangle_equality(
     consistent = _check_consistent(
         statements, [["norm_sum", "product_in_inner_range"]]
     )
-    return OrthogonalityReport("triangle", statements, witnesses, consistent, cfg)
+    return OrthogonalityReport("triangle", statements, witnesses, consistent)
 
 
 def scaled_triangle_persistence(
@@ -239,9 +238,7 @@ def norm_additivity_report(
                 "sum_in_range",
             )
         }
-        return OrthogonalityReport(
-            "norm-additivity", statements, witnesses, True, cfg
-        )
+        return OrthogonalityReport("norm-additivity", statements, witnesses, True)
 
     meet, witness = sets_intersect(_maximizers(gx, nx, cfg), _maximizers(gy, ny, cfg), cfg)
     if witness is not None:
@@ -258,7 +255,7 @@ def norm_additivity_report(
         ),
     }
     consistent = _check_consistent(statements, [list(statements)])
-    return OrthogonalityReport("norm-additivity", statements, witnesses, consistent, cfg)
+    return OrthogonalityReport("norm-additivity", statements, witnesses, consistent)
 
 
 def product_norm_check(
@@ -319,9 +316,7 @@ def parallelogram_two_imply_third(
         (label, w) for label, w in (("joint_state", w1), ("sum_diff_joint_state", w2)) if w
     ]
     trues = sum(s.verdict for s in statements.values())
-    return OrthogonalityReport(
-        "parallelogram3", statements, witnesses, trues != 2, cfg
-    )
+    return OrthogonalityReport("parallelogram3", statements, witnesses, trues != 2)
 
 
 def triangle_witness(
@@ -460,7 +455,7 @@ def pythagoras_identity(
         [["pythagoras", "zero_real_joint_state", "decomposed"]],
         [("pythagoras", "scaled_lower_bound")],
     )
-    return OrthogonalityReport("pythagoras-identity", statements, witnesses, consistent, cfg)
+    return OrthogonalityReport("pythagoras-identity", statements, witnesses, consistent)
 
 
 def scaled_pythagoras_report(
@@ -486,7 +481,7 @@ def scaled_pythagoras_report(
         if zero_inner:
             labels.append("scaled_any_ratio")
         statements = {label: StatementResult(True, 0.0) for label in labels}
-        return OrthogonalityReport("scaled-pythagoras", statements, witnesses, True, cfg)
+        return OrthogonalityReport("scaled-pythagoras", statements, witnesses, True)
 
     real_worst = float(np.abs(_scaled_residuals(pair, _real_ratio_pairs(cfg))).max())
     statements = {
@@ -519,7 +514,7 @@ def scaled_pythagoras_report(
     if equal_sets and inter.shape[1] > 0:
         witnesses.append(("joint_maximizing_state", DensityState.pure(inter[:, 0])))
     consistent = _check_consistent(statements, groups)
-    return OrthogonalityReport("scaled-pythagoras", statements, witnesses, consistent, cfg)
+    return OrthogonalityReport("scaled-pythagoras", statements, witnesses, consistent)
 
 
 # ---------------------------------------------------------------------------
@@ -806,7 +801,7 @@ def pythagoras_orthogonal(
         implications.append(("definition", label))
 
     consistent = _check_consistent(statements, groups, implications)
-    return OrthogonalityReport("pythagoras", statements, witnesses, consistent, cfg)
+    return OrthogonalityReport("pythagoras", statements, witnesses, consistent)
 
 
 def pythagoras_via_bj_parallelogram(

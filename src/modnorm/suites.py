@@ -15,13 +15,20 @@ import numpy as np
 
 from .closedforms import (
     RankOnePair,
+    bj_engineered_true,
+    case_rng,
     corner_block_pair,
     fkm_block,
     fkm_norm,
+    gate_pair,
     hat_function_pair,
+    rand_complex,
+    rand_unit,
+    rand_unitary,
     rank_one_classify,
     rank_one_norm,
     rank_persistence,
+    shared_top_pair,
     weighted_shift_norm,
     weighted_shift_pair,
 )
@@ -89,24 +96,6 @@ class _Recorder:
             self.failures.append((pair_id, statement, float(residual)))
 
 
-def _case_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF, index]))
-
-
-def _rand_complex(rng: np.random.Generator, *shape: int) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def _rand_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(_rand_complex(rng, n, n))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def _rand_unit(rng: np.random.Generator, n: int) -> np.ndarray:
-    v = _rand_complex(rng, n)
-    return v / np.linalg.norm(v)
-
-
 # ---------------------------------------------------------------------------
 # individual suites
 # ---------------------------------------------------------------------------
@@ -116,10 +105,10 @@ def _suite_minmax_duality(seed: int, count: int, cfg: ToleranceConfig) -> _Recor
     rec = _Recorder()
     dims = (2, 3, 4, 5)
     for i in range(count):
-        rng = _case_rng(seed, i)
+        rng = case_rng(seed, i)
         n = dims[i % len(dims)]
-        a = _rand_complex(rng, n, n)
-        b = _rand_complex(rng, n, n)
+        a = rand_complex(rng, n, n)
+        b = rand_complex(rng, n, n)
         if i % 7 == 3:
             b = np.zeros_like(b)  # degenerate branch
         opt = min_lambda_norm(a, b, cfg)
@@ -138,29 +127,14 @@ def _suite_minmax_duality(seed: int, count: int, cfg: ToleranceConfig) -> _Recor
     return rec
 
 
-def _shared_top_pair(
-    rng: np.random.Generator, n: int, shared: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pair whose squared-modulus top eigenspaces meet (shared) or are disjoint."""
-    v = _rand_unitary(rng, n)
-    sx = np.sort(rng.uniform(0.2, 0.9, n))[::-1]
-    sy = np.sort(rng.uniform(0.2, 0.9, n))[::-1]
-    sx[0], sy[0] = 1.0, 1.0
-    if not shared:
-        sy = np.roll(sy, 1)  # y attains its norm on a different column of v
-    x = _rand_unitary(rng, n) @ np.diag(sx) @ v.conj().T
-    y = _rand_unitary(rng, n) @ np.diag(sy) @ v.conj().T
-    return x, y
-
-
 def _suite_norm_additivity(seed: int, count: int, cfg: ToleranceConfig) -> _Recorder:
     """Five-way agreement for || |x|^2 + |y|^2 || = ||x||^2 + ||y||^2."""
     rec = _Recorder()
     for i in range(count):
-        rng = _case_rng(seed, i)
+        rng = case_rng(seed, i)
         n = 2 + i % 3
         shared = i % 2 == 0
-        x, y = _shared_top_pair(rng, n, shared)
+        x, y = shared_top_pair(rng, n, shared)
         rep = norm_additivity_report(x, y, cfg)
         pid = f"norm-additivity-{i}"
         rec.case(pid, report=rep.to_dict(), shared_construction=shared)
@@ -203,7 +177,7 @@ def _suite_weighted_shift(seed: int, count: int, cfg: ToleranceConfig) -> _Recor
         rec.case(pid, lam=[lam.real, lam.imag], truncation_error=err)
         rec.check(pid, "limit_identity", err <= 2.0**-m * limit, err)
     for i in range(min(count, 20)):
-        rng = _case_rng(seed, 1000 + i)
+        rng = case_rng(seed, 1000 + i)
         mm = int(rng.integers(1, 12))
         lam = complex(*rng.standard_normal(2))
         am, bm = weighted_shift_pair(mm)
@@ -218,22 +192,22 @@ def _suite_corner_block(seed: int, count: int, cfg: ToleranceConfig) -> _Recorde
     """Corner-block pairs: closed norm and the Pythagoras criterion ||S^H T|| = ||S|| ||T||."""
     rec = _Recorder()
     for i in range(count):
-        rng = _case_rng(seed, i)
+        rng = case_rng(seed, i)
         n = 2 + i % 2
         kind = i % 3
         if kind == 0:
-            s = _rand_complex(rng, n, n)
-            t = _rand_complex(rng, n, n)
+            s = rand_complex(rng, n, n)
+            t = rand_complex(rng, n, n)
         elif kind == 1:
             # scalar multiple of a unitary (hence coisometric): criterion holds
-            s = float(rng.uniform(0.5, 2.0)) * _rand_unitary(rng, n)
-            t = _rand_complex(rng, n, n)
+            s = float(rng.uniform(0.5, 2.0)) * rand_unitary(rng, n)
+            t = rand_complex(rng, n, n)
         else:
             # projection onto a range containing ran T: criterion holds
-            u = _rand_unitary(rng, n)
+            u = rand_unitary(rng, n)
             p = u[:, :1] @ u[:, :1].conj().T
             s = p
-            t = p @ _rand_complex(rng, n, n)
+            t = p @ rand_complex(rng, n, n)
         lam = complex(*rng.standard_normal(2))
         a, b, closed = corner_block_pair(s, t, lam)
         pid = f"corner-{i}"
@@ -273,7 +247,7 @@ def _suite_scalar_block(seed: int, count: int, cfg: ToleranceConfig) -> _Recorde
     """Scalar-block pairs: closed-form norm and the full verdict table."""
     rec = _Recorder()
     for i in range(count):
-        rng = _case_rng(seed, i)
+        rng = case_rng(seed, i)
         n = 2 + i % 2
         a0, b0, c0, d0 = (complex(*rng.standard_normal(2)) for _ in range(4))
         kind = i % 4
@@ -283,7 +257,7 @@ def _suite_scalar_block(seed: int, count: int, cfg: ToleranceConfig) -> _Recorde
             d0, b0 = 0.0, 0.0
         elif kind == 3:
             c0 = 0.0  # bc = 0 only
-        x = _rand_unitary(rng, n) * float(rng.uniform(0.5, 2.0))
+        x = rand_unitary(rng, n) * float(rng.uniform(0.5, 2.0))
         nx = spectral_norm(x)
         a = fkm_block(a0, 0.0, 0.0, d0, x)
         b = fkm_block(0.0, b0, c0, 0.0, x)
@@ -324,9 +298,9 @@ def _suite_rank_one(seed: int, count: int, cfg: ToleranceConfig) -> _Recorder:
     """Rank-one pairs: closed-form norm and classification vs. generic deciders."""
     rec = _Recorder()
     for i in range(count):
-        rng = _case_rng(seed, i)
+        rng = case_rng(seed, i)
         n = 2 + i % 3
-        x, y, u, v = (_rand_complex(rng, n) for _ in range(4))
+        x, y, u, v = (rand_complex(rng, n) for _ in range(4))
         kind = i % 5
         if kind == 1:
             u = u - (np.vdot(x, u) / np.vdot(x, x)) * x  # <x,u> = 0
@@ -378,10 +352,10 @@ def _suite_pythagoras_identity(seed: int, count: int, cfg: ToleranceConfig) -> _
     rec.check("identity-fixture", "all_true", rep0.verdict("pythagoras") and rep0.consistent)
 
     for i in range(count):
-        rng = _case_rng(seed, i)
+        rng = case_rng(seed, i)
         n = 2 + i % 3
-        w = _rand_unitary(rng, n)
-        u = _rand_unitary(rng, n)
+        w = rand_unitary(rng, n)
+        u = rand_unitary(rng, n)
         make_true = i % 2 == 0
         av = rng.uniform(0.3, 0.9, n).astype(np.complex128)
         av[0] = 1.0
@@ -403,6 +377,8 @@ def _suite_pythagoras_identity(seed: int, count: int, cfg: ToleranceConfig) -> _
         rec.check(pid, "report_consistent", rep.consistent)
         if make_true:
             rec.check(pid, "true_by_construction", rep.verdict("pythagoras"))
+        else:
+            rec.check(pid, "false_by_construction", not rep.verdict("pythagoras"))
         for label, witness in rep.witnesses:
             gram_val = evaluate(witness, x.conj().T @ x).real
             resid = abs(gram_val - spectral_norm(x) ** 2)
@@ -412,31 +388,17 @@ def _suite_pythagoras_identity(seed: int, count: int, cfg: ToleranceConfig) -> _
     return rec
 
 
-def _bj_engineered_true(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Invertible x with a two-dimensional norming subspace and traceless cross block."""
-    u = _rand_unitary(rng, n)
-    v = _rand_unitary(rng, n)
-    s = np.concatenate([[1.0, 1.0], rng.uniform(0.3, 0.8, n - 2)])
-    x = u @ np.diag(s) @ v.conj().T
-    # choose x^H y = v k v^H with k traceless on the norming 2x2 corner, so the
-    # compression of the cross block to the norming subspace is exactly traceless
-    k = _rand_complex(rng, n, n)
-    k[1, 1] = -k[0, 0]
-    y = np.linalg.solve(x.conj().T, v @ k @ v.conj().T)
-    return x, y
-
-
 def _suite_birkhoff_james(seed: int, count: int, cfg: ToleranceConfig) -> _Recorder:
     """Three-way agreement: witness state, norm inequality, lower bound."""
     rec = _Recorder()
     for i in range(count):
-        rng = _case_rng(seed, i)
+        rng = case_rng(seed, i)
         n = 2 + i % 3
         if i % 2 == 0 and n >= 2:
-            x, y = _bj_engineered_true(rng, n)
+            x, y = bj_engineered_true(rng, n)
         else:
-            x = _rand_complex(rng, n, n)
-            y = _rand_complex(rng, n, n)
+            x = rand_complex(rng, n, n)
+            y = rand_complex(rng, n, n)
         pid = f"bj-{i}"
         has_witness, witness = bj_orthogonal(x, y, cfg)
         opt = min_lambda_norm(x, y, cfg)
@@ -454,44 +416,20 @@ def _suite_birkhoff_james(seed: int, count: int, cfg: ToleranceConfig) -> _Recor
     return rec
 
 
-def _gate_pair(
-    rng: np.random.Generator, n: int, want_true: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pair with orthogonal ranges (inner product zero) passing both gates.
-
-    With <A, B> = 0 the positivity gate holds trivially; Pythagoras then
-    reduces to whether the top norming subspaces of |A| and |B| meet.
-    """
-    assert n >= 4
-    u = _rand_unitary(rng, n)
-    v = _rand_unitary(rng, n)
-    half = n // 2
-    sa = np.zeros((n, n), dtype=np.complex128)
-    sb = np.zeros((n, n), dtype=np.complex128)
-    # ran A inside u[:, :half], ran B inside u[:, half:]: A^H B = 0
-    sa += np.outer(u[:, 0], v[:, 0].conj())
-    sa += 0.5 * np.outer(u[:, 1], v[:, 1].conj())
-    scale_b = float(rng.uniform(0.5, 1.5))
-    top_b = 0 if want_true else 1
-    sb += scale_b * np.outer(u[:, half], v[:, top_b].conj())
-    sb += 0.4 * scale_b * np.outer(u[:, half + 1], v[:, 2].conj())
-    return sa, sb
-
-
 def _suite_pythagoras_operator(seed: int, count: int, cfg: ToleranceConfig) -> _Recorder:
     """Definition vs. witness characterization on gate-satisfying pairs, plus
     the three counterexample families showing each hypothesis is needed."""
     rec = _Recorder()
     for i in range(count):
-        rng = _case_rng(seed, i)
+        rng = case_rng(seed, i)
         n = 4 + i % 2
         kind = i % 3
         if kind < 2:
-            a, b = _gate_pair(rng, n, want_true=(kind == 0))
+            a, b = gate_pair(rng, n, want_true=(kind == 0))
         else:
             # invertible A with PSD cross product: gates hold, generically not orthogonal
-            a = _rand_complex(rng, n, n) + 2.0 * np.eye(n)
-            h = _rand_complex(rng, n, n - 1)
+            a = rand_complex(rng, n, n) + 2.0 * np.eye(n)
+            h = rand_complex(rng, n, n - 1)
             b = np.linalg.solve(a.conj().T, h @ h.conj().T)
         rep = pythagoras_orthogonal(a, b, cfg)
         pid = f"pyth-op-{i}"
@@ -503,13 +441,13 @@ def _suite_pythagoras_operator(seed: int, count: int, cfg: ToleranceConfig) -> _
         elif kind == 1:
             rec.check(pid, "false_by_construction", not rep.verdict("definition"))
 
-    rng = _case_rng(seed, 10_000)
+    rng = case_rng(seed, 10_000)
 
     # family 1: everywhere-rank-one pairs sharing the left vector; the witness
     # characterization is unavailable (rank gate fails) even when orthogonal
-    x = _rand_unit(rng, 3)
-    ya = _rand_unit(rng, 3)
-    yb = _rand_unit(rng, 3)
+    x = rand_unit(rng, 3)
+    ya = rand_unit(rng, 3)
+    yb = rand_unit(rng, 3)
     yb = yb - np.vdot(ya, yb) * ya
     yb /= np.linalg.norm(yb)
     a1 = np.outer(x, ya.conj())
@@ -526,10 +464,10 @@ def _suite_pythagoras_operator(seed: int, count: int, cfg: ToleranceConfig) -> _
     # family 2: rank-one pairs sharing the right vector; a norming vector with
     # vanishing cross term exists exactly when the pair is orthogonal, but the
     # adjoint pair (equally orthogonal) falls back to family 1
-    xa, xb = _rand_unit(rng, 3), _rand_unit(rng, 3)
+    xa, xb = rand_unit(rng, 3), rand_unit(rng, 3)
     xb = xb - np.vdot(xa, xb) * xa
     xb /= np.linalg.norm(xb)
-    y = _rand_unit(rng, 3)
+    y = rand_unit(rng, 3)
     a2 = np.outer(xa, y.conj())
     b2 = np.outer(xb, y.conj())
     rep2 = pythagoras_orthogonal(a2, b2, cfg)
@@ -592,21 +530,21 @@ def _suite_rank_persistence(seed: int, count: int, cfg: ToleranceConfig) -> _Rec
     """Rank one at three shifts implies rank one everywhere."""
     rec = _Recorder()
     for i in range(count):
-        rng = _case_rng(seed, i)
+        rng = case_rng(seed, i)
         n = 2 + i % 3
         shifts = []
         while len({complex(s) for s in shifts}) != 3:
             shifts = [complex(*rng.standard_normal(2)) for _ in range(3)]
         if i % 2 == 0:
             # shared right vector
-            y = _rand_complex(rng, n)
-            a = np.outer(_rand_complex(rng, n), y.conj())
-            b = np.outer(_rand_complex(rng, n), y.conj())
+            y = rand_complex(rng, n)
+            a = np.outer(rand_complex(rng, n), y.conj())
+            b = np.outer(rand_complex(rng, n), y.conj())
         else:
             # shared left vector
-            x = _rand_complex(rng, n)
-            a = np.outer(x, _rand_complex(rng, n).conj())
-            b = np.outer(x, _rand_complex(rng, n).conj())
+            x = rand_complex(rng, n)
+            a = np.outer(x, rand_complex(rng, n).conj())
+            b = np.outer(x, rand_complex(rng, n).conj())
         pid = f"rank-persist-{i}"
         try:
             ok = rank_persistence(a, b, *shifts, cfg)
@@ -629,9 +567,9 @@ def _suite_properties(seed: int, count: int, cfg: ToleranceConfig) -> _Recorder:
     """Cross-cutting invariants: C*-identity, modulus, rank, property chain."""
     rec = _Recorder()
     for i in range(count):
-        rng = _case_rng(seed, i)
+        rng = case_rng(seed, i)
         n = 2 + i % 4
-        a = _rand_complex(rng, n, n)
+        a = rand_complex(rng, n, n)
         pid = f"props-{i}"
         na = spectral_norm(a)
         rec.check(pid, "involution_isometry", abs(spectral_norm(adjoint(a)) - na) <= cfg.eps_eq * na)
@@ -645,9 +583,9 @@ def _suite_properties(seed: int, count: int, cfg: ToleranceConfig) -> _Recorder:
             "modulus_norm",
             abs(spectral_norm(modulus(a, cfg)) - na) <= cfg.eps_eq * (1.0 + na),
         )
-        u = _rand_unitary(rng, n)
+        u = rand_unitary(rng, n)
         r = int(rng.integers(1, n + 1))
-        low = _rand_complex(rng, n, r) @ _rand_complex(rng, r, n)
+        low = rand_complex(rng, n, r) @ rand_complex(rng, r, n)
         rec.check(
             pid,
             "rank_unitary_invariant",
@@ -663,7 +601,7 @@ def _suite_properties(seed: int, count: int, cfg: ToleranceConfig) -> _Recorder:
 
         # property chain on an engineered orthogonal pair
         if n >= 4 and i % 3 == 0:
-            x, y = _gate_pair(rng, n, want_true=True)
+            x, y = gate_pair(rng, n, want_true=True)
             rep = pythagoras_orthogonal(x, y, cfg)
             rec.check(pid, "chain_definition", rep.verdict("definition"))
             for label in ("roberts", "parallelogram", "bj_forward", "bj_reverse"):

@@ -5,26 +5,21 @@ from the pytest output (run with -s or check captured output on failure).
 """
 
 import numpy as np
-import pytest
 
 from modnorm import (
     DEFAULT_CONFIG,
     LatticeProfile,
     RankOnePair,
+    adjoint,
     bj_orthogonal,
     canonical_json,
     corner_block_pair,
-    evaluate,
     fkm_block,
     fkm_norm,
     hat_function_pair,
-    m_functional,
     min_lambda_norm,
-    norm_additivity_report,
     parallelogram_law_check,
-    pythagoras_identity,
     pythagoras_orthogonal,
-    pythagoras_witness_vector,
     rank_one_norm,
     roberts_check,
     run_suite,
@@ -33,16 +28,7 @@ from modnorm import (
     weighted_shift_norm,
     weighted_shift_pair,
 )
-from modnorm.linalg import adjoint, numeric_rank
-from modnorm.suites import (
-    _bj_engineered_true,
-    _case_rng,
-    _gate_pair,
-    _rand_complex,
-    _rand_unit,
-    _rand_unitary,
-    _shared_top_pair,
-)
+from modnorm.closedforms import case_rng, gate_pair, rand_complex
 
 CFG = DEFAULT_CONFIG
 SEED = 20260823
@@ -55,13 +41,28 @@ def _verdict(num: int, label: str, ok: bool, detail: str = "") -> None:
     assert ok, f"acceptance criterion {num} failed: {label}{suffix}"
 
 
+def _suite_verdict(num: int, label: str, *runs: tuple[str, int, int, int]) -> None:
+    """Run each (suite, seed, count, cases) and require exactly that many
+    cases and no failure."""
+    ok, details = True, []
+    for name, seed, count, cases in runs:
+        rep = run_suite(name, seed=seed, count=count, cfg=CFG)
+        ok &= len(rep.cases) == cases and not rep.failures
+        shown = "".join(f"; {p} {s}" for p, s, _ in rep.failures[:3])
+        details.append(
+            f"suite {name} at SEED+{seed - SEED}: {len(rep.cases)} of {cases} cases, "
+            f"{len(rep.failures)} failures{shown}"
+        )
+    _verdict(num, label, ok, " | ".join(details))
+
+
 def test_criterion_01_minmax_duality():
     worst = 0.0
     for n in (2, 3, 4, 5):
         for i in range(200):
-            rng = _case_rng(SEED + n, i)
-            a = _rand_complex(rng, n, n)
-            b = _rand_complex(rng, n, n)
+            rng = case_rng(SEED + n, i)
+            a = rand_complex(rng, n, n)
+            b = rand_complex(rng, n, n)
             primal = min_lambda_norm(a, b, CFG).value ** 2
             dual, _ = sup_m(a, b, CFG)
             gap = abs(primal - dual) / (1.0 + spectral_norm(a) ** 2)
@@ -76,24 +77,24 @@ def test_criterion_01_minmax_duality():
 
 def test_criterion_02_closed_form_oracles():
     worst = 0.0
-    rng = _case_rng(SEED, 777)
+    rng = case_rng(SEED, 777)
     for _ in range(200):
         a0, b0, c0, d0 = (complex(*rng.standard_normal(2)) for _ in range(4))
         n = int(rng.integers(1, 4))
-        x = _rand_complex(rng, n, n)
+        x = rand_complex(rng, n, n)
         block = fkm_block(a0, b0, c0, d0, x)
         oracle = spectral_norm(block)
         val = fkm_norm(a0, b0, c0, d0, float(np.linalg.norm(x, 2)))
         worst = max(worst, abs(val - oracle) / (1.0 + oracle))
     for _ in range(200):
         n = int(rng.integers(2, 6))
-        p = RankOnePair(*(_rand_complex(rng, n) for _ in range(4)))
+        p = RankOnePair(*(rand_complex(rng, n) for _ in range(4)))
         lam = complex(*rng.standard_normal(2))
         oracle = spectral_norm(p.first() + lam * p.second())
         worst = max(worst, abs(rank_one_norm(p, lam) - oracle) / (1.0 + oracle))
     for _ in range(200):
         n = int(rng.integers(2, 4))
-        s, t = _rand_complex(rng, n, n), _rand_complex(rng, n, n)
+        s, t = rand_complex(rng, n, n), rand_complex(rng, n, n)
         lam = complex(*rng.standard_normal(2))
         a, b, val = corner_block_pair(s, t, lam)
         oracle = spectral_norm(a + lam * b)
@@ -113,18 +114,11 @@ def test_criterion_02_closed_form_oracles():
 
 
 def test_criterion_03_weighted_shift_limit():
-    m = 20
-    a, b = weighted_shift_pair(m)
-    worst = 0.0
-    for lam in CFG.lambda_lattice[:50]:
-        measured = spectral_norm(a + lam * b) ** 2
-        limit = 1.0 + abs(lam) ** 2
-        worst = max(worst, abs(measured - limit) / limit)
-    _verdict(
+    _suite_verdict(
         3,
-        "truncated shift pair reproduces ||A+lam B||^2 = 1+|lam|^2 within 2^-20",
-        worst <= 2.0**-20,
-        f"worst relative truncation error {worst:.3e}",
+        "truncated shift pair matches its closed form and reproduces "
+        "||A+lam B||^2 = 1+|lam|^2 within 2^-20 at 50 lattice points",
+        ("weighted-shift", SEED + 3, 20, 50),
     )
 
 
@@ -148,218 +142,49 @@ def test_criterion_04_hat_function_verdicts():
 
 
 def test_criterion_05_norm_additivity_five_way():
-    inconsistent = 0
-    wrong = 0
-    for i in range(500):
-        rng = _case_rng(SEED + 5, i)
-        n = 2 + i % 3
-        shared = i % 2 == 0
-        x, y = _shared_top_pair(rng, n, shared)
-        rep = norm_additivity_report(x, y, CFG)
-        if not rep.consistent:
-            inconsistent += 1
-        if shared and not rep.verdict("gram_sum_norm"):
-            wrong += 1
-    _verdict(
+    _suite_verdict(
         5,
-        "norm-additivity five-way agreement on 500 mixed pairs",
-        inconsistent == 0 and wrong == 0,
-        f"{inconsistent} inconsistent, {wrong} engineered-true misses",
+        "norm-additivity five-way agreement and witness revalidation on 500 mixed pairs",
+        ("norm-additivity", SEED + 5, 500, 500),
     )
 
 
-def _identity_pair(rng, n: int, make_true: bool):
-    """Hypothesis-satisfying pair, engineered true or false (suite family)."""
-    w = _rand_unitary(rng, n)
-    u = _rand_unitary(rng, n)
-    av = rng.uniform(0.3, 0.9, n).astype(np.complex128)
-    av[0] = 1.0
-    if make_true:
-        bv = 1j * rng.uniform(0.1, 0.6, n) * av
-        bv[0] = 1j * float(rng.uniform(0.7, 1.2))
-        bv[1:] *= 0.3
-    else:
-        bv = -rng.uniform(0.1, 0.6, n).astype(np.complex128) * av
-        bv[1] = -1.0 * av[1] / abs(av[1])
-        bv[0] *= 0.1
-    return w @ np.diag(av) @ u.conj().T, w @ np.diag(bv) @ u.conj().T
-
-
 def test_criterion_06_pythagoras_identity_agreement():
-    bad = 0
-    witness_bad = 0
-    labels = ("pythagoras", "zero_real_joint_state", "decomposed")
-    fixture = pythagoras_identity(np.eye(2, dtype=complex), np.diag([0.0, 1j]), CFG)
-    if not (fixture.consistent and fixture.verdict("pythagoras")):
-        bad += 1
-    for i in range(200):
-        rng = _case_rng(SEED + 6, i)
-        n = 2 + i % 3
-        make_true = i % 2 == 0
-        x, y = _identity_pair(rng, n, make_true)
-        rep = pythagoras_identity(x, y, CFG)
-        verdicts = {rep.verdict(label) for label in labels}
-        if len(verdicts) != 1 or not rep.consistent:
-            bad += 1
-            continue
-        if make_true != rep.verdict("pythagoras"):
-            bad += 1
-        for _, witness in rep.witnesses:
-            gram = evaluate(witness, x.conj().T @ x).real
-            if abs(gram - spectral_norm(x) ** 2) > 1e-5 * (1.0 + gram):
-                witness_bad += 1
-            cross = evaluate(witness, (x.conj().T @ y + y.conj().T @ x) / 2).real
-            if abs(cross) > 1e-5:
-                witness_bad += 1
-    _verdict(
+    _suite_verdict(
         6,
-        "Pythagoras-identity statements agree and witnesses revalidate at 1e-5 "
-        "on 200 hypothesis-satisfying pairs",
-        bad == 0 and witness_bad == 0,
-        f"{bad} disagreements, {witness_bad} witness failures",
+        "Pythagoras-identity statements agree, engineered verdicts hold and "
+        "witnesses revalidate at 1e-5 on the fixture plus 200 hypothesis-satisfying pairs",
+        ("pythagoras-identity", SEED + 6, 200, 201),
     )
 
 
 def test_criterion_07_operator_orthogonality_and_counterexamples():
-    disagreements = 0
-    for i in range(300):
-        rng = _case_rng(SEED + 7, i)
-        n = 4 + i % 2
-        kind = i % 3
-        if kind < 2:
-            a, b = _gate_pair(rng, n, want_true=(kind == 0))
-        else:
-            a = _rand_complex(rng, n, n) + 2.0 * np.eye(n)
-            h = _rand_complex(rng, n, n - 1)
-            b = np.linalg.solve(a.conj().T, h @ h.conj().T)
-        rep = pythagoras_orthogonal(a, b, CFG)
-        gates = rep.verdict("rank_gate") and rep.verdict("positivity_gate")
-        if not gates or not rep.consistent:
-            disagreements += 1
-            continue
-        if rep.verdict("definition") != rep.verdict("witness_form"):
-            disagreements += 1
-        if kind == 0 and not rep.verdict("definition"):
-            disagreements += 1
-        if kind == 1 and rep.verdict("definition"):
-            disagreements += 1
-
-    # three-way BJ agreement on engineered and generic pairs
-    for i in range(60):
-        rng = _case_rng(SEED + 70, i)
-        n = 2 + i % 3
-        if i % 2 == 0:
-            x, y = _bj_engineered_true(rng, n)
-        else:
-            x, y = _rand_complex(rng, n, n), _rand_complex(rng, n, n)
-        has_witness, _ = bj_orthogonal(x, y, CFG)
-        floor = min_lambda_norm(x, y, CFG).value
-        nx = spectral_norm(x)
-        if has_witness != (floor >= nx - 1e-6 * (1.0 + nx)):
-            disagreements += 1
-
-    # counterexample family: everywhere-rank-one pair, orthogonal but no
-    # single norming vector (rank hypothesis is necessary)
-    rng = _case_rng(SEED + 7, 10_000)
-    x = _rand_unit(rng, 3)
-    ya, yb = _rand_unit(rng, 3), _rand_unit(rng, 3)
-    yb = yb - np.vdot(ya, yb) * ya
-    yb /= np.linalg.norm(yb)
-    a1, b1 = np.outer(x, ya.conj()), np.outer(x, yb.conj())
-    rep1 = pythagoras_orthogonal(a1, b1, CFG)
-    fam1 = (
-        rep1.verdict("definition")
-        and not rep1.verdict("rank_gate")
-        and pythagoras_witness_vector(a1, b1, CFG) is None
-    )
-
-    # counterexample family: identity vs. the block flip -- norming vector with
-    # zero cross term exists yet the parallelogram law fails
-    a3 = np.eye(4, dtype=complex)
-    b3 = np.block([[np.zeros((2, 2)), np.eye(2)], [np.eye(2), np.zeros((2, 2))]]).astype(complex)
-    rep3 = pythagoras_orthogonal(a3, b3, CFG)
-    e1 = np.zeros(4, dtype=complex)
-    e1[0] = 1.0
-    fam2 = (
-        not rep3.verdict("definition")
-        and not rep3.verdict("parallelogram")
-        and abs(np.vdot(a3 @ e1, b3 @ e1)) <= 1e-12
-    )
-
-    # counterexample family: orthogonal corner-block pair failing the
-    # positivity gate while staying rank two at every shift
-    xv = np.array([1.0, 0.0], dtype=complex)
-    yv = np.array([0.0, 1.0], dtype=complex)
-    s4 = np.outer(xv, xv.conj()) + np.outer(yv, yv.conj())
-    t4 = np.outer(xv, yv.conj())
-    a4, b4, _ = corner_block_pair(s4, t4, 1.0)
-    rep4 = pythagoras_orthogonal(a4, b4, CFG)
-    fam3 = (
-        rep4.verdict("definition")
-        and not rep4.verdict("positivity_gate")
-        and all(numeric_rank(a4 + al * b4, CFG) == 2 for al in (0.0, 1.0, 0.5j, -2.3 + 1.1j))
-    )
-
-    _verdict(
+    _suite_verdict(
         7,
-        "operator-orthogonality equivalences on 300 gate-satisfying pairs plus "
-        "the three hypothesis-necessity families",
-        disagreements == 0 and fam1 and fam2 and fam3,
-        f"{disagreements} disagreements, families {fam1}/{fam2}/{fam3}",
+        "operator-orthogonality equivalences on 300 gate-satisfying pairs, the "
+        "four hypothesis-necessity families, and three-way Birkhoff-James "
+        "agreement on 60 pairs",
+        ("pythagoras-operator", SEED + 7, 300, 304),
+        ("birkhoff-james", SEED + 70, 60, 60),
     )
 
 
 def test_criterion_08_scalar_block_classification():
-    bad = 0
-    for i in range(200):
-        rng = _case_rng(SEED + 8, i)
-        n = 2 + i % 2
-        a0, b0, c0, d0 = (complex(*rng.standard_normal(2)) for _ in range(4))
-        kind = i % 4
-        if kind == 1:
-            a0, c0 = 0.0, 0.0
-        elif kind == 2:
-            d0, b0 = 0.0, 0.0
-        elif kind == 3:
-            c0 = 0.0
-        x = _rand_unitary(rng, n) * float(rng.uniform(0.5, 2.0))
-        a = fkm_block(a0, 0.0, 0.0, d0, x)
-        b = fkm_block(0.0, b0, c0, 0.0, x)
-
-        pyth = LatticeProfile(a, b, CFG).definition().verdict
-        par = parallelogram_law_check(a, b, CFG)
-        zero_products = abs(a0 * d0) <= 1e-9 and abs(b0 * c0) <= 1e-9
-        if pyth != zero_products or par != pyth:
-            bad += 1
-        inner_zero = spectral_norm(adjoint(a) @ b) <= 1e-9 * (
-            1.0 + spectral_norm(a) * spectral_norm(b)
-        )
-        if inner_zero != (abs(a0 * b0) <= 1e-9 and abs(c0 * d0) <= 1e-9):
-            bad += 1
-        bj_ab, _ = bj_orthogonal(a, b, CFG)
-        bj_ba, _ = bj_orthogonal(b, a, CFG)
-        if not (bj_ab and roberts_check(a, b, CFG)):
-            bad += 1
-        # the reverse Birkhoff-James relation holds for every parameter choice
-        # (in particular whenever bc = 0); see the decisions ledger
-        if not bj_ba:
-            bad += 1
-    _verdict(
+    _suite_verdict(
         8,
         "scalar-block pairs: Pythagoras <=> parallelogram <=> ad = bc = 0, "
         "inner product zero <=> ab = cd = 0, forward and reverse BJ and "
         "Roberts always (200 draws)",
-        bad == 0,
-        f"{bad} misclassifications",
+        ("scalar-block", SEED + 8, 200, 200),
     )
 
 
 def test_criterion_09_property_chain():
     bad = 0
     for i in range(40):
-        rng = _case_rng(SEED + 9, i)
+        rng = case_rng(SEED + 9, i)
         n = 4 + i % 2
-        x, y = _gate_pair(rng, n, want_true=True)
+        x, y = gate_pair(rng, n, want_true=True)
         rep = pythagoras_orthogonal(x, y, CFG)
         if not rep.verdict("definition"):
             bad += 1
@@ -375,8 +200,8 @@ def test_criterion_09_property_chain():
             bad += 1
     # self-orthogonality forces the zero matrix
     for i in range(40):
-        rng = _case_rng(SEED + 90, i)
-        a = _rand_complex(rng, 3, 3)
+        rng = case_rng(SEED + 90, i)
+        a = rand_complex(rng, 3, 3)
         if LatticeProfile(a, a, CFG).definition().verdict and spectral_norm(a) > 1e-9:
             bad += 1
     zero = np.zeros((3, 3), dtype=complex)

@@ -121,8 +121,19 @@ def test_check_exit_input_error(tmp_path, mats, capsys):
     assert main(["check", "triangle", mats["e11"]]) == 3  # missing second matrix
     assert main(["check", "triangle", mats["e11"], mats["a4"]]) == 3  # shape mismatch
     assert main(["check", "triangle", mats["e11"], mats["e22"], "--eps-eq", "-1"]) == 3
+    assert main(["check", "triangle", mats["e11"], mats["e22"], "--lattice-phases", "3"]) == 3
     assert main(["suite", "rank-one", "--count", "0"]) == 3
     capsys.readouterr()
+
+
+def test_usage_errors_exit_input_error(mats, capsys):
+    # argparse's own exit code 2 would read as a hypothesis violation
+    assert main(["check", "nosuchkind", mats["e11"], mats["e22"]]) == 3
+    assert main(["check", "triangle"]) == 3  # no matrix file at all
+    assert main(["suite", "all", "--count", "x"]) == 3
+    assert "usage:" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 # the public deciders and the ``modnorm check`` kind of each, None where the
@@ -306,8 +317,7 @@ def test_env_seed(mats, tmp_path, capsys, monkeypatch):
 
 def test_invalid_env_seed(mats, monkeypatch):
     monkeypatch.setenv("MODNORM_SEED", "not-a-number")
-    with pytest.raises(SystemExit):
-        main(["suite", "rank-one", "--count", "2"])
+    assert main(["suite", "rank-one", "--count", "2"]) == 3
 
 
 def test_tolerance_flags(mats, capsys):

@@ -21,6 +21,7 @@ from modnorm import (
     support_values,
     zero_unit_vector,
 )
+from modnorm.closedforms import rand_unitary
 from modnorm.linalg import NonSquareError
 
 CFG = DEFAULT_CONFIG
@@ -143,11 +144,6 @@ def test_chord_through_zero_present():
     assert resid <= 1e-6 * (1 + 2.0)
 
 
-def _rand_unitary(rng, n):
-    q, r = np.linalg.qr(_rand(rng, n))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def test_chord_and_zero_vector_on_polygonal_ranges():
     # W of a normal matrix is the polygon spanned by its eigenvalues, so the
     # boundary sampling sees the same vertex at many angles
@@ -155,9 +151,9 @@ def test_chord_and_zero_vector_on_polygonal_ranges():
     checked = 0
     for n in range(3, 7):
         for _ in range(8):
-            u = _rand_unitary(rng, n)
+            u = rand_unitary(rng, n)
             eigs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            for c in (u @ np.diag(eigs) @ u.conj().T, _rand_unitary(rng, n)):
+            for c in (u @ np.diag(eigs) @ u.conj().T, rand_unitary(rng, n)):
                 tol = CFG.eps_opt * (1.0 + np.linalg.norm(c, 2))
                 if not range_contains(c, 0.0, CFG, tol=tol):
                     continue
@@ -259,7 +255,7 @@ def _agreement_cases(rng):
     angle, next to its support point."""
     for n in range(2, 9):
         for _ in range(12):
-            u = _rand_unitary(rng, n)
+            u = rand_unitary(rng, n)
             normal = u @ np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n)) @ u.conj().T
             for c in (_rand(rng, n), normal):
                 c = c - np.trace(c) / n * np.eye(n)
@@ -395,7 +391,7 @@ def test_range_contains_matches_the_polygon_of_a_normal_matrix():
         else:
             p, q, normal = _hull_edge(rng, eigs)
             z = p + rng.uniform(0.1, 0.9) * (q - p) + d * normal
-        u = _rand_unitary(rng, n)
+        u = rand_unitary(rng, n)
         c = u @ np.diag(eigs - z) @ u.conj().T
         margin = _exact_min_support(eigs - z)
         tol = CFG.eps_eq * (1.0 + np.linalg.norm(c, 2))

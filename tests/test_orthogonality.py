@@ -34,6 +34,7 @@ from modnorm import (
     triangle_witness,
     unimodular_reduction,
 )
+from modnorm.closedforms import bj_engineered_true, gate_pair, rand_unitary
 from modnorm.orthogonality import scaled_triangle_persistence
 
 CFG = DEFAULT_CONFIG
@@ -320,7 +321,7 @@ def _fresh_gate_pair(seed):
     """``_gate_true_pair`` moved by seeded unitaries: still Pythagoras
     orthogonal with both gates, and no other test builds it."""
     rng = np.random.default_rng(seed)
-    u, v = _rand_unitary(rng, 4), _rand_unitary(rng, 4)
+    u, v = rand_unitary(rng, 4), rand_unitary(rng, 4)
     a, b = _gate_true_pair()
     return u @ a @ v, u @ b @ v
 
@@ -579,11 +580,6 @@ def _violation(x, y, lam):
     return (np.linalg.norm(x + lam * y, 2) ** 2 - rhs) / (1.0 + rhs)
 
 
-def _rand_unitary(rng, n):
-    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def _off_grid_pair(delta, ratio, phase):
     """x = e1 e1^T + a e3 e3^T, y = e1 e2^T + b e^{i phase} e3 e3^T with
     a^2 + b^2 = 1 + delta and b / a = ratio: ||x + lam y||^2 exceeds
@@ -615,21 +611,11 @@ def test_pythagoras_definition_off_grid_family(seed):
     rng = np.random.default_rng(seed)
     delta = 10.0 ** rng.uniform(-4.0, -2.0)
     x, y = _off_grid_pair(delta, rng.uniform(0.4, 3.0), rng.uniform(0.0, 2 * np.pi))
-    u, v = _rand_unitary(rng, 3), _rand_unitary(rng, 3)
+    u, v = rand_unitary(rng, 3), rand_unitary(rng, 3)
     x, y = u @ x @ v, u @ y @ v
     profile = LatticeProfile(x, y, CFG)
     assert not profile.definition().verdict
     assert _violation(x, y, profile.definition_lambda) > CFG.eps_opt
-
-
-def _random_gate_pair(rng, n, want_true):
-    """Orthogonal ranges (x^H y = 0); Pythagoras orthogonal iff the top right
-    singular vectors of x and y coincide."""
-    u, v = _rand_unitary(rng, n), _rand_unitary(rng, n)
-    x = np.outer(u[:, 0], v[:, 0].conj()) + 0.5 * np.outer(u[:, 1], v[:, 1].conj())
-    s = rng.uniform(0.5, 1.5)
-    y = s * np.outer(u[:, 2], v[:, 0 if want_true else 1].conj())
-    return x, y + 0.4 * s * np.outer(u[:, 3], v[:, 2].conj())
 
 
 @settings(max_examples=30, deadline=None)
@@ -640,7 +626,7 @@ def test_pythagoras_definition_symmetric_and_homogeneous(seed, kind):
         n = int(rng.integers(2, 5))
         x, y = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2))
     else:
-        x, y = _random_gate_pair(rng, 4, kind == "true")
+        x, y = gate_pair(rng, 4, kind == "true")
     verdict = LatticeProfile(x, y, CFG).definition().verdict
     if kind != "random":
         assert verdict == (kind == "true")
@@ -813,9 +799,9 @@ def test_extreme_magnitudes():
 
 def _shared_top(rng, n):
     """|x|^2 and |y|^2 share their top eigenvector."""
-    v = _rand_unitary(rng, n)
+    v = rand_unitary(rng, n)
     sx, sy = (np.concatenate([[1.0], rng.uniform(0.2, 0.9, n - 1)]) for _ in range(2))
-    return _rand_unitary(rng, n) @ np.diag(sx) @ v, _rand_unitary(rng, n) @ np.diag(sy) @ v
+    return rand_unitary(rng, n) @ np.diag(sx) @ v, rand_unitary(rng, n) @ np.diag(sy) @ v
 
 
 def _colinear(rng, n):
@@ -826,7 +812,7 @@ def _colinear(rng, n):
 def _identity_true(rng, n):
     """Common singular bases with a purely imaginary ratio: Re<x, y> = 0 and
     the Pythagoras identity holds."""
-    w, u = _rand_unitary(rng, n), _rand_unitary(rng, n)
+    w, u = rand_unitary(rng, n), rand_unitary(rng, n)
     av = np.concatenate([[1.0], rng.uniform(0.3, 0.9, n - 1)])
     bv = 1j * np.concatenate([[rng.uniform(0.7, 1.2)], 0.3 * rng.uniform(0.1, 0.6, n - 1) * av[1:]])
     return w @ np.diag(av) @ u, w @ np.diag(bv) @ u
@@ -835,7 +821,7 @@ def _identity_true(rng, n):
 def _family_pair(rng, family):
     n = int(rng.integers(2, 5))
     if family == "gate":
-        return _random_gate_pair(rng, 4, bool(rng.integers(2)))
+        return gate_pair(rng, 4, bool(rng.integers(2)))
     if family == "shared_top":
         return _shared_top(rng, n)
     if family == "colinear":
@@ -873,7 +859,7 @@ def test_reports_are_byte_identical_under_a_power_of_two(seed, family, e):
 def test_verdicts_are_unitarily_invariant(seed, family):
     rng = np.random.default_rng(seed)
     x, y = _family_pair(rng, family)
-    u, v = _rand_unitary(rng, x.shape[0]), _rand_unitary(rng, x.shape[1])
+    u, v = rand_unitary(rng, x.shape[0]), rand_unitary(rng, x.shape[1])
     for decider in REPORT_DECIDERS:
         plain, rotated = _outcome(decider, x, y), _outcome(decider, u @ x @ v, u @ y @ v)
         assert (plain is None) == (rotated is None), decider.__name__
@@ -892,7 +878,7 @@ def test_scaled_identity_norms_are_one_stacked_svd(monkeypatch):
     # a positive residual of about 1e-8, so the worst one depends on every bit
     # of the 20 scaled norms
     rng = np.random.default_rng(41)
-    w, u = _rand_unitary(rng, 4), _rand_unitary(rng, 4)
+    w, u = rand_unitary(rng, 4), rand_unitary(rng, 4)
     x = w @ np.diag([1.0, 0.0, 0.3, 0.2]) @ u
     y = w @ np.diag([0.5j, 0.5 + 1e-8, 0.03j, 0.02j]) @ u
     stacked = _count_stacks(monkeypatch)
@@ -932,19 +918,10 @@ def _count_factorizations(monkeypatch):
     return counts
 
 
-def _bj_true(rng, n):
-    """A two-dimensional norming subspace of x on which x^H y is traceless."""
-    u, v = _rand_unitary(rng, n), _rand_unitary(rng, n)
-    x = u @ np.diag(np.concatenate([[1.0, 1.0], rng.uniform(0.3, 0.8, n - 2)])) @ v.conj().T
-    k = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    k[1, 1] = -k[0, 0]
-    return x, np.linalg.solve(x.conj().T, v @ k @ v.conj().T)
-
-
 # One seeded 4x4 pair on which each decider's primary statement holds, and
 # the most SVD and eigh calls the decider may make on it.
 COUNTED = {
-    "bj_orthogonal": (bj_orthogonal, _bj_true, 4, 2),
+    "bj_orthogonal": (bj_orthogonal, bj_engineered_true, 4, 2),
     "norm_additivity_report": (norm_additivity_report, _shared_top, 4, 3),
     "triangle_equality": (triangle_equality, _colinear, 3, 1),
     "pythagoras_identity": (pythagoras_identity, _identity_true, 7, 5),
