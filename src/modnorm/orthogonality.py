@@ -522,6 +522,33 @@ def scaled_pythagoras_report(
 # ---------------------------------------------------------------------------
 
 _ETA_SEEDS = 8  # lattice points whose right singular vectors are candidate etas
+# Largest temporary, in bytes, that ``_gram_pencil`` forms for its cross terms.
+_PENCIL_BLOCK_BYTES = 1 << 16
+
+
+def _gram_pencil(pair: Pair, lams: np.ndarray) -> np.ndarray:
+    """G(lam) = x^H x + |lam|^2 y^H y + lam x^H y + conj(lam) y^H x, stacked
+    over ``lams``, bit-identical to summing the four terms in that order.
+
+    The stack is the only lattice-sized array allocated: the cross terms are
+    formed a block of lattice points at a time.  Formed whole, the terms would
+    keep three stacks live at once (1.5 MB at n = 8), enough for the C
+    allocator to hand the memory back after every profile and fault it in
+    again on the next, about 200 page faults per profile.
+    """
+    lams = lams[:, None, None]
+    gram = np.multiply(np.abs(lams) ** 2, pair.gy)
+    gram += pair.gx
+    step = max(1, _PENCIL_BLOCK_BYTES // pair.inner.nbytes)
+    for start in range(0, lams.shape[0], step):
+        block = slice(start, start + step)
+        cross = lams[block] * pair.inner
+        gram[block] += cross
+        # conj(lam M) = conj(lam) conj(M) exactly; transposed it is the last
+        # term.  eigvalsh reads the lower triangle only, so G need not be
+        # Hermitian bit for bit.
+        gram[block] += np.conjugate(cross, out=cross).swapaxes(1, 2)
+    return gram
 # Profiles the deciders share; about 40 KB each at n = 8.
 _shared_profiles = _SharedTable()
 
@@ -585,11 +612,7 @@ class LatticeProfile:
         self.x, self.y, self.nx, self.ny = pair.x, pair.y, pair.nx, pair.ny
         self.cfg = cfg
         self.lams = read_only(np.asarray(cfg.lambda_lattice))
-        lams = self.lams[:, None, None]
-        # eigvalsh reads the lower triangle only, so G need not be Hermitian
-        # bit for bit
-        gram = pair.gx + np.abs(lams) ** 2 * pair.gy + lams * pair.inner
-        gram += lams.conj() * pair.inner.conj().T
+        gram = _gram_pencil(pair, self.lams)
         self.norms2 = read_only(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
         self.norms = read_only(np.sqrt(self.norms2))
         self._definition: tuple[StatementResult, complex] | None = None
