@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .linalg import (
@@ -237,6 +236,9 @@ def _solve(am: np.ndarray, bm: np.ndarray, cfg: ToleranceConfig) -> _Solution:
     if run.certified:
         result = MinLambdaResult(lambda_star=run.lam, value=run.value, iterations=run.steps)
         return _Solution(result, nb, run.svd)
+
+    # only a kink needs scipy, so it is not imported before one is met
+    from scipy.optimize import minimize
 
     def objective(x: np.ndarray) -> float:
         return _spectral_norm(am + (x[0] + 1j * x[1]) * bm)

@@ -5,15 +5,18 @@ function h(theta) = lambda_max(Re(e^{-i theta} A)).  Membership is decided
 exactly, without an angle scan or an optimizer.  For a Hermitian A, W(A) is
 the interval [lambda_min, lambda_max], read from one ``eigvalsh``.  For a
 general A, h(theta) - level changes sign only at angles where w = e^{i theta}
-is an eigenvalue of the quadratic pencil det(w^2 A^H - 2 level w I + A) = 0;
-one QZ on its 2n x 2n companion form finds them, and h at the midpoints of
-the arcs between them decides the sign on each arc.  This is the arc
-algorithm for definite Hermitian pairs (Higham, Tisseur & Van Dooren, Linear
-Algebra Appl. 351-352, 2002; Guo, Higham & Tisseur, SIAM J. Matrix Anal.
-Appl. 31, 2009).  A zero of the quadratic form is built on a polygon
-inscribed in W(A), refined by cutting planes from its four axis support
-points, and finished by a closed-form 2x2 step; ``range_boundary`` samples
-the boundary at a given number of angles for display.
+is an eigenvalue of the quadratic pencil det(w^2 A^H - 2 level w I + A) = 0.
+A shift-and-invert substitution w = mu + 1/s makes that pencil monic, so one
+``eigvals`` of its 2n x 2n companion matrix finds them (Tisseur & Meerbergen,
+SIAM Rev. 43, 2001), and h at the midpoints of the arcs between them decides
+the sign on each arc.  This is the arc algorithm for definite Hermitian pairs
+(Higham, Tisseur & Van Dooren, Linear Algebra Appl. 351-352, 2002; Guo,
+Higham & Tisseur, SIAM J. Matrix Anal. Appl. 31, 2009).  A pencil singular at
+both of its fixed shifts is taken as singular everywhere, and then h >= level.
+A zero of the quadratic form is built on a polygon inscribed in W(A), refined
+by cutting planes from its four axis support points, and finished by a
+closed-form 2x2 step; ``range_boundary`` samples the boundary at a given
+number of angles for display.
 Conventions: <a, b> = a^H b (conjugate-linear in the first slot, matching
 ``np.vdot``).
 """
@@ -23,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zggev
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .linalg import NonSquareError, _spectral_norm, as_matrix, unit_exponent, unit_scaled
@@ -89,17 +91,32 @@ def _boundary(m: np.ndarray, angles: int) -> RangeBoundary:
     return RangeBoundary(angles=thetas, support_values=w[:, -1], extreme_points=pts, vectors=vecs)
 
 
+# Shifts for the arc test, off the unit circle where the wanted roots lie; the
+# second is tried when L(mu) is singular at the first.
+_ARC_SHIFTS = (0.5 + 0.3j, -0.6 + 0.45j)
+
+
 def _dips_below(c: np.ndarray, level: float) -> bool:
     """Whether h(theta) < level at some angle, for a validated square c.
 
     h - level changes sign only where level is an eigenvalue of
-    Re(e^{-i theta} c), that is where w = e^{i theta} solves
-    det(w^2 c^H - 2 level w I + c) = 0.  One QZ on the companion pencil
-    [[0, I], [-c, 2 level I]] - w [[I, 0], [0, c^H]] finds those w.  The
-    angles of every finite nonzero eigenvalue are kept: an extra angle only
-    splits an arc, so it cannot hide one where h < level.  h at the midpoint
-    of each arc between consecutive angles then decides the sign on that
-    arc; with no angle, h - level has one sign and any angle decides.
+    Re(e^{-i theta} c), that is where w = e^{i theta} solves det L(w) = 0 for
+    L(w) = w^2 c^H - 2 level w I + c.  For a shift mu with |mu| != 1 and
+    L(mu) invertible, w = mu + 1/s turns s^2 L(mu + 1/s) into the monic
+    s^2 I + s K1 + K0, with K1 = L(mu)^{-1} (2 mu c^H - 2 level I) and
+    K0 = L(mu)^{-1} c^H.  The eigenvalues s of its companion matrix
+    [[0, I], [-K0, -K1]] come from one ``eigvals``; s = 0 stands for an
+    infinite w (a singular c^H) and is dropped.  The angles of every other
+    w = mu + 1/s are kept: an extra angle only splits an arc, so it cannot
+    hide one where h < level.  h at the midpoint of each arc between
+    consecutive angles then decides the sign on that arc; with no angle,
+    h - level has one sign and any angle decides.
+
+    If L(mu) is singular at both shifts, det L(w) is taken to vanish
+    identically.  Then it vanishes on the unit circle too, where
+    L(e^{i theta}) = 2 e^{i theta} (Re(e^{-i theta} c) - level I): level is
+    an eigenvalue of every Re(e^{-i theta} c), so h >= level everywhere and
+    the answer is False.
 
     The question is homogeneous in (c, level), so both are first scaled by
     the power of two that puts ||c||_F in [1, 2).  Since |h| <= ||c||_2 <=
@@ -111,22 +128,22 @@ def _dips_below(c: np.ndarray, level: float) -> bool:
     level = float(np.ldexp(level, unit_exponent(size)))
     c = unit_scaled(c, size)
     n = c.shape[0]
-    lin = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    lead = np.zeros_like(lin)
-    idx = np.arange(n)
-    lin[idx, n + idx] = 1.0
-    lin[n:, :n] = -c
-    lin[n + idx, n + idx] = 2.0 * level
-    lead[idx, idx] = 1.0
-    lead[n:, n:] = c.conj().T
-    alpha, beta, _, _, _, info = zggev(
-        lin, lead, compute_vl=0, compute_vr=0, overwrite_a=1, overwrite_b=1
-    )
-    if info != 0:
-        raise np.linalg.LinAlgError(f"QZ failed on the companion pencil (info {info})")
-    # the eigenvalue alpha / beta is finite and nonzero where both are nonzero
-    keep = (alpha != 0) & (beta != 0)
-    angles = np.sort(np.angle(alpha[keep] * np.conj(beta[keep])))
+    ch = c.conj().T
+    two_level = 2.0 * level * np.eye(n)
+    # the lower block row of the companion matrix is -L(mu)^{-1} [c^H, 2 mu c^H - 2 level I]
+    comp = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    comp[:n, n:] = np.eye(n)
+    for mu in _ARC_SHIFTS:
+        rhs = np.concatenate([ch, 2.0 * mu * ch - two_level], axis=1)
+        try:
+            comp[n:] = np.linalg.solve(mu * (two_level - mu * ch) - c, rhs)
+        except np.linalg.LinAlgError:
+            continue
+        break
+    else:
+        return False
+    s = np.linalg.eigvals(comp)
+    angles = np.sort(np.angle(mu + 1.0 / s[s != 0]))
     if angles.size == 0:
         mids = np.zeros(1)
     else:

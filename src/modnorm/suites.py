@@ -8,7 +8,6 @@ count) and are sized to finish within a desk-scale time budget.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,11 +65,8 @@ class SuiteReport:
     seed: int
     cases: list[dict]
     failures: list[tuple[str, str, float]]
-    elapsed_ms: int = 0
 
     def to_dict(self) -> dict:
-        # elapsed_ms is intentionally omitted: serialized reports must be
-        # byte-identical across reruns with the same seed
         return {
             "suite_name": self.suite_name,
             "seed": self.seed,
@@ -666,7 +662,6 @@ def run_suite(
     if count < 1:
         raise ValueError("count must be positive")
     actual_seed = cfg.rng_seed if seed is None else int(seed)
-    start = time.monotonic()
     cases: list[dict] = []
     failures: list[tuple[str, str, float]] = []
     selected = _SUITES.values() if name == "all" else [_SUITES[name]]
@@ -676,7 +671,4 @@ def run_suite(
         for case in rec.cases:
             cases.append({**case, "pair_id": f"{prefix}/{case['pair_id']}"})
         failures.extend((f"{prefix}/{p}", s, r) for p, s, r in rec.failures)
-    elapsed = int((time.monotonic() - start) * 1000)
-    return SuiteReport(
-        suite_name=name, seed=actual_seed, cases=cases, failures=failures, elapsed_ms=elapsed
-    )
+    return SuiteReport(suite_name=name, seed=actual_seed, cases=cases, failures=failures)

@@ -1,9 +1,21 @@
-"""The tests reach the package through its public names only."""
+"""Import hygiene: the tests reach the package through its public names
+only, and the command line starts without scipy."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+import modnorm
+from modnorm import min_lambda_norm, save_matrix
+
 TESTS = Path(__file__).resolve().parent
+SRC = str(Path(modnorm.__file__).resolve().parents[1])
 
 
 def _private_imports(path: Path) -> list[str]:
@@ -39,3 +51,75 @@ def test_private_import_guard_flags_imports_not_attributes(tmp_path):
         "probe.py:3 modnorm.suites._Recorder",
         "probe.py:5 modnorm.linalg._SharedTable",
     ]
+
+
+def _python(tmp_path, *args):
+    """Run ``python -X importtime *args`` on the package source; return the
+    process and the names of the modules it imported, in import order."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        env={**os.environ, "PYTHONPATH": path},
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    # importtime logs every import to stderr when it happens, lazy ones included
+    imported = [
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:") and line.count("|") == 2
+    ]
+    return proc, imported
+
+
+def _scipy(imported):
+    return [name for name in imported if name.split(".")[0] == "scipy"]
+
+
+def _save(tmp_path, name, m):
+    path = tmp_path / name
+    save_matrix(np.asarray(m, dtype=complex), path)
+    return str(path)
+
+
+def test_importing_the_cli_loads_no_scipy(tmp_path):
+    proc, imported = _python(tmp_path, "-c", "import modnorm.cli")
+    assert proc.returncode == 0, proc.stderr
+    assert "modnorm.cli" in imported
+    assert _scipy(imported) == []
+
+
+@pytest.mark.parametrize("kind, code", [("triangle", 1), ("bj", 1), ("pythagoras", 1)])
+def test_check_off_a_kink_loads_no_scipy(tmp_path, kind, code):
+    rng = np.random.default_rng(4)
+    x, y = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(2))
+    proc, imported = _python(
+        tmp_path, "-m", "modnorm.cli", "check", kind,
+        _save(tmp_path, "x.json", x), _save(tmp_path, "y.json", y),
+    )
+    assert proc.returncode == code, proc.stderr
+    assert json.loads(proc.stdout)["kind"] == kind
+    assert _scipy(imported) == []
+
+
+def test_min_lambda_at_a_kink_imports_the_fallback(tmp_path):
+    # x = I and y normal with eigenvalues 1, 3, 2, 1.5: min_lambda max |1 + lambda mu|
+    # is 1/2 at lambda = -1/2, where |1 + lambda mu| = 1/2 for mu = 1 and mu = 3,
+    # so the top singular value is double and only the simplex search decides
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    x, y = np.eye(4, dtype=complex), q @ np.diag([1.0, 3.0, 2.0, 1.5]) @ q.conj().T
+    proc, imported = _python(
+        tmp_path, "-m", "modnorm.cli", "min-lambda",
+        _save(tmp_path, "x.json", x), _save(tmp_path, "y.json", y),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "scipy.optimize" in imported
+    out = json.loads(proc.stdout)
+    res = min_lambda_norm(x, y)
+    assert complex(*out["lambda_star"]) == res.lambda_star
+    assert (out["value"], out["iterations"]) == (res.value, res.iterations)
+    assert res.value == pytest.approx(0.5, abs=1e-12)
+    assert res.lambda_star == pytest.approx(-0.5, abs=1e-7)

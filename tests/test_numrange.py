@@ -22,7 +22,7 @@ from modnorm import (
     zero_unit_vector,
 )
 from modnorm.closedforms import rand_unitary
-from modnorm.linalg import NonSquareError
+from modnorm.linalg import NonSquareError, unit_exponent, unit_scaled
 
 CFG = DEFAULT_CONFIG
 # the number of angles at which range_boundary samples by default
@@ -448,6 +448,109 @@ def test_support_dips_below_between_samples():
     assert not support_dips_below(disc, 0.5 - 1e-9)
     assert support_dips_below(np.zeros((3, 3)), 1e-12)
     assert not support_dips_below(np.zeros((3, 3)), 0.0)
+
+
+def _qz_dips_below(c, level):
+    """The arc test with the pencil's roots from one QZ (LAPACK zggev) on
+    [[0, I], [-c, 2 level I]] - w [[I, 0], [0, c^H]]: an independent oracle."""
+    from scipy.linalg.lapack import zggev
+
+    size = float(np.linalg.norm(c))
+    if size <= abs(level):
+        return level > 0.0
+    level = float(np.ldexp(level, unit_exponent(size)))
+    c = unit_scaled(c, size)
+    n = c.shape[0]
+    lin = np.zeros((2 * n, 2 * n), dtype=complex)
+    lead = np.zeros_like(lin)
+    idx = np.arange(n)
+    lin[idx, n + idx] = 1.0
+    lin[n:, :n] = -c
+    lin[n + idx, n + idx] = 2.0 * level
+    lead[idx, idx] = 1.0
+    lead[n:, n:] = c.conj().T
+    alpha, beta, _, _, _, info = zggev(lin, lead, compute_vl=0, compute_vr=0)
+    assert info == 0
+    keep = (alpha != 0) & (beta != 0)
+    angles = np.sort(np.angle(alpha[keep] * np.conj(beta[keep])))
+    if angles.size == 0:
+        mids = np.zeros(1)
+    else:
+        mids = (angles + np.append(angles[1:], angles[0] + 2 * np.pi)) / 2
+    return bool(np.min(support_values(c, mids)) < level)
+
+
+_DIP_FAMILIES = {
+    "random": lambda rng, n: _rand(rng, n),
+    "zero column": lambda rng, n: _rand(rng, n) * (np.arange(n) != rng.integers(n)),
+    "strictly upper": lambda rng, n: np.triu(_rand(rng, n), 1),
+    "hermitian + noise": lambda rng, n: (lambda g: g + g.conj().T)(_rand(rng, n))
+    + 1e-4 * _rand(rng, n),
+    # rank n - 1, and Hermitian only up to the rounding of the product
+    "gram": lambda rng, n: (lambda x: x.conj().T @ x)(_rand(rng, n)[:-1]),
+}
+
+
+def test_support_dips_below_agrees_with_qz_and_a_dense_scan():
+    # 25 matrices, each scanned at 20001 angles, and 44 similarities of each by
+    # a permutation times a diagonal unitary: these keep every zero entry and
+    # leave h unchanged, so the scan of the matrix serves all its similarities;
+    # with five levels about the scanned minimum that makes 5500 cases
+    rng = np.random.default_rng(16)
+    thetas = 2 * np.pi * np.arange(20001) / 20001
+    cases, missed, differ, flat_cases = 0, [], [], 0
+    for name, make in _DIP_FAMILIES.items():
+        for n in (2, 3, 5, 7, 8):
+            base = make(rng, n)
+            h = support_values(base, thetas)
+            low = h.min()
+            # h takes its minimum on a whole arc (0 at a corner of W, or a disc
+            # about 0): at that level every angle is a tangency, and the sign
+            # of h - level is a matter of rounding for either route
+            flat = np.count_nonzero(h <= low + 1e-12 * np.linalg.norm(base)) > 1
+            for _ in range(44):
+                perm = rng.permutation(n)
+                phase = np.exp(2j * np.pi * rng.random(n))
+                c = phase[:, None] * base[np.ix_(perm, perm)] * phase.conj()[None, :]
+                for offset in (-1e-3, -1e-7, 0.0, 1e-7, 1e-3):
+                    dips = support_dips_below(c, low + offset)
+                    cases += 1
+                    if flat and offset == 0.0:
+                        flat_cases += 1
+                    elif dips != _qz_dips_below(c, low + offset):
+                        differ.append((name, n, offset))
+                    # the scan saw h below these levels, and h stays 1e-3 above this one
+                    if dips != (offset > 0.0) and offset in (-1e-3, 1e-7, 1e-3):
+                        missed.append((name, n, offset))
+    # the gram family and the 2 x 2 strictly upper matrix (a disc about 0)
+    assert (cases, flat_cases) == (5500, 264)
+    assert missed == []
+    assert differ == []
+
+
+@pytest.mark.parametrize(
+    "c, below",
+    [
+        # W is the triangle 0, 1+i, 2-i: h = 0 on the arc of the vertex 0
+        (np.diag([0.0, 1.0 + 1.0j, 2.0 - 1.0j]), True),
+        # Re(e^{-i theta} c) has eigenvalues 0 and +-1 at every angle: h = 1
+        (np.array([[0, 0, 1], [0, 0, 1j], [1, 1j, 0]], dtype=complex), False),
+    ],
+)
+def test_support_dips_below_on_singular_pencils(c, below):
+    # at level 0, det(w^2 c^H + c) vanishes for every w: every shift is
+    # singular, and h >= 0 everywhere because 0 is an eigenvalue at every angle
+    assert not support_dips_below(c, 0.0)
+    assert not _qz_dips_below(c, 0.0)
+    rng = np.random.default_rng(17)
+    for u in [np.eye(3)] + [rand_unitary(rng, 3) for _ in range(8)]:
+        r = u @ c @ u.conj().T
+        assert support_dips_below(r, 1e-12) == _qz_dips_below(r, 1e-12) == below
+        assert support_dips_below(r, -1e-12) == _qz_dips_below(r, -1e-12) is False
+        # a rotation leaves det L(w) = 0 only up to rounding, so no shift is
+        # exactly singular; at level 0 the arc where h = 0 is read at rounding
+        # level, which decides the triangle's answer, but no error is raised
+        assert support_dips_below(r, 0.0) in (below, False)
 
 
 def _forbid_scans_and_optimizers(monkeypatch):
