@@ -8,7 +8,8 @@ u^H B v and the exact Hessian of a simple top singular value.  The Newton point
 is returned only with a certificate: a simple top singular value at which the
 gradient vanishes, which for a convex f is global optimality.  At a kink, where
 the top singular value is multiple (as for A = I and normal B), Nelder-Mead
-runs from the best point seen.  The dual side is read off the minimizer
+runs from the best point seen; it takes the steps of scipy's, in numpy, so
+no solve loads scipy.  The dual side is read off the minimizer
 lambda*: in min_lambda ||A + lambda B||^2 = sup_{|xi|=1} M(xi) with
 M(xi) = min_mu ||(A + mu B) xi||^2, the supremum is attained in the top singular
 subspace of A + lambda* B at a unit vector whose quadratic form against
@@ -24,6 +25,7 @@ instead of factoring again.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -77,6 +79,13 @@ class _NewtonRun:
     steps: int
     certified: bool
     svd: tuple[np.ndarray, np.ndarray]  # (s, V^H) of A + lam B
+
+
+@dataclass(frozen=True)
+class _Simplex:
+    x: np.ndarray  # best vertex
+    fun: float
+    nit: int
 
 
 @dataclass(frozen=True)
@@ -186,6 +195,71 @@ def _newton(
         steps += 1
 
 
+def _nelder_mead(
+    f: Callable[[np.ndarray], float],
+    simplex: np.ndarray,
+    xatol: float,
+    fatol: float,
+    maxiter: int,
+) -> _Simplex:
+    """Nelder-Mead from ``simplex`` (N + 1 vertices in R^N) with the standard
+    coefficients: reflection 1, expansion 2, contraction 1/2, shrink 1/2.
+
+    The run stops when every vertex is within xatol of the best in each
+    coordinate and every value within fatol of the best, or when the
+    iteration count, which starts at 1, reaches maxiter.  The steps, their
+    order, the tie-breaking sort and the count are those of the non-adaptive
+    ``scipy.optimize.minimize(method="Nelder-Mead")``, so both return the
+    same point, value and iteration count from the same simplex.
+    """
+    sim = np.array(simplex, dtype=float)
+    fsim = np.array([f(v) for v in sim])
+    # sorted twice, as scipy does: argsort need not be stable, so on tied
+    # values the second sort can reorder the first
+    sim, fsim = _by_value(*_by_value(sim, fsim))
+    nit = 1
+    while nit < maxiter:
+        if (
+            np.max(np.abs(sim[1:] - sim[0])) <= xatol
+            and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+        ):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / (len(sim) - 1)
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            # outside contraction if the reflection improved on the worst
+            # vertex, inside contraction otherwise; shrink if that fails
+            if fxr < fsim[-1]:
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = f(xc)
+                accepted = fxc <= fxr
+            else:
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = f(xc)
+                accepted = fxc < fsim[-1]
+            if accepted:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, len(sim)):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        nit += 1
+        sim, fsim = _by_value(sim, fsim)
+    return _Simplex(sim[0], float(np.min(fsim)), nit)
+
+
+def _by_value(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    order = np.argsort(fsim)
+    return sim[order], fsim[order]
+
+
 def _validated(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     am, bm = as_matrix(a), as_matrix(b)
     if am.shape != bm.shape:
@@ -237,43 +311,20 @@ def _solve(am: np.ndarray, bm: np.ndarray, cfg: ToleranceConfig) -> _Solution:
         result = MinLambdaResult(lambda_star=run.lam, value=run.value, iterations=run.steps)
         return _Solution(result, nb, run.svd)
 
-    # only a kink needs scipy, so it is not imported before one is met
-    from scipy.optimize import minimize
-
     def objective(x: np.ndarray) -> float:
         return _spectral_norm(am + (x[0] + 1j * x[1]) * bm)
 
-    # scipy's default simplex steps 5% of each coordinate, so from a start
-    # with Im lambda at rounding level it searches the real axis alone; the
-    # steps here are the grid spacing, then a thousandth of it for the restart
+    # from a start with Im lambda at rounding level, a simplex scaled to the
+    # start's coordinates searches the real axis alone; the steps here are
+    # the grid spacing, then a thousandth of it for the restart
     spacing = grid[1] - grid[0]
     edges = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     x0 = np.array([run.lam.real, run.lam.imag])
-    res = minimize(
-        objective,
-        x0=x0,
-        method="Nelder-Mead",
-        options={
-            "xatol": 1e-11,
-            "fatol": 1e-14,
-            "maxiter": 600,
-            "initial_simplex": x0 + spacing * edges,
-        },
-    )
+    res = _nelder_mead(objective, x0 + spacing * edges, 1e-11, 1e-14, 600)
     # one restart from the polished point guards against simplex collapse
-    res2 = minimize(
-        objective,
-        x0=res.x,
-        method="Nelder-Mead",
-        options={
-            "xatol": 1e-12,
-            "fatol": 1e-15,
-            "maxiter": 400,
-            "initial_simplex": res.x + 1e-3 * spacing * edges,
-        },
-    )
+    res2 = _nelder_mead(objective, res.x + 1e-3 * spacing * edges, 1e-12, 1e-15, 400)
     best = res2 if res2.fun <= res.fun else res
-    lam, value, svd = complex(best.x[0], best.x[1]), float(best.fun), None
+    lam, value, svd = complex(best.x[0], best.x[1]), best.fun, None
     polish = _newton(am, bm, lam, na, nb)
     # with no step taken, the polish would only swap in another SVD's rounding
     if polish.steps and polish.value <= value * (1.0 + 1e-14):
@@ -281,7 +332,7 @@ def _solve(am: np.ndarray, bm: np.ndarray, cfg: ToleranceConfig) -> _Solution:
     result = MinLambdaResult(
         lambda_star=lam,
         value=value,
-        iterations=run.steps + int(res.nit + res2.nit) + polish.steps,
+        iterations=run.steps + res.nit + res2.nit + polish.steps,
     )
     return _Solution(result, nb, svd)
 

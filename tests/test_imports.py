@@ -1,5 +1,5 @@
 """Import hygiene: the tests reach the package through its public names
-only, and the command line starts without scipy."""
+only, and the command line runs without scipy."""
 
 import ast
 import json
@@ -104,10 +104,11 @@ def test_check_off_a_kink_loads_no_scipy(tmp_path, kind, code):
     assert _scipy(imported) == []
 
 
-def test_min_lambda_at_a_kink_imports_the_fallback(tmp_path):
+def test_min_lambda_at_a_kink_loads_no_scipy(tmp_path, monkeypatch):
     # x = I and y normal with eigenvalues 1, 3, 2, 1.5: min_lambda max |1 + lambda mu|
     # is 1/2 at lambda = -1/2, where |1 + lambda mu| = 1/2 for mu = 1 and mu = 3,
-    # so the top singular value is double and only the simplex search decides
+    # so the top singular value is double and only the simplex search decides;
+    # it runs in a fresh process without scipy and agrees with this one
     rng = np.random.default_rng(5)
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     x, y = np.eye(4, dtype=complex), q @ np.diag([1.0, 3.0, 2.0, 1.5]) @ q.conj().T
@@ -116,9 +117,15 @@ def test_min_lambda_at_a_kink_imports_the_fallback(tmp_path):
         _save(tmp_path, "x.json", x), _save(tmp_path, "y.json", y),
     )
     assert proc.returncode == 0, proc.stderr
-    assert "scipy.optimize" in imported
+    assert _scipy(imported) == []
     out = json.loads(proc.stdout)
+    searches = []
+    simplex = modnorm.normopt._nelder_mead
+    monkeypatch.setattr(
+        modnorm.normopt, "_nelder_mead", lambda *args: searches.append(1) or simplex(*args)
+    )
     res = min_lambda_norm(x, y)
+    assert searches
     assert complex(*out["lambda_star"]) == res.lambda_star
     assert (out["value"], out["iterations"]) == (res.value, res.iterations)
     assert res.value == pytest.approx(0.5, abs=1e-12)

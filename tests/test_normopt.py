@@ -332,9 +332,8 @@ def _simple_top_pairs():
 
 def test_no_optimizer_runs_at_a_simple_top(monkeypatch):
     # where sigma_max is smooth at the minimum, Newton's certificate ends the
-    # solve: no simplex search and at most 60 SVD matrices; the kink fallback
-    # looks ``minimize`` up in scipy.optimize when it runs, so it is patched there
-    import scipy.optimize
+    # solve: no simplex search and at most 60 SVD matrices
+    from modnorm import normopt
 
     def refuse(*args, **kwargs):
         raise AssertionError("general optimizer called at a simple top")
@@ -351,7 +350,7 @@ def test_no_optimizer_runs_at_a_simple_top(monkeypatch):
             count[0] += 1
         return norm(m, ord, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "minimize", refuse)
+    monkeypatch.setattr(normopt, "_nelder_mead", refuse)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(np.linalg, "norm", counting_norm)
     for a, b in _simple_top_pairs():
@@ -360,6 +359,38 @@ def test_no_optimizer_runs_at_a_simple_top(monkeypatch):
         assert count[0] <= 60, (a.shape, count[0])
         s = svd(a + res.lambda_star * b, compute_uv=False)
         assert s[1] < s[0] * (1.0 - 1e-7)
+
+
+def test_simplex_search_matches_scipy_nelder_mead():
+    # the kink fallback's Nelder-Mead takes scipy's steps, so it returns the
+    # same point, value and iteration count bit for bit; scipy is the oracle
+    # here only: on the kink objective, from starts on and off the real axis,
+    # and on a piecewise-constant function whose ties exercise the sort
+    from scipy.optimize import minimize
+
+    from modnorm import normopt
+
+    rng = np.random.default_rng(17)
+    edges = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    cases = []
+    for t in range(60):
+        n = 2 + t % 7
+        a, b = np.eye(n, dtype=complex), _normal(rng, n)
+        x0 = np.array([rng.standard_normal(), 0.0 if t % 2 else 4e-16])
+        simplex = x0 + rng.uniform(0.01, 2.0) * edges
+        cases.append((lambda x, a=a, b=b: spectral_norm(a + (x[0] + 1j * x[1]) * b), simplex))
+    for _ in range(40):
+        cases.append((lambda x: float(np.floor(4 * np.abs(x).max())), rng.standard_normal((3, 2))))
+    for i, (f, simplex) in enumerate(cases):
+        for xatol, fatol, maxiter in ((1e-11, 1e-14, 600), (1e-12, 1e-15, 400), (1e-4, 1e-4, 7)):
+            ref = minimize(
+                f, x0=simplex[0], method="Nelder-Mead",
+                options={"xatol": xatol, "fatol": fatol, "maxiter": maxiter,
+                         "initial_simplex": simplex},
+            )
+            got = normopt._nelder_mead(f, simplex, xatol, fatol, maxiter)
+            assert np.array_equal(got.x, ref.x), (i, got.x, ref.x)
+            assert (got.fun, got.nit) == (float(ref.fun), ref.nit), i
 
 
 @settings(max_examples=30, deadline=None)
