@@ -28,12 +28,9 @@ from .linalg import (
     SpectralDecomposition,
     adjoint,
     hermitian_eig,
-    min_modulus,
     modulus,
     numeric_rank,
-    psd_check,
     real_part,
-    singular_values,
     spectral_norm,
 )
 from .normopt import (
@@ -44,7 +41,6 @@ from .normopt import (
     m_functional,
     min_lambda_norm,
     sup_m,
-    unique_alpha0,
 )
 from .numrange import (
     RangeBoundary,

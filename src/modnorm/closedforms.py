@@ -238,12 +238,12 @@ def rank_persistence(
     if len({complex(al) for al in alphas}) != 3:
         raise ValueError("the three shifts must be pairwise distinct")
     for al in alphas:
-        if numeric_rank(am + al * bm, cfg) != 1:
+        if numeric_rank(am + al * bm) != 1:
             raise HypothesisViolation(f"rank at shift {al} is not one")
     rng = cfg.rng(0x9A5F)
     for _ in range(50):
         al = complex(rng.standard_normal(), rng.standard_normal()) * 2.0
-        if numeric_rank(am + al * bm, cfg) != 1:
+        if numeric_rank(am + al * bm) != 1:
             return False
     return True
 

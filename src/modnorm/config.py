@@ -15,11 +15,16 @@ import numpy as np
 
 DEFAULT_SEED = 12345
 
+# Relative singular-value cutoff for numeric rank.
+EPS_RANK = 1e-10
+
+# Seeded pseudo-random lattice points, half of them the negations of the rest.
+LATTICE_RANDOM = 64
+
 
 def _build_lattice(
     mag_exponents: tuple[int, int],
     n_phases: int,
-    n_random: int,
     seed: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lattice points and the index of each one's negation: phase j of a ring
@@ -29,7 +34,7 @@ def _build_lattice(
     phases = np.exp(2j * np.pi * np.arange(n_phases) / n_phases)
     grid = (mags[:, None] * phases[None, :]).ravel()
     rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
-    half = n_random // 2
+    half = LATTICE_RANDOM // 2
     rand = rng.standard_normal(half) + 1j * rng.standard_normal(half)
     pts = np.concatenate([grid, rand, -rand])
     turned = (np.arange(n_phases) + n_phases // 2) % n_phases
@@ -45,7 +50,6 @@ class ToleranceConfig:
 
     eps_eq      relative tolerance for algebraic identities (eigensolver grade)
     eps_opt     tolerance for optimization-mediated equalities
-    eps_rank    relative singular-value cutoff for numeric rank
     rng_seed    seed for every derived pseudo-random draw
 
     ``lambda_lattice`` and ``lattice_negation`` are derived, not set: entry i
@@ -55,27 +59,22 @@ class ToleranceConfig:
 
     eps_eq: float = 1e-9
     eps_opt: float = 1e-6
-    eps_rank: float = 1e-10
     rng_seed: int = DEFAULT_SEED
     lattice_mag_exponents: tuple[int, int] = (-8, 8)
     lattice_phases: int = 24
-    lattice_random: int = 64
     lambda_lattice: tuple[complex, ...] = field(init=False, repr=False, compare=False)
     lattice_negation: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if min(self.eps_eq, self.eps_opt, self.eps_rank) <= 0:
+        if min(self.eps_eq, self.eps_opt) <= 0:
             raise ValueError("tolerances must be strictly positive")
         if self.lattice_phases < 2 or self.lattice_phases % 2:
             raise ValueError(f"lattice_phases must be positive and even, got {self.lattice_phases}")
         pts, negation = _build_lattice(
             self.lattice_mag_exponents,
             self.lattice_phases,
-            self.lattice_random,
             self.rng_seed,
         )
-        if not pts.size:
-            raise ValueError("lambda lattice must be nonempty")
         if np.abs(pts[negation] + pts).max() > 1e-12 * (1.0 + np.abs(pts).max()):
             raise ValueError("lambda lattice must be closed under negation")
         negation.flags.writeable = False

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, ToleranceConfig
+from .config import DEFAULT_CONFIG, EPS_RANK, ToleranceConfig
 
 
 class NonHermitianError(ValueError):
@@ -279,41 +279,12 @@ def modulus(x: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def min_modulus(a: np.ndarray) -> float:
-    """Smallest eigenvalue of the modulus |a|; the infimum of state values on |a|.
-
-    Equals the smallest singular value of a; strictly positive iff a is invertible.
-    """
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise NonSquareError(f"min_modulus needs a square matrix, got {m.shape}")
-    s = np.linalg.svd(m, compute_uv=False)
-    return float(s[-1])
-
-
-def singular_values(a: np.ndarray) -> np.ndarray:
-    """Singular values, descending."""
-    return np.linalg.svd(as_matrix(a), compute_uv=False)
-
-
-def numeric_rank(a: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG) -> int:
-    """Count of singular values above the relative cutoff eps_rank * sigma_max."""
-    s = singular_values(a)
+def numeric_rank(a: np.ndarray) -> int:
+    """Count of singular values above the relative cutoff EPS_RANK * sigma_max."""
+    s = np.linalg.svd(as_matrix(a), compute_uv=False)
     if s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > cfg.eps_rank * s[0]))
-
-
-def psd_check(h: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:
-    """True iff the Hermitian matrix h is positive semidefinite within eps_eq."""
-    return hermitian_eig(h, cfg).is_psd(cfg)
-
-
-def top_eigenspace(
-    h: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG, rel_tol: float | None = None
-) -> np.ndarray:
-    """Orthonormal basis of the eigenspace of eigenvalues within tolerance of the top."""
-    return hermitian_eig(h, cfg).top_space(cfg, rel_tol)
+    return int(np.count_nonzero(s > EPS_RANK * s[0]))
 
 
 def top_right_singular_subspace(

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, ToleranceConfig
+from .config import DEFAULT_CONFIG, EPS_RANK, ToleranceConfig
 from .linalg import (
     Pair,
     ShapeError,
@@ -38,7 +38,6 @@ from .linalg import (
     _spectral_norm,
     _top_right_subspace,
     as_matrix,
-    min_modulus,
     read_only,
     top_right_space,
     unit_scaled,
@@ -300,7 +299,7 @@ def _solve(am: np.ndarray, bm: np.ndarray, cfg: ToleranceConfig) -> _Solution:
     """The solver behind ``min_lambda_norm``, on a validated pair."""
     na, nb = _spectral_norm(am), _spectral_norm(bm)
     # B counts as zero relative to A; exact B = 0 always does
-    if nb <= cfg.eps_rank * na:
+    if nb <= EPS_RANK * na:
         return _Solution(MinLambdaResult(lambda_star=0.0, value=na, iterations=0), nb, None)
     radius = 1.0 + na / nb
     grid = np.linspace(-radius, radius, _START_GRID)
@@ -360,7 +359,7 @@ def _m_value(
     """``m_functional`` at a unit v, given ||B|| = nb."""
     av, bv = am @ v, bm @ v
     nbv = np.linalg.norm(bv)
-    if nbv <= cfg.eps_rank * max(nb, 1e-300):
+    if nbv <= EPS_RANK * max(nb, 1e-300):
         return float(np.linalg.norm(av) ** 2)
     return float(np.linalg.norm(av) ** 2 - abs(np.vdot(av, bv)) ** 2 / nbv**2)
 
@@ -432,23 +431,3 @@ def bj_lower_bound_check(
     rhs = pair.nx**2 + np.abs(profile.lams) ** 2 * my
     slack = cfg.eps_opt * (1.0 + rhs)
     return bool(np.all(lhs >= rhs - slack))
-
-
-def unique_alpha0(
-    x: np.ndarray, y: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG
-) -> tuple[complex, float]:
-    """The unique argmin alpha0 of alpha -> ||x + alpha y|| when m(|y|^2) > 0.
-
-    Uniqueness follows from strict convexity under the invertibility
-    hypothesis; it is certified a posteriori by the shifted lower bound on the
-    lambda lattice.
-    """
-    xm, ym = as_matrix(x), as_matrix(y)
-    my = min_modulus(ym) ** 2
-    if my <= cfg.eps_opt:
-        raise HypothesisViolation("unique_alpha0 requires m(|y|^2) > 0")
-    opt = min_lambda_norm(xm, ym, cfg)
-    shifted = xm + opt.lambda_star * ym
-    if not bj_lower_bound_check(shifted, ym, cfg):
-        raise AssertionError("shifted lower bound failed; minimizer is inaccurate")
-    return opt.lambda_star, opt.value

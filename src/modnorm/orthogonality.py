@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, ToleranceConfig
+from .config import DEFAULT_CONFIG, EPS_RANK, ToleranceConfig
 from .linalg import (
     NonSquareError,
     Pair,
@@ -711,7 +711,7 @@ class LatticeProfile:
 
     def _rank_above_one(self, lams: np.ndarray) -> bool:
         svals = np.linalg.svd(self._stack(lams), compute_uv=False)
-        ranks = (svals > self.cfg.eps_rank * np.maximum(svals[:, :1], 1e-300)).sum(axis=1)
+        ranks = (svals > EPS_RANK * np.maximum(svals[:, :1], 1e-300)).sum(axis=1)
         return bool(np.any(ranks > 1))
 
 

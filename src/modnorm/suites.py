@@ -51,7 +51,9 @@ from .orthogonality import (
     pythagoras_identity,
     pythagoras_orthogonal,
     pythagoras_witness_vector,
+    scaled_triangle_persistence,
     triangle_equality,
+    triangle_witness,
     unimodular_reduction,
 )
 from .states import evaluate
@@ -153,6 +155,30 @@ def _suite_norm_additivity(seed: int, count: int, cfg: ToleranceConfig) -> _Reco
             rec.check(pid, "unimodular_reduction_false", not holds)
             holds, u, v = unimodular_reduction(x, t * x, 2.0j, 3.0j, cfg)
             rec.check(pid, "unimodular_reduction_true", holds and u == v == 1j)
+            # the operator certificate: a state phi and c with phi(c*c) = 1
+            # and phi(c* x* (t x) c) = ||x|| ||t x||
+            cert = triangle_witness(x, t * x, cfg)
+            rec.check(pid, "triangle_witness_colinear", cert is not None)
+            if cert is not None:
+                phi, c = cert
+                target = spectral_norm(x) * spectral_norm(t * x)
+                for label, val, want in (
+                    ("unit", evaluate(phi, c.conj().T @ c), 1.0),
+                    ("attains", evaluate(phi, c.conj().T @ x.conj().T @ (t * x) @ c), target),
+                ):
+                    resid = abs(val - want)
+                    rec.check(pid, f"triangle_witness_{label}", resid <= 1e-5 * (1.0 + want), resid)
+            rec.check(
+                pid,
+                "triangle_witness_iff_norm_sum",
+                (triangle_witness(x, y, cfg) is not None)
+                == triangle_equality(x, y, cfg).verdict("norm_sum"),
+            )
+            # nonnegative weights keep the equality
+            s1, s2 = float(rng.uniform(0, 3)), float(rng.uniform(0, 3))
+            rec.check(
+                pid, "triangle_scaled_persists", scaled_triangle_persistence(x, t * x, s1, s2, cfg)
+            )
     return rec
 
 
@@ -515,7 +541,7 @@ def _suite_pythagoras_operator(seed: int, count: int, cfg: ToleranceConfig) -> _
         "sign-family",
         "rank_two_everywhere",
         all(
-            numeric_rank(a4 + al * b4, cfg) == 2
+            numeric_rank(a4 + al * b4) == 2
             for al in (0.0, 1.0, -2.3 + 1.1j, 0.5j)
         ),
     )
@@ -582,10 +608,12 @@ def _suite_properties(seed: int, count: int, cfg: ToleranceConfig) -> _Recorder:
         u = rand_unitary(rng, n)
         r = int(rng.integers(1, n + 1))
         low = rand_complex(rng, n, r) @ rand_complex(rng, r, n)
+        chain = n >= 4 and i % 3 == 0
+        rec.case(pid, dim=n, rank=r, chain=chain)
         rec.check(
             pid,
             "rank_unitary_invariant",
-            numeric_rank(low, cfg) == numeric_rank(u @ low @ u.conj().T, cfg),
+            numeric_rank(low) == numeric_rank(u @ low @ u.conj().T),
         )
 
         # nondegeneracy: x is orthogonal to itself only when x = 0
@@ -596,7 +624,7 @@ def _suite_properties(seed: int, count: int, cfg: ToleranceConfig) -> _Recorder:
         rec.check(pid, "zero_self_orthogonal", zero_pyth)
 
         # property chain on an engineered orthogonal pair
-        if n >= 4 and i % 3 == 0:
+        if chain:
             x, y = gate_pair(rng, n, want_true=True)
             rep = pythagoras_orthogonal(x, y, cfg)
             rec.check(pid, "chain_definition", rep.verdict("definition"))
@@ -622,6 +650,7 @@ def _suite_properties(seed: int, count: int, cfg: ToleranceConfig) -> _Recorder:
     for ngrid in (3, 11, 101):
         f, g = hat_function_pair(ngrid)
         pid = f"hat-{ngrid}"
+        rec.case(pid, grid=ngrid)
         bj_fg, _ = bj_orthogonal(f, g, cfg)
         bj_gf, _ = bj_orthogonal(g, f, cfg)
         rec.check(pid, "bj_both_ways", bj_fg and bj_gf)

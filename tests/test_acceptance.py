@@ -8,27 +8,20 @@ import numpy as np
 
 from modnorm import (
     DEFAULT_CONFIG,
-    LatticeProfile,
     RankOnePair,
-    adjoint,
-    bj_orthogonal,
     canonical_json,
     corner_block_pair,
     fkm_block,
     fkm_norm,
-    hat_function_pair,
     min_lambda_norm,
-    parallelogram_law_check,
-    pythagoras_orthogonal,
     rank_one_norm,
-    roberts_check,
     run_suite,
     spectral_norm,
     sup_m,
     weighted_shift_norm,
     weighted_shift_pair,
 )
-from modnorm.closedforms import case_rng, gate_pair, rand_complex
+from modnorm.closedforms import case_rng, rand_complex
 
 CFG = DEFAULT_CONFIG
 SEED = 20260823
@@ -123,21 +116,11 @@ def test_criterion_03_weighted_shift_limit():
 
 
 def test_criterion_04_hat_function_verdicts():
-    ok = True
-    for n in (3, 11, 101):
-        f, g = hat_function_pair(n)
-        bj_fg, _ = bj_orthogonal(f, g, CFG)
-        bj_gf, _ = bj_orthogonal(g, f, CFG)
-        ok &= bj_fg and bj_gf
-        ok &= roberts_check(f, g, CFG)
-        ok &= not LatticeProfile(f, g, CFG).definition().verdict
-        ok &= not parallelogram_law_check(f, g, CFG)
-        ok &= spectral_norm(adjoint(f) @ g) == 0.0  # exactly zero
-    _verdict(
+    _suite_verdict(
         4,
         "hat-function pair: BJ both ways and Roberts true, Pythagoras and "
         "parallelogram false, inner product exactly zero (N = 3, 11, 101)",
-        ok,
+        ("properties", SEED + 4, 1, 4),
     )
 
 
@@ -180,39 +163,12 @@ def test_criterion_08_scalar_block_classification():
 
 
 def test_criterion_09_property_chain():
-    bad = 0
-    for i in range(40):
-        rng = case_rng(SEED + 9, i)
-        n = 4 + i % 2
-        x, y = gate_pair(rng, n, want_true=True)
-        rep = pythagoras_orthogonal(x, y, CFG)
-        if not rep.verdict("definition"):
-            bad += 1
-            continue
-        for label in ("roberts", "parallelogram", "bj_forward", "bj_reverse"):
-            if not rep.verdict(label):
-                bad += 1
-        # symmetry and homogeneity of the definition itself
-        if not pythagoras_orthogonal(y, x, CFG).verdict("definition"):
-            bad += 1
-        alpha, beta = (complex(*rng.standard_normal(2)) + 0.2 for _ in range(2))
-        if not pythagoras_orthogonal(alpha * x, beta * y, CFG).verdict("definition"):
-            bad += 1
-    # self-orthogonality forces the zero matrix
-    for i in range(40):
-        rng = case_rng(SEED + 90, i)
-        a = rand_complex(rng, 3, 3)
-        if LatticeProfile(a, a, CFG).definition().verdict and spectral_norm(a) > 1e-9:
-            bad += 1
-    zero = np.zeros((3, 3), dtype=complex)
-    if not LatticeProfile(zero, zero, CFG).definition().verdict:
-        bad += 1
-    _verdict(
+    _suite_verdict(
         9,
-        "property chain: orthogonality implies Roberts, BJ both ways, "
-        "parallelogram, symmetry, homogeneity; self-orthogonality only at zero",
-        bad == 0,
-        f"{bad} violations",
+        "property chain on 40 orthogonal pairs: orthogonality implies Roberts, BJ "
+        "both ways, parallelogram, symmetry, homogeneity; self-orthogonality only "
+        "at zero on 240 draws",
+        ("properties", SEED + 9, 240, 243),
     )
 
 

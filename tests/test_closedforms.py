@@ -22,12 +22,9 @@ from modnorm import (
     weighted_shift_norm,
     weighted_shift_pair,
 )
+from modnorm.closedforms import rand_complex
 
 CFG = DEFAULT_CONFIG
-
-
-def _rand_vec(rng, n):
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
 # ---------------------------------------------------------------------------
@@ -88,9 +85,7 @@ def test_rank_one_norm_single():
 def test_rank_one_norm_matches_svd(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 6))
-    p = RankOnePair(
-        x=_rand_vec(rng, n), y=_rand_vec(rng, n), u=_rand_vec(rng, n), v=_rand_vec(rng, n)
-    )
+    p = RankOnePair(*(rand_complex(rng, n) for _ in range(4)))
     lam = complex(*rng.standard_normal(2))
     oracle = float(np.linalg.norm(p.first() + lam * p.second(), 2))
     assert rank_one_norm(p, lam) == pytest.approx(oracle, rel=1e-9, abs=1e-9)
@@ -100,7 +95,7 @@ def test_rank_one_classify_orthogonal_columns():
     # x (x) y vs u (x) y with x perp u: the sum is (x + lam u) (x) y, so
     # Pythagoras (and everything weaker) holds
     rng = np.random.default_rng(0)
-    y = _rand_vec(rng, 3)
+    y = rand_complex(rng, 3)
     p = RankOnePair(x=[1, 0, 0], y=y, u=[0, 1, 0], v=y)
     verdicts = rank_one_classify(p, CFG)
     assert verdicts.bj_forward and verdicts.bj_reverse and verdicts.roberts
@@ -112,7 +107,7 @@ def test_rank_one_classify_orthogonal_columns():
 def test_rank_one_classify_bj_without_pythagoras():
     # x perp u but second factors generic: BJ holds, Pythagoras fails
     rng = np.random.default_rng(7)
-    p = RankOnePair(x=[1, 0, 0], y=_rand_vec(rng, 3), u=[0, 1, 0], v=_rand_vec(rng, 3))
+    p = RankOnePair(x=[1, 0, 0], y=rand_complex(rng, 3), u=[0, 1, 0], v=rand_complex(rng, 3))
     verdicts = rank_one_classify(p, CFG)
     assert verdicts.bj_forward
     assert not verdicts.pythagoras
@@ -137,14 +132,14 @@ def test_rank_one_classify_matches_generic_deciders():
     for k in range(10):
         n = 3
         if k % 3 == 0:
-            x = u = _rand_vec(rng, n)
-            y, v = _rand_vec(rng, n), _rand_vec(rng, n)
+            x = u = rand_complex(rng, n)
+            y, v = rand_complex(rng, n), rand_complex(rng, n)
         elif k % 3 == 1:
-            x, u = _rand_vec(rng, n), _rand_vec(rng, n)
+            x, u = rand_complex(rng, n), rand_complex(rng, n)
             u = u - np.vdot(x, u) / np.vdot(x, x) * x  # x perp u
-            y, v = _rand_vec(rng, n), _rand_vec(rng, n)
+            y, v = rand_complex(rng, n), rand_complex(rng, n)
         else:
-            x, y, u, v = (_rand_vec(rng, n) for _ in range(4))
+            x, y, u, v = (rand_complex(rng, n) for _ in range(4))
         p = RankOnePair(x=x, y=y, u=u, v=v)
         verdicts = rank_one_classify(p, CFG)
         a, b = p.first(), p.second()
@@ -239,8 +234,8 @@ def test_hat_function_pair_disjoint_supports():
 
 def test_rank_persistence_shared_vector_families():
     rng = np.random.default_rng(3)
-    x = _rand_vec(rng, 3)
-    y1, y2 = _rand_vec(rng, 3), _rand_vec(rng, 3)
+    x = rand_complex(rng, 3)
+    y1, y2 = rand_complex(rng, 3), rand_complex(rng, 3)
     a = np.outer(x, y1.conj())
     b = np.outer(x, y2.conj())
     assert rank_persistence(a, b, 0.0, 1.0, 2.0, CFG)

@@ -19,8 +19,8 @@ def _nearest_negation(cfg):
     [
         {},
         {"lattice_phases": 2},
-        {"lattice_phases": 12, "lattice_random": 63},
-        {"lattice_mag_exponents": (-2, 3), "lattice_phases": 6, "lattice_random": 0},
+        {"lattice_phases": 12},
+        {"lattice_mag_exponents": (-2, 3), "lattice_phases": 6},
         {"rng_seed": 7, "lattice_phases": 48},
     ],
 )
@@ -47,10 +47,8 @@ def test_lattice_is_derived_not_set():
     assert settable == [
         "eps_eq",
         "eps_opt",
-        "eps_rank",
         "rng_seed",
         "lattice_mag_exponents",
         "lattice_phases",
-        "lattice_random",
     ]
     assert ToleranceConfig() == DEFAULT_CONFIG

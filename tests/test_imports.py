@@ -1,5 +1,6 @@
 """Import hygiene: the tests reach the package through its public names
-only, and the command line runs without scipy."""
+only, every public name has a reader, and the command line runs without
+scipy."""
 
 import ast
 import json
@@ -51,6 +52,83 @@ def test_private_import_guard_flags_imports_not_attributes(tmp_path):
         "probe.py:3 modnorm.suites._Recorder",
         "probe.py:5 modnorm.linalg._SharedTable",
     ]
+
+
+def _reads(path: Path) -> set[str]:
+    """Names that ``path`` reads (loaded names and attributes, and strings
+    equal to a name), each outside the ``def`` or ``class`` defining it."""
+    reads: set[str] = set()
+
+    def visit(node, owners):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owners = owners | {node.name}
+        name = None
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            name = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value  # getattr(modnorm, name) and dispatch tables
+        if name is not None and name not in owners:
+            reads.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owners)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), frozenset())
+    return reads
+
+
+def _unread_exports(package: Path, bench: Path) -> list[str]:
+    """Names that ``package/__init__.py`` exports and that no other module of
+    the package, and no file in ``bench``, reads."""
+    init = package / "__init__.py"
+    tree = ast.parse(init.read_text(encoding="utf-8"), filename=str(init))
+    exports = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    sources = [p for p in sorted(package.glob("*.py")) if p != init] + sorted(bench.glob("*.py"))
+    read = set().union(*map(_reads, sources))
+    return [name for name in exports if name not in read]
+
+
+# Exports kept without a reader: the two Pythagoras deciders that take their
+# limits as arguments and still wait for a suite check, and support_function,
+# which the numerical-range tests use to place levels.
+UNREAD_EXPORTS = {"limit_relations_check", "pythagoras_via_bj_parallelogram", "support_function"}
+
+
+def test_every_export_has_a_reader():
+    package = Path(modnorm.__file__).resolve().parent
+    assert set(_unread_exports(package, TESTS.parent / "bench")) == UNREAD_EXPORTS
+
+
+def test_surface_guard_flags_names_read_only_in_their_own_definition(tmp_path):
+    package, bench = tmp_path / "pkg", tmp_path / "bench"
+    package.mkdir()
+    bench.mkdir()
+    (package / "__init__.py").write_text(
+        "from .core import Kept, helper, recurse, spelled, unread\n", encoding="utf-8"
+    )
+    (package / "core.py").write_text(
+        "class Kept:\n"
+        "    pass\n"
+        "def helper(x: Kept):\n"
+        "    return x\n"
+        "def recurse(n):\n"
+        "    return recurse(n - 1) if n else 0\n"
+        "def spelled():\n"
+        "    pass\n"
+        "def unread():\n"
+        "    pass\n",
+        encoding="utf-8",
+    )
+    (bench / "run.py").write_text(
+        "import pkg\nprint(pkg.helper(0), getattr(pkg, 'spelled'))\n", encoding="utf-8"
+    )
+    assert _unread_exports(package, bench) == ["recurse", "unread"]
 
 
 def _python(tmp_path, *args):

@@ -12,22 +12,15 @@ from modnorm import (
     Pair,
     adjoint,
     hermitian_eig,
-    min_modulus,
     modulus,
     numeric_rank,
-    psd_check,
     real_part,
-    singular_values,
     spectral_norm,
 )
-from modnorm.linalg import as_matrix, top_eigenspace, top_right_singular_subspace
+from modnorm.closedforms import rand_complex
+from modnorm.linalg import as_matrix, top_right_singular_subspace
 
 CFG = DEFAULT_CONFIG
-
-
-def _rand(rng, n, m=None):
-    m = n if m is None else m
-    return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
 
 
 def test_as_matrix_rejects_bad_shapes():
@@ -41,7 +34,7 @@ def test_as_matrix_rejects_bad_shapes():
 
 def test_pair_arrays_are_read_only_copies():
     rng = np.random.default_rng(5)
-    x, y = _rand(rng, 3), _rand(rng, 3)
+    x, y = rand_complex(rng, 3, 3), rand_complex(rng, 3, 3)
     pair = Pair(x, y)
     for p in (pair, pair.swapped()):
         for m in (p.x, p.y, p.gx, p.gy, p.inner):
@@ -52,7 +45,7 @@ def test_pair_arrays_are_read_only_copies():
 
 def test_pair_quantities_are_computed_once_and_shared_with_the_swap():
     rng = np.random.default_rng(6)
-    x, y = _rand(rng, 3), _rand(rng, 3)
+    x, y = rand_complex(rng, 3, 3), rand_complex(rng, 3, 3)
     pair = Pair(x, y)
     swap = pair.swapped()
     # read first on either side, each quantity is the other side's object
@@ -67,7 +60,7 @@ def test_pair_quantities_are_computed_once_and_shared_with_the_swap():
 
 
 def test_as_matrix_accepts_noncontiguous_views():
-    a = _rand(np.random.default_rng(0), 3)
+    a = rand_complex(np.random.default_rng(0), 3, 3)
     assert as_matrix(a.conj().T).shape == (3, 3)
 
 
@@ -80,7 +73,7 @@ def test_adjoint_examples():
 
 def test_adjoint_involution_and_isometry():
     rng = np.random.default_rng(1)
-    a = _rand(rng, 3)
+    a = rand_complex(rng, 3, 3)
     np.testing.assert_array_equal(adjoint(adjoint(a)), a)
     assert spectral_norm(adjoint(a)) == pytest.approx(spectral_norm(a), rel=1e-12)
 
@@ -89,7 +82,7 @@ def test_real_part():
     assert real_part(np.array([[1j]]))[0, 0] == 0
     np.testing.assert_allclose(real_part(np.diag([0.0, 1j])), np.zeros((2, 2)))
     rng = np.random.default_rng(2)
-    a = _rand(rng, 4)
+    a = rand_complex(rng, 4, 4)
     re = real_part(a)
     np.testing.assert_allclose(re, re.conj().T)
     # Re(a) + i Re(-i a) reconstructs a
@@ -107,7 +100,7 @@ def test_hermitian_eig_examples():
 
 def test_hermitian_eig_reconstruction():
     rng = np.random.default_rng(3)
-    h = _rand(rng, 5)
+    h = rand_complex(rng, 5, 5)
     h = h + h.conj().T
     dec = hermitian_eig(h)
     np.testing.assert_allclose(dec.reconstruct(), h, atol=1e-9 * spectral_norm(h))
@@ -149,16 +142,16 @@ def test_modulus_examples():
         modulus(np.array([[0.0, 1.0], [0.0, 0.0]])), np.diag([0.0, 1.0]), atol=1e-12
     )
     rng = np.random.default_rng(4)
-    q, _ = np.linalg.qr(_rand(rng, 3))
+    q, _ = np.linalg.qr(rand_complex(rng, 3, 3))
     np.testing.assert_allclose(modulus(q), np.eye(3), atol=1e-9)
 
 
 def test_modulus_squares_to_gram():
     rng = np.random.default_rng(5)
-    x = _rand(rng, 4)
+    x = rand_complex(rng, 4, 4)
     m = modulus(x)
     np.testing.assert_allclose(m @ m, x.conj().T @ x, atol=1e-9)
-    assert spectral_norm(m) == pytest.approx(singular_values(x)[0], rel=1e-12)
+    assert spectral_norm(m) == pytest.approx(np.linalg.svd(x, compute_uv=False)[0], rel=1e-12)
 
 
 def test_spectral_norm_examples():
@@ -171,7 +164,7 @@ def test_spectral_norm_examples():
 
 def test_spectral_norm_power_iteration_oracle():
     rng = np.random.default_rng(6)
-    a = _rand(rng, 4)
+    a = rand_complex(rng, 4, 4)
     v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     g = a.conj().T @ a
     for _ in range(500):
@@ -185,39 +178,17 @@ def test_spectral_norm_power_iteration_oracle():
 def test_spectral_norm_is_bit_identical_to_numpy(shape):
     rng = np.random.default_rng(sum(shape))
     for _ in range(40):
-        m = _rand(rng, *shape) * 10.0 ** rng.uniform(-6, 6)
+        m = rand_complex(rng, *shape) * 10.0 ** rng.uniform(-6, 6)
         assert spectral_norm(m) == float(np.linalg.norm(m, 2))
     assert spectral_norm(np.zeros(shape)) == float(np.linalg.norm(np.zeros(shape), 2)) == 0.0
 
 
-def test_min_modulus_examples():
-    assert min_modulus(np.diag([1.0, 2.0])) == pytest.approx(1.0)
-    assert min_modulus(np.array([[0.0, 1.0], [0.0, 0.0]])) == pytest.approx(0.0)
-    assert min_modulus(np.eye(3)) == pytest.approx(1.0)
-    with pytest.raises(NonSquareError):
-        min_modulus(np.zeros((2, 3)))
-
-
-def test_min_modulus_is_state_infimum():
-    # brute-force infimum of tr(rho |a|) over random pure states
-    rng = np.random.default_rng(7)
-    a = np.diag([1.0, 2.0]).astype(complex)
-    m = modulus(a)
-    best = np.inf
-    for _ in range(10_000):
-        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        v /= np.linalg.norm(v)
-        best = min(best, float(np.vdot(v, m @ v).real))
-    assert min_modulus(a) == pytest.approx(best, abs=1e-3)
-    assert min_modulus(a) <= best + 1e-12
-
-
 def test_numeric_rank():
     rng = np.random.default_rng(8)
-    x, y = _rand(rng, 4, 1), _rand(rng, 4, 1)
+    x, y = rand_complex(rng, 4, 1), rand_complex(rng, 4, 1)
     assert numeric_rank(x @ y.conj().T) == 1
     assert numeric_rank(np.eye(5)) == 5
-    x2, y2 = _rand(rng, 4, 1), _rand(rng, 4, 1)
+    x2, y2 = rand_complex(rng, 4, 1), rand_complex(rng, 4, 1)
     assert numeric_rank(x @ y.conj().T + x2 @ y2.conj().T) == 2
     assert numeric_rank(np.zeros((3, 3))) == 0
 
@@ -225,15 +196,15 @@ def test_numeric_rank():
 def test_numeric_rank_unitary_invariance():
     rng = np.random.default_rng(9)
     for r in (1, 2, 3):
-        low = _rand(rng, 4, r) @ _rand(rng, r, 4)
-        q, _ = np.linalg.qr(_rand(rng, 4))
+        low = rand_complex(rng, 4, r) @ rand_complex(rng, r, 4)
+        q, _ = np.linalg.qr(rand_complex(rng, 4, 4))
         assert numeric_rank(q @ low @ q.conj().T) == numeric_rank(low) == r
 
 
 def test_psd_check():
-    assert psd_check(np.diag([0.0, 1.0]))
-    assert not psd_check(np.diag([-1.0, 1.0]))
-    assert psd_check(np.zeros((2, 2)))
+    assert hermitian_eig(np.diag([0.0, 1.0])).is_psd()
+    assert not hermitian_eig(np.diag([-1.0, 1.0])).is_psd()
+    assert hermitian_eig(np.zeros((2, 2))).is_psd()
 
 
 def test_psd_check_orthogonal_range_cross_product():
@@ -245,12 +216,12 @@ def test_psd_check_orthogonal_range_cross_product():
     b = np.block([[zero, t], [zero, zero]])
     cross = a.conj().T @ b
     assert spectral_norm(cross) == 0.0
-    assert psd_check(real_part(cross))
+    assert hermitian_eig(real_part(cross)).is_psd()
 
 
 def test_top_eigenspace_degenerate_top():
     h = np.diag([2.0, 2.0, 1.0])
-    basis = top_eigenspace(h, CFG)
+    basis = hermitian_eig(h, CFG).top_space(CFG)
     assert basis.shape == (3, 2)
     np.testing.assert_allclose(basis.conj().T @ basis, np.eye(2), atol=1e-12)
 
@@ -266,7 +237,7 @@ def test_top_right_singular_subspace():
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=5))
 def test_cstar_identity(seed, n):
     rng = np.random.default_rng(seed)
-    a = _rand(rng, n)
+    a = rand_complex(rng, n, n)
     na = spectral_norm(a)
     assert spectral_norm(a.conj().T @ a) == pytest.approx(na**2, rel=1e-9, abs=1e-9)
 
@@ -275,17 +246,18 @@ def test_cstar_identity(seed, n):
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=5))
 def test_modulus_norm_matches_spectral_norm(seed, n):
     rng = np.random.default_rng(seed)
-    x = _rand(rng, n)
+    x = rand_complex(rng, n, n)
     assert spectral_norm(modulus(x)) == pytest.approx(spectral_norm(x), rel=1e-9, abs=1e-9)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_state_values_sandwiched_by_min_modulus_and_norm(seed):
+    # the state values of |a| fill [sigma_min(a), ||a||]
     rng = np.random.default_rng(seed)
-    a = _rand(rng, 3)
+    a = rand_complex(rng, 3, 3)
     m = modulus(a)
-    lo, hi = min_modulus(a), spectral_norm(a)
+    lo, hi = np.linalg.svd(a, compute_uv=False)[-1], spectral_norm(a)
     for _ in range(20):
         v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         v /= np.linalg.norm(v)

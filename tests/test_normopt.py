@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from modnorm import (
     DEFAULT_CONFIG,
-    HypothesisViolation,
     ShapeError,
     ToleranceConfig,
     bj_lower_bound_check,
@@ -23,14 +22,10 @@ from modnorm import (
     roberts_check,
     spectral_norm,
     sup_m,
-    unique_alpha0,
 )
+from modnorm.closedforms import rand_complex
 
 CFG = DEFAULT_CONFIG
-
-
-def _rand(rng, n):
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
 def test_min_lambda_diagonal_oracle():
@@ -68,9 +63,9 @@ def test_min_lambda_zero_b():
 
 
 def test_min_lambda_small_pair_is_not_zero_b():
-    # at t = 2^-36, ||t B|| is 3.3e-11, below eps_rank but far above 0
+    # at t = 2^-36, ||t B|| is 3.3e-11, below EPS_RANK but far above 0
     rng = np.random.default_rng(0)
-    a, b = _rand(rng, 3), _rand(rng, 3)
+    a, b = rand_complex(rng, 3, 3), rand_complex(rng, 3, 3)
     unit = min_lambda_norm(a, b, CFG)
     t = 2.0**-36
     small = min_lambda_norm(t * a, t * b, CFG)
@@ -81,7 +76,7 @@ def test_min_lambda_small_pair_is_not_zero_b():
 
 def test_min_lambda_beats_dense_grid():
     rng = np.random.default_rng(0)
-    a, b = _rand(rng, 3), _rand(rng, 3)
+    a, b = rand_complex(rng, 3, 3), rand_complex(rng, 3, 3)
     res = min_lambda_norm(a, b, CFG)
     grid = np.linspace(-4, 4, 81)
     for re in grid:
@@ -105,7 +100,7 @@ def test_m_functional_branches():
 
 def test_m_functional_is_min_over_mu():
     rng = np.random.default_rng(1)
-    a, b = _rand(rng, 3), _rand(rng, 3)
+    a, b = rand_complex(rng, 3, 3), rand_complex(rng, 3, 3)
     v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     v /= np.linalg.norm(v)
     val = m_functional(a, b, v, CFG)
@@ -118,7 +113,7 @@ def test_m_functional_is_min_over_mu():
 def test_minimax_duality_random_pairs():
     rng = np.random.default_rng(2)
     for n in (2, 3, 4):
-        a, b = _rand(rng, n), _rand(rng, n)
+        a, b = rand_complex(rng, n, n), rand_complex(rng, n, n)
         primal = min_lambda_norm(a, b, CFG).value ** 2
         dual, xi = sup_m(a, b, CFG)
         assert abs(primal - dual) <= 1e-6 * (1.0 + primal)
@@ -128,7 +123,7 @@ def test_minimax_duality_random_pairs():
 
 def test_sup_m_attained_at_returned_vector():
     rng = np.random.default_rng(3)
-    a, b = _rand(rng, 4), _rand(rng, 4)
+    a, b = rand_complex(rng, 4, 4), rand_complex(rng, 4, 4)
     val, xi = sup_m(a, b, CFG)
     # no random perturbation of xi does better
     for _ in range(200):
@@ -144,10 +139,10 @@ def test_sup_m_rank_one_and_nearly_rank_one_b(eps):
     # and jumps up on ker B when eps = 0
     for seed in range(30):
         rng = np.random.default_rng(seed)
-        a = _rand(rng, 3)
+        a = rand_complex(rng, 3, 3)
         u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        b = np.outer(u, v.conj()) + eps * _rand(rng, 3)
+        b = np.outer(u, v.conj()) + eps * rand_complex(rng, 3, 3)
         primal = min_lambda_norm(a, b, CFG).value ** 2
         dual, xi = sup_m(a, b, CFG)
         assert (primal - dual) / (1.0 + primal) <= 1e-6, seed
@@ -160,7 +155,7 @@ def test_sup_m_identity_against_normal_matrices():
     for n in range(3, 7):
         for seed in range(15):
             rng = np.random.default_rng(100 * n + seed)
-            q, r = np.linalg.qr(_rand(rng, n))
+            q, r = np.linalg.qr(rand_complex(rng, n, n))
             q = q * (np.diag(r) / np.abs(np.diag(r)))
             mu = rng.uniform(0.5, 2.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
             y = q @ np.diag(mu) @ q.conj().T
@@ -200,7 +195,7 @@ def test_bj_identity_against_a_thin_triangle_in_any_basis():
     y = np.diag(ev - ev.mean())
     assert bj_orthogonal(np.eye(3), y, CFG)[0]
     for seed in (0, 1, 2):
-        q, _ = np.linalg.qr(_rand(np.random.default_rng(seed), 3))
+        q, _ = np.linalg.qr(rand_complex(np.random.default_rng(seed), 3, 3))
         assert bj_orthogonal(np.eye(3), q @ y @ q.conj().T, CFG)[0], seed
 
 
@@ -232,7 +227,7 @@ def test_bj_matches_norm_inequality():
     rng = np.random.default_rng(4)
     hits = {True: 0, False: 0}
     for k in range(30):
-        x, y = _rand(rng, 3), _rand(rng, 3)
+        x, y = rand_complex(rng, 3, 3), rand_complex(rng, 3, 3)
         if k % 2 == 0:
             # engineer orthogonality: subtract the compression on the norming vector
             opt = min_lambda_norm(x, y, CFG)
@@ -253,16 +248,6 @@ def test_bj_lower_bound_check():
     assert bj_lower_bound_check(x, y, CFG)
     # x = y = I violates it immediately at lam = -1
     assert not bj_lower_bound_check(np.eye(2), np.eye(2), CFG)
-
-
-def test_unique_alpha0():
-    x = np.diag([1.0, 0.0]).astype(complex)
-    y = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    alpha0, value = unique_alpha0(x, y, CFG)
-    assert abs(alpha0) <= 1e-5
-    assert value == pytest.approx(1.0, abs=1e-7)
-    with pytest.raises(HypothesisViolation):
-        unique_alpha0(x, np.diag([1.0, 0.0]).astype(complex), CFG)
 
 
 def test_shape_mismatch_rejected():
@@ -308,7 +293,7 @@ def test_bj_shifted_pair_is_orthogonal(seed):
 
 
 def _normal(rng, n):
-    q, r = np.linalg.qr(_rand(rng, n))
+    q, r = np.linalg.qr(rand_complex(rng, n, n))
     q = q * (np.diag(r) / np.abs(np.diag(r)))
     mu = rng.uniform(0.5, 2.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
     return q @ np.diag(mu) @ q.conj().T
@@ -318,7 +303,7 @@ def _simple_top_pairs():
     rng = np.random.default_rng(11)
     for n in range(2, 9):
         for _ in range(4):
-            yield _rand(rng, n), _rand(rng, n)
+            yield rand_complex(rng, n, n), rand_complex(rng, n, n)
     for shape in ((5, 3), (3, 5)):
         for _ in range(4):
             yield (rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
@@ -327,7 +312,7 @@ def _simple_top_pairs():
         for _ in range(4):
             u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            yield _rand(rng, n), np.outer(u, v.conj())
+            yield rand_complex(rng, n, n), np.outer(u, v.conj())
 
 
 def test_no_optimizer_runs_at_a_simple_top(monkeypatch):
@@ -409,7 +394,7 @@ def test_min_lambda_is_a_local_minimum(seed, n, kink):
     if kink:
         a, b = np.eye(n, dtype=complex), _normal(rng, n)
     else:
-        a, b = _rand(rng, n), _rand(rng, n)
+        a, b = rand_complex(rng, n, n), rand_complex(rng, n, n)
     res = min_lambda_norm(a, b, CFG)
     ring = np.exp(2j * np.pi * np.arange(64) / 64)
     for h in (1e-3, 1e-6):
@@ -429,14 +414,14 @@ def test_min_lambda_scale_and_unitary_invariance(seed, n, exponent):
     # the certificate's thresholds are relative: (tA, tB) has the same lambda*
     # and t times the value, and (UAV, UBV) has the same value
     rng = np.random.default_rng(seed)
-    a, b = _rand(rng, n), _rand(rng, n)
+    a, b = rand_complex(rng, n, n), rand_complex(rng, n, n)
     base = min_lambda_norm(a, b, CFG)
     t = 2.0**exponent
     scaled = min_lambda_norm(t * a, t * b, CFG)
     assert abs(scaled.lambda_star - base.lambda_star) <= 1e-9 * (1.0 + abs(base.lambda_star))
     assert scaled.value == pytest.approx(t * base.value, rel=1e-12)
-    u, _ = np.linalg.qr(_rand(rng, n))
-    v, _ = np.linalg.qr(_rand(rng, n))
+    u, _ = np.linalg.qr(rand_complex(rng, n, n))
+    v, _ = np.linalg.qr(rand_complex(rng, n, n))
     rotated = min_lambda_norm(u @ a @ v, u @ b @ v, CFG)
     assert rotated.value == pytest.approx(base.value, rel=1e-12)
 
@@ -473,7 +458,7 @@ def _same_bits(first, second):
 
 def test_min_lambda_then_sup_m_solve_once(monkeypatch):
     rng = np.random.default_rng(1201)
-    a, b = _rand(rng, 4), _rand(rng, 4)
+    a, b = rand_complex(rng, 4, 4), rand_complex(rng, 4, 4)
     runs = _count_solves(monkeypatch)
     primal = min_lambda_norm(a, b, CFG)
     dual, _ = sup_m(a, b, CFG)
@@ -486,7 +471,7 @@ def test_sup_m_reads_norm_and_factorization_from_the_shared_solve(monkeypatch):
     # ||B|| and the SVD of A + lambda* B come with a certified solve, so sup_m
     # factors no n x n matrix of its own (np.linalg.norm(., 2) is an SVD too)
     rng = np.random.default_rng(1205)
-    a, b = _rand(rng, 4), _rand(rng, 4)
+    a, b = rand_complex(rng, 4, 4), rand_complex(rng, 4, 4)
     _count_solves(monkeypatch)
     min_lambda_norm(a, b, CFG)
     shapes = []
@@ -508,7 +493,7 @@ def test_shared_solve_matches_a_fresh_build(monkeypatch):
     import modnorm.normopt
 
     rng = np.random.default_rng(1202)
-    a, b = _rand(rng, 5), _rand(rng, 5)
+    a, b = rand_complex(rng, 5, 5), rand_complex(rng, 5, 5)
     kink = np.eye(3, dtype=complex), _normal(rng, 3)  # Nelder-Mead runs here
     for x, y in ((a, b), kink):
         built = min_lambda_norm(x, y, CFG)
@@ -522,7 +507,7 @@ def test_shared_solve_matches_a_fresh_build(monkeypatch):
 
 def test_shared_solve_misses_on_another_config_writes_and_order(monkeypatch):
     rng = np.random.default_rng(1203)
-    a, b = _rand(rng, 3), _rand(rng, 3)
+    a, b = rand_complex(rng, 3, 3), rand_complex(rng, 3, 3)
     runs = _count_solves(monkeypatch)
     base = min_lambda_norm(a, b, CFG)
     other = ToleranceConfig()  # equal to CFG, but another object
@@ -541,7 +526,7 @@ def test_shared_solves_under_threads():
     # more threads than cores and more pairs than the table keeps, with a short
     # switch interval, so lookups, insertions and evictions interleave
     rng = np.random.default_rng(1204)
-    pairs = [(_rand(rng, 3), _rand(rng, 3)) for _ in range(24)]
+    pairs = [(rand_complex(rng, 3, 3), rand_complex(rng, 3, 3)) for _ in range(24)]
     want = []
     for x, y in pairs:
         value, xi = sup_m(x, y, CFG)

@@ -21,16 +21,12 @@ from modnorm import (
     support_values,
     zero_unit_vector,
 )
-from modnorm.closedforms import rand_unitary
+from modnorm.closedforms import rand_complex, rand_unitary
 from modnorm.linalg import NonSquareError, unit_exponent, unit_scaled
 
 CFG = DEFAULT_CONFIG
 # the number of angles at which range_boundary samples by default
 ANGLES = inspect.signature(range_boundary).parameters["angles"].default
-
-
-def _rand(rng, n):
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
 def test_support_values_diagonal_real():
@@ -49,7 +45,7 @@ def test_support_values_nilpotent_disc():
 
 def test_support_function_vector_attains():
     rng = np.random.default_rng(0)
-    a = _rand(rng, 4)
+    a = rand_complex(rng, 4, 4)
     for theta in (0.0, 1.3, 4.0):
         h, xi = support_function(a, theta)
         assert np.linalg.norm(xi) == pytest.approx(1.0, abs=1e-12)
@@ -59,7 +55,7 @@ def test_support_function_vector_attains():
 
 def test_range_boundary_shapes_and_convexity():
     rng = np.random.default_rng(1)
-    a = _rand(rng, 3)
+    a = rand_complex(rng, 3, 3)
     bound = range_boundary(a)
     assert len(bound.angles) == ANGLES
     # every boundary point satisfies all support constraints
@@ -89,7 +85,7 @@ def test_range_contains_mean_of_diagonal():
     # tr(a)/n is always in W(a)
     rng = np.random.default_rng(2)
     for _ in range(10):
-        a = _rand(rng, 4)
+        a = rand_complex(rng, 4, 4)
         mean = complex(np.trace(a)) / 4
         assert range_contains(a, mean, CFG, tol=1e-8 * (1 + abs(mean)))
 
@@ -97,7 +93,7 @@ def test_range_contains_mean_of_diagonal():
 def test_range_contains_monte_carlo_agreement():
     # random quadratic-form samples must all be accepted
     rng = np.random.default_rng(3)
-    a = _rand(rng, 3)
+    a = rand_complex(rng, 3, 3)
     for _ in range(50):
         v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         v /= np.linalg.norm(v)
@@ -181,7 +177,7 @@ def test_chord_through_zero_calls_no_optimizer(monkeypatch):
     monkeypatch.setattr(scipy.optimize, "minimize", counting)
     rng = np.random.default_rng(8)
     for n in (2, 3, 5):
-        a = _rand(rng, n)
+        a = rand_complex(rng, n, n)
         assert chord_through_zero(a - np.trace(a) / n * np.eye(n), CFG) is not None
     assert calls == []
 
@@ -199,7 +195,7 @@ def test_chord_through_zero_starts_from_four_support_points(monkeypatch):
         return real(m, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
-    a = _rand(np.random.default_rng(9), 4)
+    a = rand_complex(np.random.default_rng(9), 4, 4)
     assert chord_through_zero(a - np.trace(a) / 4 * np.eye(4), CFG) is not None
     assert stacks == [4]
     stacks.clear()
@@ -257,7 +253,7 @@ def _agreement_cases(rng):
         for _ in range(12):
             u = rand_unitary(rng, n)
             normal = u @ np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n)) @ u.conj().T
-            for c in (_rand(rng, n), normal):
+            for c in (rand_complex(rng, n, n), normal):
                 c = c - np.trace(c) / n * np.eye(n)
                 phi = rng.uniform(0, 2 * np.pi)
                 _, xi = support_function(c, phi)
@@ -300,7 +296,7 @@ def test_zero_unit_vector_is_an_exact_zero():
     cases = [THIN_TRIANGLE]
     for n in range(2, 8):
         for _ in range(50):
-            a = _rand(rng, n)
+            a = rand_complex(rng, n, n)
             cases.append(a - (np.trace(a) / n) * np.eye(n))
     for k, a in enumerate(cases):
         out = zero_unit_vector(a, CFG)
@@ -325,7 +321,7 @@ def test_zero_unit_vector_on_a_small_matrix():
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_support_function_upper_bounds_samples(seed):
     rng = np.random.default_rng(seed)
-    a = _rand(rng, 3)
+    a = rand_complex(rng, 3, 3)
     theta = float(rng.uniform(0, 2 * np.pi))
     h, _ = support_function(a, theta)
     for _ in range(10):
@@ -410,7 +406,7 @@ def test_range_contains_matches_a_dense_scan_of_a_general_matrix():
     decided = 0
     for k in range(60):
         n = 2 + k % 7
-        a = _rand(rng, n)
+        a = rand_complex(rng, n, n)
         phi = rng.uniform(0, 2 * np.pi)
         h = support_values(a, np.array([phi]))[0]
         z = (h + 10 ** rng.uniform(-2, 0) * rng.choice([-1.0, 1.0])) * np.exp(1j * phi)
@@ -425,7 +421,7 @@ def test_range_contains_on_hermitian_input():
     # W(h) is [lambda_min, lambda_max]: z is accepted within tol of it
     rng = np.random.default_rng(6)
     for n in (1, 2, 5, 8):
-        b = _rand(rng, n)
+        b = rand_complex(rng, n, n)
         h = (b + b.conj().T) / 2
         lo, hi = np.linalg.eigvalsh(h)[[0, -1]]
         tol = CFG.eps_eq * (1.0 + np.linalg.norm(h, 2))
@@ -481,13 +477,13 @@ def _qz_dips_below(c, level):
 
 
 _DIP_FAMILIES = {
-    "random": lambda rng, n: _rand(rng, n),
-    "zero column": lambda rng, n: _rand(rng, n) * (np.arange(n) != rng.integers(n)),
-    "strictly upper": lambda rng, n: np.triu(_rand(rng, n), 1),
-    "hermitian + noise": lambda rng, n: (lambda g: g + g.conj().T)(_rand(rng, n))
-    + 1e-4 * _rand(rng, n),
+    "random": lambda rng, n: rand_complex(rng, n, n),
+    "zero column": lambda rng, n: rand_complex(rng, n, n) * (np.arange(n) != rng.integers(n)),
+    "strictly upper": lambda rng, n: np.triu(rand_complex(rng, n, n), 1),
+    "hermitian + noise": lambda rng, n: (lambda g: g + g.conj().T)(rand_complex(rng, n, n))
+    + 1e-4 * rand_complex(rng, n, n),
     # rank n - 1, and Hermitian only up to the rounding of the product
-    "gram": lambda rng, n: (lambda x: x.conj().T @ x)(_rand(rng, n)[:-1]),
+    "gram": lambda rng, n: (lambda x: x.conj().T @ x)(rand_complex(rng, n, n)[:-1]),
 }
 
 
@@ -593,7 +589,7 @@ def test_range_contains_scans_no_angles(monkeypatch):
     stacks = _forbid_scans_and_optimizers(monkeypatch)
     rng = np.random.default_rng(10)
     for n in (2, 4, 8):
-        a = _rand(rng, n)
+        a = rand_complex(rng, n, n)
         range_contains(a, np.trace(a) / n, CFG)
         range_contains(a, 10.0 * np.linalg.norm(a, 2), CFG)
         range_contains(a + a.conj().T, 0.5, CFG)
@@ -611,7 +607,7 @@ def test_pythagoras_orthogonal_scans_no_angles(monkeypatch):
     lattice = len(CFG.lambda_lattice)
     gates = set()
     for n in (2, 4, 8):
-        x, y = _rand(rng, n), _rand(rng, n)
+        x, y = rand_complex(rng, n, n), rand_complex(rng, n, n)
         for pair in ((x, y), (x, 1j * x), (x, x), (np.eye(n), np.diag(np.arange(n) - 1.5))):
             stacks.clear()
             report = pythagoras_orthogonal(*pair, CFG)

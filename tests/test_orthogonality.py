@@ -35,6 +35,7 @@ from modnorm import (
     unimodular_reduction,
 )
 from modnorm.closedforms import bj_engineered_true, gate_pair, rand_unitary
+from modnorm.config import EPS_RANK
 from modnorm.orthogonality import scaled_triangle_persistence
 
 CFG = DEFAULT_CONFIG
@@ -531,7 +532,7 @@ def _svd_reference(x, y, cfg):
         "parallelogram": bool(
             np.all(np.abs(plus**2 + minus**2 - 2 * rhs) <= cfg.eps_eq * (1.0 + 2 * rhs))
         ),
-        "rank_gate": bool(np.any((rings > cfg.eps_rank * rings[:, :1]).sum(axis=1) > 1)),
+        "rank_gate": bool(np.any((rings > EPS_RANK * rings[:, :1]).sum(axis=1) > 1)),
     }
 
 
