@@ -283,6 +283,14 @@ def shared_top_pair(
     return x, y
 
 
+def triangle_pair(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Norm-one pair, not colinear, sharing its top singular pair u0 v0^H:
+    x = U diag(1, sx) V^H and y = U diag(1, sy) V^H, so ||x + y|| = 2."""
+    u, v = rand_unitary(rng, n), rand_unitary(rng, n)
+    sx, sy = (np.concatenate([[1.0], rng.uniform(0.1, 0.8, n - 1)]) for _ in range(2))
+    return u @ np.diag(sx) @ v.conj().T, u @ np.diag(sy) @ v.conj().T
+
+
 def bj_engineered_true(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Invertible x with a two-dimensional norming subspace and traceless cross block."""
     u = rand_unitary(rng, n)

@@ -7,10 +7,12 @@ public functions validate their input with ``as_matrix``.  ``_spectral_norm``,
 skip the validation, and package code calls them on arrays it has validated
 or built from validated ones.  All spectral machinery reduces to Hermitian
 eigendecomposition and SVD, one LAPACK call per quantity.
+``shared_pair`` reads each normalized ``Pair`` through one process-wide table.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from collections.abc import Callable, Hashable
@@ -49,17 +51,17 @@ def read_only(m: np.ndarray) -> np.ndarray:
     return m
 
 
-# Entries each shared table keeps.  A few cover the calls a caller makes back
-# to back on one pair.
+# Pairs the shared table keeps.  A few cover the calls a caller makes back to
+# back on one pair.
 _SHARED_ENTRIES = 16
 
 
 class _SharedTable:
     """Values built once per key and shared, least recently used evicted first.
 
-    A build must be a deterministic function of its key, and its value
-    immutable: a hit then returns what a fresh build would.  Two threads that
-    miss together both build, and either value may be kept.
+    A build must be a deterministic function of its key, and whatever a value
+    computes later must be too: a hit then returns what a fresh build would.
+    Two threads that miss together both build, and either value may be kept.
     """
 
     def __init__(self) -> None:
@@ -84,9 +86,14 @@ class _SharedTable:
         return value
 
 
+def _parts(m: np.ndarray) -> np.ndarray:
+    """The real and imaginary parts of a complex matrix, as one float view."""
+    return np.ascontiguousarray(m).view(np.float64)
+
+
 def _times_power_of_two(m: np.ndarray, e: int) -> np.ndarray:
     """m * 2^e, exact: the factor 2^e itself is never formed, so it cannot overflow."""
-    return np.ldexp(m.real, e) + 1j * np.ldexp(m.imag, e)
+    return np.ldexp(_parts(m), e).view(np.complex128)
 
 
 def unit_exponent(norm: float) -> int:
@@ -112,66 +119,68 @@ class Pair:
     zero pair keeps exponent 0.  Scaling by a power of two is exact, so
     (2^k x, 2^k y) gives bit-identical normalized matrices and every verdict
     read from them is scale-free.  ||x||, ||y||, x^H x, y^H y and x^H y of
-    the normalized pair are computed on first read and kept, so a caller that
-    needs only the normalized bits pays for none of them.  Every array is
-    read-only, so a ``Pair`` and whatever is built from it can be shared
-    between callers.
+    the normalized pair, and whatever a decider keeps with ``memo``, are
+    computed on first read and kept, so a caller that needs only the
+    normalized bits pays for none of them.  Every array is read-only, so a
+    ``Pair`` and whatever is built from it can be shared between callers.
     """
 
-    __slots__ = ("x", "y", "exponent", "_known", "_flipped")
+    __slots__ = ("x", "y", "exponent", "_known")
 
     def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
         xm, ym = as_matrix(x), as_matrix(y)
         if xm.shape != ym.shape:
             raise ShapeError(f"shape mismatch: {xm.shape} vs {ym.shape}")
-        top = max(float(np.max(np.abs(part))) for m in (xm, ym) for part in (m.real, m.imag))
-        self.exponent = int(np.frexp(top)[1]) - 1 if top > 0.0 else 0
+        top = max(float(np.abs(_parts(m)).max()) for m in (xm, ym))
+        self.exponent = math.frexp(top)[1] - 1 if top > 0.0 else 0
         self.x = read_only(_times_power_of_two(xm, -self.exponent))
         self.y = read_only(_times_power_of_two(ym, -self.exponent))
-        # computed quantities, named by their role in the pair as built; a
-        # swapped pair shares this table and reads it with the roles exchanged
-        self._known: dict[str, object] = {}
-        self._flipped = False
+        self._known: dict[Hashable, object] = {}
 
-    def _read(self, role: str, compute: Callable[[], object]) -> object:
+    def memo(self, key: Hashable, compute: Callable[[], object]) -> object:
+        """The value kept under ``key``, ``compute()`` on first read: a
+        deterministic function of the normalized bits and of ``key``."""
         known = self._known
-        if role not in known:
+        if key not in known:
             # threads that miss together compute identical values; one is kept
-            known.setdefault(role, compute())
-        return known[role]
-
-    def _role(self, own: str, other: str) -> str:
-        return other if self._flipped else own
+            known.setdefault(key, compute())
+        return known[key]
 
     @property
     def nx(self) -> float:
-        return self._read(self._role("nx", "ny"), lambda: _spectral_norm(self.x))
+        return self.memo("nx", lambda: _spectral_norm(self.x))
 
     @property
     def ny(self) -> float:
-        return self._read(self._role("ny", "nx"), lambda: _spectral_norm(self.y))
+        return self.memo("ny", lambda: _spectral_norm(self.y))
 
     @property
     def gx(self) -> np.ndarray:
-        return self._read(self._role("gx", "gy"), lambda: read_only(self.x.conj().T @ self.x))
+        return self.memo("gx", lambda: read_only(self.x.conj().T @ self.x))
 
     @property
     def gy(self) -> np.ndarray:
-        return self._read(self._role("gy", "gx"), lambda: read_only(self.y.conj().T @ self.y))
+        return self.memo("gy", lambda: read_only(self.y.conj().T @ self.y))
 
     @property
     def inner(self) -> np.ndarray:
-        """x^H y; the swapped pair reads the adjoint of the unswapped one."""
-        if not self._flipped:
-            return self._read("inner", lambda: read_only(self.x.conj().T @ self.y))
-        return self._read("inner_h", lambda: read_only(self.swapped().inner.conj().T))
+        """x^H y."""
+        return self.memo("inner", lambda: read_only(self.x.conj().T @ self.y))
 
-    def swapped(self) -> Pair:
-        """The pair (y, x), sharing every quantity computed on either."""
-        out = object.__new__(Pair)
-        out.x, out.y, out.exponent = self.y, self.x, self.exponent
-        out._known, out._flipped = self._known, not self._flipped
-        return out
+
+# The recently read pairs, each with what it keeps, keyed by normalized bits.
+_shared_pairs = _SharedTable()
+
+
+def shared_pair(x: np.ndarray, y: np.ndarray) -> Pair:
+    """``Pair(x, y)`` with the caller's ``exponent``, keeping what it computes
+    with the recent pair of the same shape and normalized bits: (2^k x, 2^k y)
+    reads what (x, y) computed, while a write into the caller's arrays, or
+    (y, x), is another key."""
+    pair = Pair(x, y)
+    key = (pair.x.shape, pair.x.tobytes(), pair.y.tobytes())
+    pair._known = _shared_pairs.get(key, lambda: pair)._known
+    return pair
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:

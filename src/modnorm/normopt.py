@@ -15,12 +15,13 @@ M(xi) = min_mu ||(A + mu B) xi||^2, the supremum is attained in the top singular
 subspace of A + lambda* B at a unit vector whose quadratic form against
 B^H (A + lambda* B) vanishes, and weak duality makes the gap a certificate.
 
-min_lambda_norm and sup_m share one solve per pair: the solution is kept for
-the 16 most recently solved pairs, keyed like the lattice profile by the exact
-bits of the matrices and the identity of the config, so a caller that checks
-the duality with both makes one solve between them.  The solution keeps ||B||
-and, where the solve factored it, the SVD of A + lambda* B, which sup_m reads
-instead of factoring again.
+Both solvers read the shared ``Pair`` of (A, B) and solve on its normalized
+matrices, so (2^k A, 2^k B) gives the same lambda* bit for bit, and the value
+and M come back scaled by 2^k and 4^k exactly.  The solution is kept on the
+pair; it needs no config, so min_lambda_norm and sup_m make one solve between
+them under any config, and at any power-of-two scale of the pair.  It keeps
+||B|| and, where the solve factored it, the SVD of A + lambda* B, which sup_m
+reads instead of factoring again.
 """
 
 from __future__ import annotations
@@ -33,17 +34,16 @@ import numpy as np
 from .config import DEFAULT_CONFIG, EPS_RANK, ToleranceConfig
 from .linalg import (
     Pair,
-    ShapeError,
-    _SharedTable,
     _spectral_norm,
     _top_right_subspace,
     as_matrix,
     read_only,
+    shared_pair,
     top_right_space,
     unit_scaled,
 )
 from .numrange import zero_unit_vector
-from .states import DensityState, maximizing_set, witness_in_set_with_zero
+from .states import DensityState, _maximizers, witness_in_set_with_zero
 
 _START_GRID = 5  # points per axis; odd, so lambda = 0 is on the grid
 _SIMPLE_GAP = 1e-7  # relative gap below which the top singular value is multiple
@@ -51,8 +51,6 @@ _STATIONARY = 1e-10  # |u^H B v| <= _STATIONARY * ||B|| certifies lambda*
 _NEWTON_SVDS = 30  # SVDs one Newton run may spend
 _BACKTRACKS = 5  # trial points per Newton step
 _ROUNDING = 16 * np.finfo(float).eps
-# (cfg, solution) of the recent pairs, shared by min_lambda_norm and sup_m
-_shared_solves = _SharedTable()
 
 
 class HypothesisViolation(ValueError):
@@ -89,8 +87,8 @@ class _Simplex:
 
 @dataclass(frozen=True)
 class _Solution:
-    """A shared solve: the result, ||B||, and (s, V^H) of A + lambda* B when
-    the solve factored that matrix (None otherwise)."""
+    """A solve on a normalized pair: the result, ||B||, and (s, V^H) of
+    A + lambda* B when the solve factored that matrix (None otherwise)."""
 
     result: MinLambdaResult
     nb: float
@@ -259,13 +257,6 @@ def _by_value(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return sim[order], fsim[order]
 
 
-def _validated(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    am, bm = as_matrix(a), as_matrix(b)
-    if am.shape != bm.shape:
-        raise ShapeError(f"shape mismatch: {am.shape} vs {bm.shape}")
-    return am, bm
-
-
 def min_lambda_norm(
     a: np.ndarray, b: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> MinLambdaResult:
@@ -277,25 +268,21 @@ def min_lambda_norm(
     runs from the best point seen, and Newton polishes its point; the simplex
     point is kept if the polish raises the value beyond rounding.
 
-    The solution is shared with ``sup_m`` and any later call on the same pair
-    and config (see ``_shared_solve``).
+    The solve runs on the normalized pair and is shared with ``sup_m`` and
+    any later call on the same normalized pair (see ``_solution``); the value
+    is scaled back to the caller's units exactly.
     """
-    return _shared_solve(*_validated(a, b), cfg).result
+    pair = shared_pair(a, b)
+    result = _solution(pair).result
+    return replace(result, value=float(np.ldexp(result.value, pair.exponent)))
 
 
-def _shared_solve(am: np.ndarray, bm: np.ndarray, cfg: ToleranceConfig) -> _Solution:
-    """``_solve`` once per pair and config among the recent ones.
-
-    The key is the exact bits of the caller's matrices, not of a normalized
-    ``Pair``, because the solver works in the caller's units, plus the
-    identity of ``cfg``; the entry holds ``cfg``, so its id cannot be reused
-    while the entry lives.  A write into the caller's arrays changes the key.
-    """
-    key = (am.shape, am.tobytes(), bm.tobytes(), id(cfg))
-    return _shared_solves.get(key, lambda: (cfg, _solve(am, bm, cfg)))[1]
+def _solution(pair: Pair) -> _Solution:
+    """``_solve`` on the normalized matrices of ``pair``, kept with the pair."""
+    return pair.memo("min_lambda", lambda: _solve(pair.x, pair.y))
 
 
-def _solve(am: np.ndarray, bm: np.ndarray, cfg: ToleranceConfig) -> _Solution:
+def _solve(am: np.ndarray, bm: np.ndarray) -> _Solution:
     """The solver behind ``min_lambda_norm``, on a validated pair."""
     na, nb = _spectral_norm(am), _spectral_norm(bm)
     # B counts as zero relative to A; exact B = 0 always does
@@ -376,9 +363,11 @@ def sup_m(
     lambda* is the shared solution of ``min_lambda_norm``, so this call and
     ``min_lambda_norm`` on the same pair solve for it once between them; ||B||
     and, where the solve factored it, the SVD of D come with that solution.
+    M is read on the normalized pair and scaled back by 4^exponent, exactly.
     """
-    am, bm = _validated(a, b)
-    solution = _shared_solve(am, bm, cfg)
+    pair = shared_pair(a, b)
+    am, bm = pair.x, pair.y
+    solution = _solution(pair)
     d = am + solution.result.lambda_star * bm
     if solution.svd is None:
         sub = _top_right_subspace(d, cfg, rel_tol=1e-7)
@@ -386,7 +375,7 @@ def sup_m(
         sub = top_right_space(*solution.svd, cfg, rel_tol=1e-7)
     zero = zero_unit_vector(sub.conj().T @ (d.conj().T @ bm) @ sub, cfg)
     xi = sub @ zero[0] if zero is not None else sub[:, 0]
-    return _m_value(am, bm, xi, solution.nb, cfg), xi
+    return float(np.ldexp(_m_value(am, bm, xi, solution.nb, cfg), 2 * pair.exponent)), xi
 
 
 def bj_orthogonal(
@@ -398,19 +387,23 @@ def bj_orthogonal(
     to everything (the defining inequality is trivial); any pure state
     witnesses it.
     """
-    return _bj_orthogonal(Pair(x, y), cfg)
+    pair = shared_pair(x, y)
+    return _bj_orthogonal(pair.gx, pair.inner, pair.nx, pair.ny, cfg)
 
 
-def _bj_orthogonal(pair: Pair, cfg: ToleranceConfig) -> tuple[bool, DensityState | None]:
-    """``bj_orthogonal`` on a pair already built by the caller."""
-    if pair.nx <= cfg.eps_eq:
-        e = np.zeros(pair.x.shape[1], dtype=np.complex128)
+def _bj_orthogonal(
+    gx: np.ndarray, inner: np.ndarray, nx: float, ny: float, cfg: ToleranceConfig
+) -> tuple[bool, DensityState | None]:
+    """``bj_orthogonal`` read from x^H x, x^H y and the norms of x and y."""
+    if nx <= cfg.eps_eq:
+        e = np.zeros(gx.shape[0], dtype=np.complex128)
         e[0] = 1.0
         return True, DensityState.pure(e)
     # the verdict is homogeneous in x and in y separately, so |x|^2 and <x, y>
     # are each read at unit scale
-    p = maximizing_set(unit_scaled(pair.gx, pair.nx**2), cfg)
-    witness = witness_in_set_with_zero(p, unit_scaled(pair.inner, pair.nx * pair.ny), cfg)
+    witness = witness_in_set_with_zero(
+        _maximizers(gx, nx, cfg), unit_scaled(inner, nx * ny), cfg
+    )
     return witness is not None, witness
 
 
@@ -422,11 +415,11 @@ def bj_lower_bound_check(
     The squared norms are read from the pair's shared ``LatticeProfile``.
     """
     # orthogonality imports this module, so its profile is imported here
-    from .orthogonality import LatticeProfile
+    from .orthogonality import _lattice_profile
 
-    pair = Pair(x, y)
+    pair = shared_pair(x, y)
     my = float(np.linalg.svd(pair.y, compute_uv=False)[-1]) ** 2
-    profile = LatticeProfile._of(pair, cfg)
+    profile = _lattice_profile(pair, cfg)
     lhs = profile.norms2
     rhs = pair.nx**2 + np.abs(profile.lams) ** 2 * my
     slack = cfg.eps_opt * (1.0 + rhs)

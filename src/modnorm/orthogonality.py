@@ -4,19 +4,19 @@ orthogonality notions (Birkhoff-James, Roberts, Pythagoras, parallelogram law).
 Each decider evaluates every statement of the characterization it implements
 and aggregates verdicts, residuals, and witnesses into an
 ``OrthogonalityReport`` whose ``consistent`` flag asserts the required
-agreement between the statements.  The "for all lambda" notions read one
-``LatticeProfile`` per pair, shared by every decider run on that pair: the
-squared norms ||x + lam y||^2 at every lattice point, from one batched
-``eigvalsh`` of the Gram pencil.  The upper half of the Pythagoras
-definition is decided off the lattice as well, by an eta certificate
-confirmed with one norm.
+agreement between the statements.
 
-Every decider reads one ``Pair``: the inputs divided by a power of two, with
-their norms and Gram matrices.  The characterizations are homogeneous, so
-the verdicts do not depend on the units of (x, y), and a matrix below
-eps_eq times the pair's scale counts as zero.  Statements homogeneous in x
-and in y separately (maximizing sets, || |x| |y| || = ||x|| ||y||) are read
-at their own unit scale, so a small but nonzero partner is judged relatively.
+Every decider reads the shared ``Pair`` of its inputs (``shared_pair``): the
+inputs divided by a power of two, with what is computed from them.  The "for
+all lambda" notions read the ``LatticeProfile`` the pair keeps per config:
+the squared norms ||x + lam y||^2 at every lattice point, from one batched
+``eigvalsh`` of the Gram pencil.  The upper half of the Pythagoras definition
+is decided off the lattice as well, by an eta certificate confirmed with one
+norm.  The characterizations are homogeneous, so the verdicts do not depend
+on the units of (x, y), and a matrix below eps_eq times the pair's scale
+counts as zero.  Statements homogeneous in x and in y separately (maximizing
+sets, || |x| |y| || = ||x|| ||y||) are read at their own unit scale, so a
+small but nonzero partner is judged relatively.
 """
 
 from __future__ import annotations
@@ -29,12 +29,12 @@ from .config import DEFAULT_CONFIG, EPS_RANK, ToleranceConfig
 from .linalg import (
     NonSquareError,
     Pair,
-    _SharedTable,
     _hermitian_eig,
     _spectral_norm,
     _top_right_subspace,
     read_only,
     real_part,
+    shared_pair,
     spectral_norm,
     unit_exponent,
     unit_scaled,
@@ -44,8 +44,8 @@ from .numrange import range_contains, support_dips_below, zero_unit_vector
 from .states import (
     DensityState,
     SubspaceProjection,
+    _maximizers,
     evaluate,
-    maximizing_set,
     sets_intersect,
     subspace_intersection,
 )
@@ -114,15 +114,6 @@ def _modulus_product(pair: Pair, tol: float) -> StatementResult:
     return _eq(float(np.ldexp(_spectral_norm(pair.x @ pair.y.conj().T), k)), rhs, tol, rhs)
 
 
-def _maximizers(g: np.ndarray, norm: float, cfg: ToleranceConfig) -> SubspaceProjection:
-    """Maximizing set of the Gram g = |m|^2 of a matrix m of norm ``norm`` > eps_eq.
-
-    The set is homogeneous in g, so g is read at unit scale: a matrix the
-    pair does not count as zero is never rejected as the zero matrix.
-    """
-    return maximizing_set(unit_scaled(g, norm**2), cfg)
-
-
 def _product_in_range(pair: Pair, cfg: ToleranceConfig) -> bool:
     """||x||^2 ||y||^2 in W(|x|^2 |y|^2), read at unit scale like ``_modulus_product``."""
     target = pair.nx**2 * pair.ny**2
@@ -146,7 +137,7 @@ def triangle_equality(
     x: np.ndarray, y: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> OrthogonalityReport:
     """||x+y|| = ||x|| + ||y|| and its numerical-range characterization."""
-    pair = Pair(x, y)
+    pair = shared_pair(x, y)
     nx, ny = pair.nx, pair.ny
     nsum = _spectral_norm(pair.x + pair.y)
     tol = cfg.eps_opt
@@ -190,7 +181,7 @@ def scaled_triangle_persistence(
     """
     if alpha < 0 or beta < 0:
         raise ValueError("weights must be nonnegative")
-    pair = Pair(x, y)
+    pair = shared_pair(x, y)
     lhs = spectral_norm(alpha * pair.x + beta * pair.y)
     rhs = alpha * pair.nx + beta * pair.ny
     return abs(lhs - rhs) <= cfg.eps_eq * (1.0 + rhs)
@@ -206,7 +197,7 @@ def unimodular_reduction(
     """Reduce ||a x + b y|| = |a| ||x|| + |b| ||y|| to unimodular coefficients."""
     if alpha == 0 or beta == 0:
         raise ValueError("coefficients must be nonzero")
-    pair = Pair(x, y)
+    pair = shared_pair(x, y)
     nx, ny = pair.nx, pair.ny
     rhs = abs(alpha) * nx + abs(beta) * ny
     holds = abs(spectral_norm(alpha * pair.x + beta * pair.y) - rhs) <= cfg.eps_eq * (1.0 + rhs)
@@ -222,7 +213,7 @@ def norm_additivity_report(
     x: np.ndarray, y: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> OrthogonalityReport:
     """Five equivalent statements around || |x|^2 + |y|^2 || = ||x||^2 + ||y||^2."""
-    pair = Pair(x, y)
+    pair = shared_pair(x, y)
     nx, ny, gx, gy = pair.nx, pair.ny, pair.gx, pair.gy
     tol = cfg.eps_opt
     witnesses: list[tuple[str, object]] = []
@@ -262,7 +253,7 @@ def product_norm_check(
     a: np.ndarray, b: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> tuple[bool, bool]:
     """(||a*a + b*b|| = ||a||^2 + ||b||^2, ||a b*|| = ||a|| ||b||); the two agree."""
-    pair = Pair(a, b)
+    pair = shared_pair(a, b)
     if pair.x.shape[0] != pair.x.shape[1]:
         raise NonSquareError("product_norm_check needs square matrices")
     na, nb = pair.nx, pair.ny
@@ -297,7 +288,7 @@ def parallelogram_two_imply_third(
     Any two of the three statements imply the third; ``consistent`` is false
     exactly when two hold and one fails.
     """
-    pair = Pair(x, y)
+    pair = shared_pair(x, y)
     plus, minus = pair.x + pair.y, pair.x - pair.y
     np_, nm = _spectral_norm(plus), _spectral_norm(minus)
     rhs = 2 * (pair.nx**2 + pair.ny**2)
@@ -327,7 +318,7 @@ def triangle_witness(
     Exists exactly when ||a+b|| = ||a|| + ||b||; built from a maximizing unit
     vector of a + b (compactness replaces limit sequences in finite dimension).
     """
-    pair = Pair(a, b)
+    pair = shared_pair(a, b)
     if pair.x.shape[0] != pair.x.shape[1]:
         raise NonSquareError("triangle_witness needs square matrices")
     na, nb = pair.nx, pair.ny
@@ -396,7 +387,7 @@ def pythagoras_identity(
     x: np.ndarray, y: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> OrthogonalityReport:
     """Pythagoras identity characterizations under Re(<x,y>) <= 0."""
-    pair = Pair(x, y)
+    pair = shared_pair(x, y)
     re_inner = real_part(pair.inner)
     if not _hermitian_eig(-re_inner, cfg).is_psd(cfg):
         raise HypothesisViolation("pythagoras_identity requires Re(<x,y>) <= 0")
@@ -466,7 +457,7 @@ def scaled_pythagoras_report(
     When additionally <x,y> = 0, the scaled identity is probed at arbitrary
     nonzero coefficient pairs as well.
     """
-    pair = Pair(x, y)
+    pair = shared_pair(x, y)
     nx, ny, gx, gy = pair.nx, pair.ny, pair.gx, pair.gy
     if _spectral_norm(real_part(pair.inner)) > cfg.eps_eq * (1.0 + nx * ny):
         raise HypothesisViolation("scaled_pythagoras_report requires Re(<x,y>) = 0")
@@ -549,8 +540,6 @@ def _gram_pencil(pair: Pair, lams: np.ndarray) -> np.ndarray:
         # Hermitian bit for bit.
         gram[block] += np.conjugate(cross, out=cross).swapaxes(1, 2)
     return gram
-# Profiles the deciders share; about 40 KB each at n = 8.
-_shared_profiles = _SharedTable()
 
 
 class LatticeProfile:
@@ -576,39 +565,14 @@ class LatticeProfile:
     nearest to violating it, and the best one is confirmed by one norm.
     ``rank_gate`` takes the SVDs of its own lattice points.
 
-    The deciders share one profile per normalized pair and config: a pair
-    seen again, as the same bits after ``Pair`` divides out its power of two,
-    with the same config object, reads the profile already built (see
-    ``_of``).  A shared profile returns results bit-identical to a fresh one
-    because every answer is a deterministic function of those bits and that
-    config, and its arrays are read-only, so no decider can change it under
-    another; no decider returns it.  ``LatticeProfile(x, y, cfg)`` always
-    builds a new profile.
+    ``LatticeProfile(pair, cfg)`` builds a profile; the deciders read the one
+    a shared ``Pair`` keeps per config (``_lattice_profile``).  A kept profile
+    answers bit for bit as a new one, since every answer is a deterministic
+    function of the normalized bits and the config, and its arrays are
+    read-only, so no decider can change it under another.
     """
 
-    def __init__(
-        self, x: np.ndarray, y: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG
-    ) -> None:
-        self._load(Pair(x, y), cfg)
-
-    @classmethod
-    def _of(cls, pair: Pair, cfg: ToleranceConfig) -> LatticeProfile:
-        """The shared profile of a pair already built by the caller.
-
-        The key is the exact bits of the normalized pair and the identity of
-        ``cfg``; the entry holds ``cfg``, so its id cannot be reused while
-        the entry lives.
-        """
-        key = (pair.x.shape, pair.x.tobytes(), pair.y.tobytes(), id(cfg))
-        return _shared_profiles.get(key, lambda: cls._built(pair, cfg))
-
-    @classmethod
-    def _built(cls, pair: Pair, cfg: ToleranceConfig) -> LatticeProfile:
-        profile = cls.__new__(cls)
-        profile._load(pair, cfg)
-        return profile
-
-    def _load(self, pair: Pair, cfg: ToleranceConfig) -> None:
+    def __init__(self, pair: Pair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> None:
         self.x, self.y, self.nx, self.ny = pair.x, pair.y, pair.nx, pair.ny
         self.cfg = cfg
         self.lams = read_only(np.asarray(cfg.lambda_lattice))
@@ -715,18 +679,23 @@ class LatticeProfile:
         return bool(np.any(ranks > 1))
 
 
+def _lattice_profile(pair: Pair, cfg: ToleranceConfig) -> LatticeProfile:
+    """The profile ``pair`` keeps for configs equal to ``cfg``, built on first read."""
+    return pair.memo(("lattice", cfg), lambda: LatticeProfile(pair, cfg))
+
+
 def roberts_check(
     x: np.ndarray, y: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> bool:
     """||x + lam y|| = ||x - lam y|| at every lattice point."""
-    return LatticeProfile._of(Pair(x, y), cfg).roberts()
+    return _lattice_profile(shared_pair(x, y), cfg).roberts()
 
 
 def parallelogram_law_check(
     x: np.ndarray, y: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> bool:
     """||x+lam y||^2 + ||x-lam y||^2 = 2(||x||^2 + |lam|^2 ||y||^2) on the lattice."""
-    return LatticeProfile._of(Pair(x, y), cfg).parallelogram()
+    return _lattice_profile(shared_pair(x, y), cfg).parallelogram()
 
 
 def pythagoras_witness_vector(
@@ -738,7 +707,7 @@ def pythagoras_witness_vector(
     subspaces; within it the cross terms form a numerical range that has to
     contain zero.
     """
-    return _witness_vector(Pair(x, y), cfg)
+    return _witness_vector(shared_pair(x, y), cfg)
 
 
 def _witness_vector(pair: Pair, cfg: ToleranceConfig) -> np.ndarray | None:
@@ -773,13 +742,13 @@ def pythagoras_orthogonal(
     (alpha x, beta y) are properties of the eta certificate itself, so they
     are not probed here.
     """
-    pair = Pair(x, y)
+    pair = shared_pair(x, y)
     statements: dict[str, StatementResult] = {}
     witnesses: list[tuple[str, object]] = []
     groups: list[list[str]] = []
     implications: list[tuple[str, str]] = []
 
-    profile = LatticeProfile._of(pair, cfg)
+    profile = _lattice_profile(pair, cfg)
     definition = profile.definition()
     statements["definition"] = definition
     if not definition.verdict:
@@ -812,8 +781,8 @@ def pythagoras_orthogonal(
     # the parallelogram law
     statements["roberts"] = StatementResult(profile.roberts(), 0.0)
     statements["parallelogram"] = StatementResult(parallelogram, 0.0)
-    bj_xy, w_xy = _bj_orthogonal(pair, cfg)
-    bj_yx, w_yx = _bj_orthogonal(pair.swapped(), cfg)
+    bj_xy, w_xy = _bj_orthogonal(pair.gx, pair.inner, pair.nx, pair.ny, cfg)
+    bj_yx, w_yx = _bj_orthogonal(pair.gy, pair.inner.conj().T, pair.ny, pair.nx, cfg)
     statements["bj_forward"] = StatementResult(bj_xy, 0.0)
     statements["bj_reverse"] = StatementResult(bj_yx, 0.0)
     if w_xy is not None:
@@ -835,15 +804,15 @@ def pythagoras_via_bj_parallelogram(
 
     The two returned verdicts must coincide.
     """
-    pair = Pair(x, y)
+    pair = shared_pair(x, y)
     gy = pair.gy
     alpha = float(np.trace(gy).real) / gy.shape[0]
     if alpha <= cfg.eps_eq or _spectral_norm(gy - alpha * np.eye(gy.shape[0])) > cfg.eps_eq * (
         1.0 + alpha
     ):
         raise HypothesisViolation("requires |y|^2 to be a positive scalar multiple of I")
-    profile = LatticeProfile._of(pair, cfg)
-    bj, _ = _bj_orthogonal(pair, cfg)
+    profile = _lattice_profile(pair, cfg)
+    bj, _ = _bj_orthogonal(pair.gx, pair.inner, pair.nx, pair.ny, cfg)
     return profile.definition().verdict, bj and profile.parallelogram()
 
 
@@ -865,7 +834,7 @@ def limit_relations_check(
     are given in the units of (a, b), so the norms read from the normalized
     pair are scaled back by its power of two, which is exact.
     """
-    pair = Pair(a, b)
+    pair = shared_pair(a, b)
     if abs(lambda0) < 1e-12 or abs(lambda0 + 1.0) < 1e-12:
         raise ValueError("lambda0 must avoid 0 and -1")
     if alpha == 0:
@@ -883,7 +852,7 @@ def limit_relations_check(
     tol = cfg.eps_opt * (1.0 + target)
     relations = abs(first - target) <= tol and abs(second - target) <= tol
 
-    profile = LatticeProfile._of(pair, cfg)
+    profile = _lattice_profile(pair, cfg)
     lams = profile.lams
     norms2 = np.ldexp(profile.norms2, 2 * e)
     numer = target * (lambda0 * abs(alpha) ** 2 - (lambda0 + 1) * np.abs(lams) ** 2)

@@ -14,7 +14,7 @@ from numbers import Real
 import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
-from .linalg import _hermitian_drift, _spectral_norm, as_matrix, hermitian_eig
+from .linalg import _hermitian_drift, _spectral_norm, as_matrix, hermitian_eig, unit_scaled
 from .numrange import chord_through_zero
 
 
@@ -122,6 +122,15 @@ def maximizing_set(
     if not dec.is_psd(cfg):
         raise ValueError("maximizing_set needs a positive semidefinite matrix")
     return SubspaceProjection.from_basis(dec.top_space(cfg))
+
+
+def _maximizers(g: np.ndarray, norm: float, cfg: ToleranceConfig) -> SubspaceProjection:
+    """Maximizing set of the Gram g = |m|^2 of a matrix m of norm ``norm`` > eps_eq.
+
+    The set is homogeneous in g, so g is read at unit scale: a matrix the
+    pair does not count as zero is never rejected as the zero matrix.
+    """
+    return maximizing_set(unit_scaled(g, norm**2), cfg)
 
 
 def subspace_intersection(

@@ -28,11 +28,13 @@ from .closedforms import (
     rank_one_norm,
     rank_persistence,
     shared_top_pair,
+    triangle_pair,
     weighted_shift_norm,
     weighted_shift_pair,
 )
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .linalg import (
+    Pair,
     adjoint,
     modulus,
     numeric_rank,
@@ -168,17 +170,23 @@ def _suite_norm_additivity(seed: int, count: int, cfg: ToleranceConfig) -> _Reco
                 ):
                     resid = abs(val - want)
                     rec.check(pid, f"triangle_witness_{label}", resid <= 1e-5 * (1.0 + want), resid)
-            rec.check(
-                pid,
-                "triangle_witness_iff_norm_sum",
-                (triangle_witness(x, y, cfg) is not None)
-                == triangle_equality(x, y, cfg).verdict("norm_sum"),
-            )
             # nonnegative weights keep the equality
             s1, s2 = float(rng.uniform(0, 3)), float(rng.uniform(0, 3))
             rec.check(
                 pid, "triangle_scaled_persists", scaled_triangle_persistence(x, t * x, s1, s2, cfg)
             )
+            # a witness exists exactly when the equality holds: on the generic
+            # pair, where it fails, and on a pair that attains it without
+            # being colinear
+            top = triangle_pair(rng, n)
+            rec.check(pid, "triangle_shared_top", triangle_equality(*top, cfg).verdict("norm_sum"))
+            for a, b in ((x, y), top):
+                rec.check(
+                    pid,
+                    "triangle_witness_iff_norm_sum",
+                    (triangle_witness(a, b, cfg) is not None)
+                    == triangle_equality(a, b, cfg).verdict("norm_sum"),
+                )
     return rec
 
 
@@ -239,7 +247,7 @@ def _suite_corner_block(seed: int, count: int, cfg: ToleranceConfig) -> _Recorde
         crit = abs(
             spectral_norm(s.conj().T @ t) - spectral_norm(s) * spectral_norm(t)
         ) <= cfg.eps_opt * (1.0 + spectral_norm(s) * spectral_norm(t))
-        profile = LatticeProfile(a, b, cfg)
+        profile = LatticeProfile(Pair(a, b), cfg)
         pyth = profile.definition().verdict
         par = profile.parallelogram()
         rec.case(pid, kind=kind, criterion=crit, pythagoras=pyth, parallelogram=par)
@@ -260,7 +268,7 @@ def _suite_corner_block(seed: int, count: int, cfg: ToleranceConfig) -> _Recorde
     e2 = np.zeros((2, 2), dtype=np.complex128)
     e2[1, 1] = 1.0
     a, b, _ = corner_block_pair(e1, e2, 1.0)
-    pyth = LatticeProfile(a, b, cfg).definition().verdict
+    pyth = LatticeProfile(Pair(a, b), cfg).definition().verdict
     rec.check("corner-rank-one", "pythagoras_false", not pyth)
     return rec
 
@@ -290,7 +298,7 @@ def _suite_scalar_block(seed: int, count: int, cfg: ToleranceConfig) -> _Recorde
         resid = abs(closed - spectral_norm(a + lam * b)) / (1.0 + closed)
         rec.check(pid, "closed_form", resid <= cfg.eps_eq, resid)
 
-        profile = LatticeProfile(a, b, cfg)
+        profile = LatticeProfile(Pair(a, b), cfg)
         pyth = profile.definition().verdict
         par = profile.parallelogram()
         cond = abs(a0 * d0) <= cfg.eps_eq and abs(b0 * c0) <= cfg.eps_eq
@@ -348,7 +356,7 @@ def _suite_rank_one(seed: int, count: int, cfg: ToleranceConfig) -> _Recorder:
         rec.case(pid, kind=kind, pythagoras=verdicts.pythagoras)
         rec.check(pid, "bj_forward_agreement", bj_ab == verdicts.bj_forward)
         rec.check(pid, "bj_reverse_agreement", bj_ba == verdicts.bj_reverse)
-        profile = LatticeProfile(a, b, cfg)
+        profile = LatticeProfile(Pair(a, b), cfg)
         rec.check(pid, "roberts_agreement", profile.roberts() == verdicts.roberts)
         rec.check(
             pid, "pythagoras_agreement", profile.definition().verdict == verdicts.pythagoras
@@ -617,10 +625,10 @@ def _suite_properties(seed: int, count: int, cfg: ToleranceConfig) -> _Recorder:
         )
 
         # nondegeneracy: x is orthogonal to itself only when x = 0
-        self_pyth = LatticeProfile(a, a, cfg).definition().verdict
+        self_pyth = LatticeProfile(Pair(a, a), cfg).definition().verdict
         rec.check(pid, "self_orthogonality_fails", not self_pyth)
         zero = np.zeros_like(a)
-        zero_pyth = LatticeProfile(zero, zero, cfg).definition().verdict
+        zero_pyth = LatticeProfile(Pair(zero, zero), cfg).definition().verdict
         rec.check(pid, "zero_self_orthogonal", zero_pyth)
 
         # property chain on an engineered orthogonal pair
@@ -654,7 +662,7 @@ def _suite_properties(seed: int, count: int, cfg: ToleranceConfig) -> _Recorder:
         bj_fg, _ = bj_orthogonal(f, g, cfg)
         bj_gf, _ = bj_orthogonal(g, f, cfg)
         rec.check(pid, "bj_both_ways", bj_fg and bj_gf)
-        profile = LatticeProfile(f, g, cfg)
+        profile = LatticeProfile(Pair(f, g), cfg)
         rec.check(pid, "roberts", profile.roberts())
         rec.check(pid, "pythagoras_false", not profile.definition().verdict)
         rec.check(pid, "parallelogram_false", not profile.parallelogram())

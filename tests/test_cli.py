@@ -324,3 +324,34 @@ def test_tolerance_flags(mats, capsys):
     # an absurdly loose eps-opt turns the false triangle verdict true
     assert main(["check", "triangle", mats["e11"], mats["e22"], "--eps-opt", "10"]) == 0
     capsys.readouterr()
+
+
+SUITE_DIFF = Path(__file__).resolve().parents[1] / "tools" / "suite_diff.py"
+
+
+def _suite_diff(tmp_path, before, after):
+    paths = []
+    for name, run in (("before.json", before), ("after.json", after)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps(run), encoding="utf-8")
+    return subprocess.run(
+        [sys.executable, str(SUITE_DIFF), *map(str, paths)],
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_suite_diff_exit_code_tells_whether_anything_differs(tmp_path):
+    case = {"pair_id": "s/0", "gap": 1e-16, "report": {"consistent": True}}
+    run = {"cases": [case], "failures": []}
+    same = _suite_diff(tmp_path, run, json.loads(json.dumps(run)))
+    assert (same.returncode, same.stdout) == (0, "no differences\n")
+    changes = [
+        {"cases": [{**case, "gap": 2e-16}], "failures": []},
+        {"cases": [{**case, "report": {"consistent": False}}], "failures": []},
+        {"cases": [case, {**case, "pair_id": "s/1"}], "failures": []},
+        {"cases": [case], "failures": [{"pair_id": "s/0", "statement": "x", "residual": 0.0}]},
+    ]
+    for changed in changes:
+        proc = _suite_diff(tmp_path, run, changed)
+        assert proc.returncode == 1, changed
+        assert "no differences" not in proc.stdout

@@ -18,7 +18,7 @@ from modnorm import (
     spectral_norm,
 )
 from modnorm.closedforms import rand_complex
-from modnorm.linalg import as_matrix, top_right_singular_subspace
+from modnorm.linalg import as_matrix, shared_pair, top_right_singular_subspace
 
 CFG = DEFAULT_CONFIG
 
@@ -35,28 +35,41 @@ def test_as_matrix_rejects_bad_shapes():
 def test_pair_arrays_are_read_only_copies():
     rng = np.random.default_rng(5)
     x, y = rand_complex(rng, 3, 3), rand_complex(rng, 3, 3)
-    pair = Pair(x, y)
-    for p in (pair, pair.swapped()):
+    for p in (Pair(x, y), shared_pair(x, y)):
         for m in (p.x, p.y, p.gx, p.gy, p.inner):
             with pytest.raises(ValueError):
                 m[0, 0] = 0.0
     x[0, 0] = y[0, 0] = 0.0  # the caller's arrays stay its own
 
 
-def test_pair_quantities_are_computed_once_and_shared_with_the_swap():
+def test_pair_quantities_are_computed_once_and_shared_by_equal_pairs():
     rng = np.random.default_rng(6)
     x, y = rand_complex(rng, 3, 3), rand_complex(rng, 3, 3)
-    pair = Pair(x, y)
-    swap = pair.swapped()
-    # read first on either side, each quantity is the other side's object
-    assert swap.gx is pair.gy and pair.gx is swap.gy
-    assert swap.nx == pair.ny and swap.ny == pair.nx
-    assert swap.swapped().inner is pair.inner
+    pair = shared_pair(x, y)
+    scaled = shared_pair(2.0**-30 * x, 2.0**-30 * y)
+    # (2^k x, 2^k y) normalizes to the same bits and reads the same objects,
+    # each with its own exponent
+    assert pair.gx is scaled.gx and pair.inner is scaled.inner and pair.ny == scaled.ny
+    assert scaled.exponent == pair.exponent - 30
+    assert shared_pair(y, x).gx is not pair.gy  # the order is part of the pair
+    assert Pair(x, y).gx is not pair.gx  # a pair built directly keeps its own
     # with the expressions of an eager build
     assert pair.gx.tobytes() == (pair.x.conj().T @ pair.x).tobytes()
     assert pair.inner.tobytes() == (pair.x.conj().T @ pair.y).tobytes()
-    assert swap.inner.tobytes() == pair.inner.conj().T.tobytes()
     assert pair.nx == spectral_norm(pair.x)
+
+
+def test_pair_scales_by_an_exact_power_of_two():
+    rng = np.random.default_rng(7)
+    x = rand_complex(rng, 3, 4)
+    y = 0.25 * rand_complex(rng, 3, 4)
+    x[0, 0] = complex(-0.0, -0.0)  # signed zeros keep their sign
+    pair = Pair(x.T.copy().T, y)  # a non-contiguous view is read too
+    top = max(np.abs(x.real).max(), np.abs(x.imag).max())
+    assert pair.exponent == np.frexp(top)[1] - 1
+    assert np.ldexp(pair.x.view(float), pair.exponent).tobytes() == x.view(float).tobytes()
+    assert np.ldexp(pair.y.view(float), pair.exponent).tobytes() == y.view(float).tobytes()
+    assert Pair(np.zeros((2, 2)), np.zeros((2, 2))).exponent == 0
 
 
 def test_as_matrix_accepts_noncontiguous_views():

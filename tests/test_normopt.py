@@ -432,7 +432,7 @@ def test_min_lambda_scale_and_unitary_invariance(seed, n, exponent):
 
 
 def _count_solves(monkeypatch):
-    """From now on, a fresh table of shared solves, and the count of solves
+    """From now on, a fresh table of shared pairs, and the count of solves
     (one Newton run from the grid each at a simple top)."""
     import modnorm.linalg
     import modnorm.normopt
@@ -444,7 +444,7 @@ def _count_solves(monkeypatch):
         runs[0] += 1
         return newton(*args, **kwargs)
 
-    monkeypatch.setattr(modnorm.normopt, "_shared_solves", modnorm.linalg._SharedTable())
+    monkeypatch.setattr(modnorm.linalg, "_shared_pairs", modnorm.linalg._SharedTable())
     monkeypatch.setattr(modnorm.normopt, "_newton", counting_newton)
     return runs
 
@@ -490,7 +490,6 @@ def test_sup_m_reads_norm_and_factorization_from_the_shared_solve(monkeypatch):
 
 def test_shared_solve_matches_a_fresh_build(monkeypatch):
     import modnorm.linalg
-    import modnorm.normopt
 
     rng = np.random.default_rng(1202)
     a, b = rand_complex(rng, 5, 5), rand_complex(rng, 5, 5)
@@ -498,28 +497,53 @@ def test_shared_solve_matches_a_fresh_build(monkeypatch):
     for x, y in ((a, b), kink):
         built = min_lambda_norm(x, y, CFG)
         hit, (value, xi) = min_lambda_norm(x, y, CFG), sup_m(x, y, CFG)
-        assert hit is built
-        monkeypatch.setattr(modnorm.normopt, "_shared_solves", modnorm.linalg._SharedTable())
+        assert _same_bits(hit, built)
+        monkeypatch.setattr(modnorm.linalg, "_shared_pairs", modnorm.linalg._SharedTable())
         fresh_value, fresh_xi = sup_m(x, y, CFG)
         assert _same_bits(min_lambda_norm(x, y, CFG), hit)
         assert value == fresh_value and xi.tobytes() == fresh_xi.tobytes()
 
 
-def test_shared_solve_misses_on_another_config_writes_and_order(monkeypatch):
+def test_shared_solve_hits_an_equal_config_and_scale_and_misses_on_writes_and_order(
+    monkeypatch,
+):
     rng = np.random.default_rng(1203)
     a, b = rand_complex(rng, 3, 3), rand_complex(rng, 3, 3)
     runs = _count_solves(monkeypatch)
     base = min_lambda_norm(a, b, CFG)
     other = ToleranceConfig()  # equal to CFG, but another object
     assert other == CFG and _same_bits(min_lambda_norm(a, b, other), base)
-    assert runs[0] == 2
+    value, xi = sup_m(a, b, other)
+    # (2^k a, 2^k b) normalizes to the same bits: the solve is read, and the
+    # value and M are scaled back exactly
+    for k in (-20, 30):
+        scaled = min_lambda_norm(2.0**k * a, 2.0**k * b, CFG)
+        assert scaled.lambda_star == base.lambda_star and scaled.value == np.ldexp(base.value, k)
+        scaled_value, scaled_xi = sup_m(2.0**k * a, 2.0**k * b, CFG)
+        assert scaled_value == np.ldexp(value, 2 * k) and scaled_xi.tobytes() == xi.tobytes()
+    assert runs[0] == 1
     reverse = min_lambda_norm(b, a, CFG)
-    assert runs[0] == 3 and reverse.value != base.value
+    assert runs[0] == 2 and reverse.value != base.value
     a[0, 0] += 1.0  # the caller writes into its own array
     moved = min_lambda_norm(a, b, CFG)
-    assert runs[0] == 4 and moved.value != base.value
+    assert runs[0] == 3 and moved.value != base.value
     assert _same_bits(moved, min_lambda_norm(a.copy(), b.copy(), CFG))
-    assert runs[0] == 4
+    assert runs[0] == 3
+
+
+@pytest.mark.parametrize("seed", [1304, 1305, 1306, 1307])
+def test_kink_solve_is_scale_free(seed):
+    # x = I and y normal put a multiple top singular value at lambda*, where
+    # the simplex search decides; its absolute stopping rules would read the
+    # caller's units, so the solve runs on the normalized pair
+    rng = np.random.default_rng(seed)
+    n = 2 + seed % 4
+    x, y = np.eye(n, dtype=complex), _normal(rng, n)
+    base = min_lambda_norm(x, y, CFG)
+    for k in (-6, 8):
+        scaled = min_lambda_norm(2.0**k * x, 2.0**k * y, CFG)
+        assert scaled.lambda_star == base.lambda_star
+        assert scaled.value == np.ldexp(base.value, k)
 
 
 def test_shared_solves_under_threads():

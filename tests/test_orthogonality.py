@@ -20,6 +20,7 @@ from modnorm import (
     limit_relations_check,
     min_lambda_norm,
     norm_additivity_report,
+    numeric_rank,
     parallelogram_law_check,
     parallelogram_two_imply_third,
     product_norm_check,
@@ -28,14 +29,17 @@ from modnorm import (
     pythagoras_via_bj_parallelogram,
     pythagoras_witness_vector,
     roberts_check,
+    run_suite,
     scaled_pythagoras_report,
     spectral_norm,
+    sup_m,
     triangle_equality,
     triangle_witness,
     unimodular_reduction,
 )
-from modnorm.closedforms import bj_engineered_true, gate_pair, rand_unitary
+from modnorm.closedforms import bj_engineered_true, gate_pair, rand_unitary, triangle_pair
 from modnorm.config import EPS_RANK
+from modnorm.linalg import shared_pair
 from modnorm.orthogonality import scaled_triangle_persistence
 
 CFG = DEFAULT_CONFIG
@@ -119,6 +123,31 @@ def test_triangle_witness_exists_iff_equality():
     val = evaluate(phi, c.conj().T @ E11.conj().T @ (3 * E11) @ c)
     assert val.real == pytest.approx(3.0, abs=1e-5)
     assert triangle_witness(E11, E22, CFG) is None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_triangle_witness_on_a_shared_top_pair_that_is_not_colinear(n):
+    x, y = triangle_pair(np.random.default_rng(60 + n), n)
+    assert numeric_rank(np.stack([x.ravel(), y.ravel()])) == 2
+    assert triangle_equality(x, y, CFG).verdict("norm_sum")
+    phi, c = triangle_witness(x, y, CFG)
+    val = evaluate(phi, c.conj().T @ x.conj().T @ y @ c)
+    assert val == pytest.approx(spectral_norm(x) * spectral_norm(y), abs=1e-9)
+
+
+def test_suite_catches_a_triangle_witness_that_misses_pairs_not_colinear(monkeypatch):
+    import modnorm.suites
+
+    real = modnorm.suites.triangle_witness
+
+    def colinear_only(a, b, cfg):
+        colinear = numeric_rank(np.stack([a.ravel(), b.ravel()])) <= 1
+        return real(a, b, cfg) if colinear else None
+
+    assert not run_suite("norm-additivity", seed=1, count=10).failures
+    monkeypatch.setattr(modnorm.suites, "triangle_witness", colinear_only)
+    failed = run_suite("norm-additivity", seed=1, count=10).failures
+    assert {statement for _, statement, _ in failed} == {"triangle_witness_iff_norm_sum"}
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +380,7 @@ def test_shared_profile_matches_a_fresh_build(monkeypatch):
     # (2^k x, 2^k y) normalizes to the same bits: no lattice stack, no SVD
     assert [s for s in stacked if s[0] == "svd" or s[1] == LATTICE] == []
     assert canonical_json(again.to_dict()) == canonical_json(first.to_dict())
-    fresh = LatticeProfile(x, y, CFG)
+    fresh = LatticeProfile(Pair(x, y), CFG)
     assert again.statements["definition"] == fresh.definition()
     assert roberts_check(x, y, CFG) == fresh.roberts()
     assert parallelogram_law_check(x, y, CFG) == fresh.parallelogram()
@@ -362,6 +391,8 @@ def test_shared_profile_follows_the_config(monkeypatch):
     coarse = ToleranceConfig(lattice_phases=12)
     assert roberts_check(x, y, CFG)
     stacked = _count_stacks(monkeypatch)
+    assert roberts_check(x, y, ToleranceConfig())  # an equal config reads the same profile
+    assert stacked == []
     assert roberts_check(x, y, coarse)
     assert stacked == [("eigvalsh", len(coarse.lambda_lattice))]
 
@@ -385,7 +416,7 @@ def test_shared_profile_is_per_order(monkeypatch):
     stacked = _count_stacks(monkeypatch)
     reverse = pythagoras_orthogonal(y, x, CFG)
     assert stacked.count(("eigvalsh", LATTICE)) == 1
-    fresh = LatticeProfile(y, x, CFG)
+    fresh = LatticeProfile(Pair(y, x), CFG)
     assert reverse.statements["definition"] == fresh.definition()
     # x + i y = i (y - i x): the worst residuals agree, at lam = i forward and
     # lam = -i in reverse
@@ -395,21 +426,33 @@ def test_shared_profile_is_per_order(monkeypatch):
 
 def test_shared_profiles_under_threads():
     # more threads than cores and more pairs than the table keeps, with a short
-    # switch interval, so lookups, insertions and evictions interleave
+    # switch interval, so lookups, insertions and evictions interleave; each
+    # read takes the pair's profile or its min-lambda solve
     rng = np.random.default_rng(106)
     pairs = [_fresh_gate_pair(200 + i) for i in range(12)]
     pairs += [
         tuple(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(2))
         for _ in range(12)
     ]
-    want = [(i < 12, i < 12) for i in range(len(pairs))]
+    want = []
+    for x, y in pairs:
+        value, xi = sup_m(x, y, CFG)
+        opt = min_lambda_norm(x, y, CFG)
+        want.append((roberts_check(x, y, CFG), parallelogram_law_check(x, y, CFG),
+                     opt.lambda_star, opt.value, value, xi.tobytes()))
+    assert [w[:2] for w in want] == [(i < 12, i < 12) for i in range(len(pairs))]
     got = [[] for _ in range(4)]
 
     def work(k):
         order = [(k * 7 + 5 * i) % len(pairs) for i in range(2 * len(pairs))]
         for i in order:
             x, y = pairs[i]
-            got[k].append((i, roberts_check(x, y, CFG), parallelogram_law_check(x, y, CFG)))
+            roberts = roberts_check(x, y, CFG)
+            opt = min_lambda_norm(x, y, CFG)
+            parallelogram = parallelogram_law_check(x, y, CFG)
+            value, xi = sup_m(x, y, CFG)
+            got[k].append((i, (roberts, parallelogram, opt.lambda_star, opt.value,
+                               value, xi.tobytes())))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -424,17 +467,15 @@ def test_shared_profiles_under_threads():
     assert not any(t.is_alive() for t in threads)
     for results in got:
         assert len(results) == 2 * len(pairs)
-        assert all((r, p) == want[i] for i, r, p in results)
+        assert all(read == want[i] for i, read in results)
 
 
 def test_shared_tables_keep_the_most_recent_entries(monkeypatch):
     import modnorm.linalg
-    import modnorm.normopt
     import modnorm.orthogonality
 
-    profiles, solves = modnorm.linalg._SharedTable(), modnorm.linalg._SharedTable()
-    monkeypatch.setattr(modnorm.orthogonality, "_shared_profiles", profiles)
-    monkeypatch.setattr(modnorm.normopt, "_shared_solves", solves)
+    pairs_kept = modnorm.linalg._SharedTable()
+    monkeypatch.setattr(modnorm.linalg, "_shared_pairs", pairs_kept)
     keep = modnorm.linalg._SHARED_ENTRIES
     assert keep == 16
     rng = np.random.default_rng(107)
@@ -442,23 +483,27 @@ def test_shared_tables_keep_the_most_recent_entries(monkeypatch):
         tuple(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(2))
         for _ in range(keep + 4)
     ]
+
+    def profile(x, y):
+        return modnorm.orthogonality._lattice_profile(shared_pair(x, y), CFG)
+
     built = []
     for x, y in pairs:
-        built.append(LatticeProfile._of(Pair(x, y), CFG))
+        built.append(profile(x, y))
         min_lambda_norm(x, y, CFG)
-        assert len(profiles) <= keep and len(solves) <= keep
-    assert len(profiles) == len(solves) == keep
+        assert len(pairs_kept) <= keep
+    assert len(pairs_kept) == keep
     # the kept profiles are returned again; an evicted one is built afresh
-    assert LatticeProfile._of(Pair(*pairs[-1]), CFG) is built[-1]
+    assert profile(*pairs[-1]) is built[-1]
     stacked = _count_stacks(monkeypatch)
-    again = LatticeProfile._of(Pair(*pairs[0]), CFG)
+    again = profile(*pairs[0])
     assert again is not built[0] and stacked == [("eigvalsh", LATTICE)]
     assert again.norms2.tobytes() == built[0].norms2.tobytes()
-    assert len(profiles) == keep
+    assert len(pairs_kept) == keep
 
 
 def test_lattice_profile_arrays_are_read_only():
-    profile = LatticeProfile(*_gate_true_pair(), CFG)
+    profile = LatticeProfile(Pair(*_gate_true_pair()), CFG)
     with pytest.raises(ValueError):
         profile.norms2[0] = 0.0
     with pytest.raises(ValueError):
@@ -540,7 +585,7 @@ def test_lattice_profile_agrees_with_a_batched_svd():
     verdicts, gates = set(), set()
     for x, y in _agreement_pairs():
         ref = _svd_reference(x, y, CFG)
-        profile = LatticeProfile(x, y, CFG)
+        profile = LatticeProfile(Pair(x, y), CFG)
         assert np.all(np.abs(profile.norms2 - ref["squares"]) <= 1e-13 * (1.0 + ref["rhs"]))
         # the definition reads its residual at a lattice point or at the lam
         # of the eta certificate, confirmed by one norm
@@ -560,9 +605,9 @@ def test_rank_gate_reads_the_other_rings_only_after_a_rank_one_point(monkeypatch
     # e1 e1^T + lam e1 e2^T has rank one at every lam: all four innermost
     # rings are read and the gate stays closed
     x, y = _outer(0, 0, 3), _outer(0, 1, 3)
-    generic = LatticeProfile(*_fresh_gate_pair(109), CFG)
-    rank_one = LatticeProfile(x, y, CFG)
-    innermost = LatticeProfile(*_rank_one_at_innermost(np.random.default_rng(110), 4), CFG)
+    generic = LatticeProfile(Pair(*_fresh_gate_pair(109)), CFG)
+    rank_one = LatticeProfile(Pair(x, y), CFG)
+    innermost = LatticeProfile(Pair(*_rank_one_at_innermost(np.random.default_rng(110), 4)), CFG)
     others = ("svd", 4 * CFG.lattice_phases - 1)
     assert not _svd_reference(x, y, CFG)["rank_gate"]
     stacked = _count_stacks(monkeypatch)
@@ -614,7 +659,7 @@ def test_pythagoras_definition_off_grid_family(seed):
     x, y = _off_grid_pair(delta, rng.uniform(0.4, 3.0), rng.uniform(0.0, 2 * np.pi))
     u, v = rand_unitary(rng, 3), rand_unitary(rng, 3)
     x, y = u @ x @ v, u @ y @ v
-    profile = LatticeProfile(x, y, CFG)
+    profile = LatticeProfile(Pair(x, y), CFG)
     assert not profile.definition().verdict
     assert _violation(x, y, profile.definition_lambda) > CFG.eps_opt
 
@@ -628,16 +673,16 @@ def test_pythagoras_definition_symmetric_and_homogeneous(seed, kind):
         x, y = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2))
     else:
         x, y = gate_pair(rng, 4, kind == "true")
-    verdict = LatticeProfile(x, y, CFG).definition().verdict
+    verdict = LatticeProfile(Pair(x, y), CFG).definition().verdict
     if kind != "random":
         assert verdict == (kind == "true")
-    assert LatticeProfile(y, x, CFG).definition().verdict == verdict
+    assert LatticeProfile(Pair(y, x), CFG).definition().verdict == verdict
     # unequal moduli stay in [1/4, 4]: the residual's scale still flips
     # verdicts when |alpha| / |beta| is far from 1, a separate, open defect;
     # a joint power of two is divided out exactly
     alpha, beta = 2.0 ** rng.uniform(-2, 2, 2) * np.exp(2j * np.pi * rng.uniform(size=2))
     joint = 2.0 ** int(rng.integers(-40, 41))
-    profile = LatticeProfile(joint * alpha * x, joint * beta * y, CFG)
+    profile = LatticeProfile(Pair(joint * alpha * x, joint * beta * y), CFG)
     assert profile.definition().verdict == verdict
 
 

@@ -6,7 +6,8 @@ Cases are matched by ``pair_id``; the suite is the part before its first
 slash.  Per suite it prints the number of verdict or ``consistent`` flips
 (changed boolean fields), then each changed field with the number of cases
 it changed in and its largest absolute change.  A case in one output only
-counts as ``(case added or removed)``.
+counts as ``(case added or removed)``.  It exits 1 when any case, field or
+failure count differs, and prints ``no differences`` and exits 0 otherwise.
 """
 
 import json
@@ -47,12 +48,16 @@ def main(before_path, after_path):
                     flips[suite] += 1
                 elif isinstance(a, (int, float)) and isinstance(b, (int, float)):
                     changed[suite][key][1] = max(changed[suite][key][1], abs(b - a))
+    if not changed and len(failed_before) == len(failed_after):
+        print("no differences")
+        return 0
     for suite in sorted(changed):
         print(f"{suite}: {flips[suite]} verdict or consistent flips")
         for key, (count, delta) in sorted(changed[suite].items()):
             print(f"  {key}: {count} changed, max |change| {delta:.3g}")
     print(f"failures: {len(failed_before)} -> {len(failed_after)}")
+    return 1
 
 
 if __name__ == "__main__":
-    main(*sys.argv[1:])
+    sys.exit(main(*sys.argv[1:]))
