@@ -2,15 +2,17 @@
 functional, and Birkhoff-James decisions.
 
 f(lambda) = ||A + lambda B|| is convex on C ~ R^2.  The minimizer starts from
-the best point of a coarse grid (one batched SVD) and runs damped Newton on f
-over (Re lambda, Im lambda); one full SVD per iterate gives the gradient
-u^H B v and the exact Hessian of a simple top singular value.  The Newton point
-is returned only with a certificate: a simple top singular value at which the
-gradient vanishes, which for a convex f is global optimality.  At a kink, where
-the top singular value is multiple (as for A = I and normal B), Nelder-Mead
-runs from the best point seen; it takes the steps of scipy's, in numpy, so
-no solve loads scipy.  The dual side is read off the minimizer
-lambda*: in min_lambda ||A + lambda B||^2 = sup_{|xi|=1} M(xi) with
+the Frobenius minimizer lambda_F = -tr(B^H A) / ||B||_F^2, where f is within a
+factor sqrt(min(m, n)) of its minimum, and runs damped Newton on f over
+(Re lambda, Im lambda); one full SVD per iterate gives the gradient u^H B v
+and the exact Hessian of a simple top singular value, and the 2 x 2 Newton
+system is solved by Cramer's rule.  The Newton point is returned only with a
+certificate: a simple top singular value at which the gradient vanishes, which
+for a convex f is global optimality.  At a kink, where the top singular value
+is multiple (as for A = I and normal B), Nelder-Mead runs from the best point
+seen; it takes the steps of scipy's, in numpy, so no solve loads scipy.  The
+dual side is read off the minimizer lambda*: in
+min_lambda ||A + lambda B||^2 = sup_{|xi|=1} M(xi) with
 M(xi) = min_mu ||(A + mu B) xi||^2, the supremum is attained in the top singular
 subspace of A + lambda* B at a unit vector whose quadratic form against
 B^H (A + lambda* B) vanishes, and weak duality makes the gap a certificate.
@@ -45,7 +47,6 @@ from .linalg import (
 from .numrange import zero_unit_vector
 from .states import DensityState, _maximizers, witness_in_set_with_zero
 
-_START_GRID = 5  # points per axis; odd, so lambda = 0 is on the grid
 _SIMPLE_GAP = 1e-7  # relative gap below which the top singular value is multiple
 _STATIONARY = 1e-10  # |u^H B v| <= _STATIONARY * ||B|| certifies lambda*
 _NEWTON_SVDS = 30  # SVDs one Newton run may spend
@@ -99,35 +100,39 @@ class _Solution:
             read_only(m)
 
 
-def _batched_norms(a: np.ndarray, b: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    stack = a[None, :, :] + lams[:, None, None] * b[None, :, :]
-    return np.linalg.svd(stack, compute_uv=False)[:, 0]
-
-
-def _hessian(d: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Hessian of a simple sigma_1(A + lambda B) in (Re lambda, Im lambda).
+def _hessian(d: np.ndarray, s: np.ndarray) -> tuple[float, float, float]:
+    """Hessian (H_rr, H_ri, H_ii) of a simple sigma_1(A + lambda B) in
+    (Re lambda, Im lambda).
 
     d = U^H B V for the full SVD A + lambda B = U diag(s) V^H.  sigma_1 is the
     top eigenvalue of the Hermitian dilation [[0, M], [M^H, 0]], whose other
     eigenvectors are (u_j, v_j)/sqrt(2) at s_j, (u_j, -v_j)/sqrt(2) at -s_j and
     the unpaired columns of U or V at 0.  Second-order perturbation theory sums
     2 Re c_a conj(c_b) / (sigma_1 - eigenvalue) over them, c_a being the
-    coupling of the direction B (a = Re) or iB (a = Im) to the top eigenvector.
+    coupling of the direction B (a = r) or iB (a = i) to the top eigenvector.
+    With p_j = d[j, 0] and q_j = conj(d[0, j]), index j adds to H_rr
+    |p_j + q_j|^2 / 2 over s_1 - s_j (for j >= 1) and |p_j - q_j|^2 / 2 over
+    s_1 + s_j, to H_ii the same with the two numerators swapped, and to H_ri
+    Im(q_j conj p_j) over s_1 - s_j minus the same over s_1 + s_j; an unpaired
+    p_j or q_j (of a tall or wide matrix) adds its squared modulus over s_1 to
+    H_rr and H_ii.  The r terms (r <= 8 at the sizes modnorm targets) are
+    summed as Python scalars, which costs less than numpy's per-call overhead.
     """
-    r = s.size
-    col = np.stack([d[:, 0], 1j * d[:, 0]])
-    row = np.stack([d[0, :], 1j * d[0, :]]).conj()
-    c = np.concatenate(
-        [
-            (col[:, 1:r] + row[:, 1:r]) / 2,
-            (col[:, :r] - row[:, :r]) / 2,
-            col[:, r:] / np.sqrt(2),
-            row[:, r:] / np.sqrt(2),
-        ],
-        axis=1,
-    )
-    gap = np.concatenate([s[0] - s[1:], s[0] + s, np.full(c.shape[1] - 2 * r + 1, s[0])])
-    return 2.0 * np.real((c / gap) @ c.conj().T)
+    p, q = d[:, 0].tolist(), d[0, :].conjugate().tolist()
+    sv = s.tolist()
+    top, r = sv[0], len(sv)
+    hrr = hri = hii = 0.0
+    for j in range(r):
+        pj, qj = p[j], q[j]
+        plus, minus = abs(pj + qj) ** 2 / 2, abs(pj - qj) ** 2 / 2
+        cross = (qj * pj.conjugate()).imag
+        out = top + sv[j]
+        hrr, hri, hii = hrr + minus / out, hri - cross / out, hii + plus / out
+        if j:
+            near = top - sv[j]
+            hrr, hri, hii = hrr + plus / near, hri + cross / near, hii + minus / near
+    unpaired = sum(abs(z) ** 2 for z in p[r:] + q[r:]) / top
+    return hrr + unpaired, hri, hii + unpaired
 
 
 def _newton(
@@ -141,53 +146,59 @@ def _newton(
     u^H B v from the threshold to rounding (M in sup_m divides it by
     ||B xi||^2); it is kept if the certificate still holds there.  The run
     ends uncertified at a multiple top, a singular Hessian, a failed line
-    search or after _NEWTON_SVDS SVDs.  A trial point is accepted when f falls
-    by the Armijo amount, up to rounding in forming A + lambda B; a rejected
-    step shrinks to the minimizer of the quadratic through f, its slope and
-    the rejected value.
+    search or after _NEWTON_SVDS SVDs.  The step solves the 2 x 2 Newton
+    system by Cramer's rule.  A trial point is accepted when f falls by the
+    Armijo amount, up to rounding in forming A + lambda B; a rejected step
+    shrinks to the minimizer of the quadratic through f, its slope and the
+    rejected value.
     """
     u, s, vh = np.linalg.svd(am + lam * bm)
     svds, steps, reach = 1, 0, 2.0 * (1.0 + na / nb)
-    certified = None  # the first point where the certificate held
+    certified = None  # the run at the first point where the certificate held
+
+    def stop() -> _NewtonRun:
+        # after the certificate held, every stop is at that point
+        return certified or _NewtonRun(lam, float(s[0]), steps, False, (s, vh))
+
     while True:
-        here = _NewtonRun(lam, float(s[0]), steps, True, (s, vh))
-        if s[0] == 0.0:
-            return here
+        top = float(s[0])
+        if top == 0.0:
+            return _NewtonRun(lam, top, steps, True, (s, vh))
         d = u.conj().T @ bm @ vh.conj().T
-        w = d[0, 0]
-        simple = s.size == 1 or s[1] < s[0] * (1.0 - _SIMPLE_GAP)
+        w = complex(d[0, 0])
+        simple = s.size == 1 or s[1] < top * (1.0 - _SIMPLE_GAP)
         if simple and abs(w) <= _STATIONARY * nb:
             if certified is not None or w == 0.0:
-                return here
-            certified = here
+                return _NewtonRun(lam, top, steps, True, (s, vh))
+            certified = _NewtonRun(lam, top, steps, True, (s, vh))
         elif certified is not None:
             return certified
-        stop = replace(here, certified=certified is not None)
         if not simple:
-            return stop
-        grad = np.array([w.real, -w.imag])
-        try:
-            p = np.linalg.solve(_hessian(d, s), -grad)
-        except np.linalg.LinAlgError:
-            return stop
-        step, slope = complex(p[0], p[1]), float(grad @ p)
+            return stop()
+        hrr, hri, hii = _hessian(d, s)
+        det = hrr * hii - hri * hri
+        if det == 0.0:
+            return stop()
+        gr, gi = w.real, -w.imag
+        step = complex((hri * gi - hii * gr) / det, (hri * gr - hrr * gi) / det)
+        slope = gr * step.real + gi * step.imag
         slack = _ROUNDING * (na + (abs(lam) + abs(step)) * nb)
         # the minimizer lies within 2 ||A|| / ||B|| of 0, so no step need be longer
         t = min(1.0, reach / abs(step))
         for _ in range(_BACKTRACKS):
             if svds >= _NEWTON_SVDS:
-                return stop
+                return stop()
             trial = lam + t * step
             ut, st, vht = np.linalg.svd(am + trial * bm)
             svds += 1
-            if st[0] <= s[0] + 1e-4 * t * slope + slack:
+            if st[0] <= top + 1e-4 * t * slope + slack:
                 break
             if certified is not None:  # only a full step polishes
-                return stop
-            curv = (st[0] - s[0] - t * slope) / t**2
-            t = float(np.clip(-slope / (2 * curv), 0.1 * t, 0.5 * t)) if curv > 0 else 0.5 * t
+                return certified
+            curv = (st[0] - top - t * slope) / t**2
+            t = min(max(-slope / (2 * curv), 0.1 * t), 0.5 * t) if curv > 0 else 0.5 * t
         else:
-            return stop
+            return stop()
         lam, u, s, vh = trial, ut, st, vht
         steps += 1
 
@@ -262,11 +273,12 @@ def min_lambda_norm(
 ) -> MinLambdaResult:
     """Global minimum of the convex map lambda -> ||A + lambda B||.
 
-    Damped Newton from the best point of a 5 x 5 grid returns lambda* once the
-    top singular value there is simple and u^H B v vanishes (both relative to
-    the scale of the pair).  Otherwise, at a kink, Nelder-Mead with one restart
-    runs from the best point seen, and Newton polishes its point; the simplex
-    point is kept if the polish raises the value beyond rounding.
+    Damped Newton from the Frobenius minimizer -tr(B^H A) / ||B||_F^2 returns
+    lambda* once the top singular value there is simple and u^H B v vanishes
+    (both relative to the scale of the pair).  Otherwise, at a kink,
+    Nelder-Mead with one restart runs from the best point seen, and Newton
+    polishes its point; the simplex point is kept if the polish raises the
+    value beyond rounding.
 
     The solve runs on the normalized pair and is shared with ``sup_m`` and
     any later call on the same normalized pair (see ``_solution``); the value
@@ -288,11 +300,11 @@ def _solve(am: np.ndarray, bm: np.ndarray) -> _Solution:
     # B counts as zero relative to A; exact B = 0 always does
     if nb <= EPS_RANK * na:
         return _Solution(MinLambdaResult(lambda_star=0.0, value=na, iterations=0), nb, None)
-    radius = 1.0 + na / nb
-    grid = np.linspace(-radius, radius, _START_GRID)
-    re, im = np.meshgrid(grid, grid)
-    lams = (re + 1j * im).ravel()
-    run = _newton(am, bm, lams[int(np.argmin(_batched_norms(am, bm, lams)))], na, nb)
+    # the Frobenius minimizer: ||M||_2 <= ||M||_F <= sqrt(r) ||M||_2 for rank
+    # r <= min(m, n) puts f there within sqrt(r) of min f; 0.0 - keeps lambda = +0
+    # when tr(B^H A) = 0, as for A = 0
+    start = 0.0 - complex(np.vdot(bm, am)) / float(np.vdot(bm, bm).real)
+    run = _newton(am, bm, start, na, nb)
     if run.certified:
         result = MinLambdaResult(lambda_star=run.lam, value=run.value, iterations=run.steps)
         return _Solution(result, nb, run.svd)
@@ -302,8 +314,8 @@ def _solve(am: np.ndarray, bm: np.ndarray) -> _Solution:
 
     # from a start with Im lambda at rounding level, a simplex scaled to the
     # start's coordinates searches the real axis alone; the steps here are
-    # the grid spacing, then a thousandth of it for the restart
-    spacing = grid[1] - grid[0]
+    # (1 + ||A|| / ||B||) / 2, then a thousandth of it for the restart
+    spacing = (1.0 + na / nb) / 2
     edges = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     x0 = np.array([run.lam.real, run.lam.imag])
     res = _nelder_mead(objective, x0 + spacing * edges, 1e-11, 1e-14, 600)
@@ -357,7 +369,8 @@ def sup_m(
     """Dual value M(xi*) and the unit vector xi* built from the primal optimum.
 
     xi* zeroes the quadratic form of D^H B on the top right singular subspace of
-    D = A + lambda* B (its first basis vector if no zero is found).  Weak duality,
+    D = A + lambda* B (its first basis vector if no zero is found, or if the
+    subspace is one-dimensional).  Weak duality,
     M(xi) <= ||A + lambda B||^2 for every unit xi and lambda, makes the bracket
     [M(xi*), ||A + lambda* B||^2] a certificate however xi* was found.
     lambda* is the shared solution of ``min_lambda_norm``, so this call and
@@ -373,8 +386,13 @@ def sup_m(
         sub = _top_right_subspace(d, cfg, rel_tol=1e-7)
     else:
         sub = top_right_space(*solution.svd, cfg, rel_tol=1e-7)
-    zero = zero_unit_vector(sub.conj().T @ (d.conj().T @ bm) @ sub, cfg)
-    xi = sub @ zero[0] if zero is not None else sub[:, 0]
+    xi = sub[:, 0]
+    if sub.shape[1] > 1:
+        # on a one-dimensional subspace W of the 1 x 1 compression is a point,
+        # and xi is the basis vector whether or not that point is 0
+        zero = zero_unit_vector(sub.conj().T @ (d.conj().T @ bm) @ sub, cfg)
+        if zero is not None:
+            xi = sub @ zero[0]
     return float(np.ldexp(_m_value(am, bm, xi, solution.nb, cfg), 2 * pair.exponent)), xi
 
 

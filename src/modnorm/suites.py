@@ -34,10 +34,10 @@ from .closedforms import (
 )
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .linalg import (
-    Pair,
     adjoint,
     modulus,
     numeric_rank,
+    shared_pair,
     spectral_norm,
 )
 from .normopt import (
@@ -48,7 +48,7 @@ from .normopt import (
     sup_m,
 )
 from .orthogonality import (
-    LatticeProfile,
+    _lattice_profile,
     norm_additivity_report,
     pythagoras_identity,
     pythagoras_orthogonal,
@@ -247,7 +247,7 @@ def _suite_corner_block(seed: int, count: int, cfg: ToleranceConfig) -> _Recorde
         crit = abs(
             spectral_norm(s.conj().T @ t) - spectral_norm(s) * spectral_norm(t)
         ) <= cfg.eps_opt * (1.0 + spectral_norm(s) * spectral_norm(t))
-        profile = LatticeProfile(Pair(a, b), cfg)
+        profile = _lattice_profile(shared_pair(a, b), cfg)
         pyth = profile.definition().verdict
         par = profile.parallelogram()
         rec.case(pid, kind=kind, criterion=crit, pythagoras=pyth, parallelogram=par)
@@ -268,7 +268,7 @@ def _suite_corner_block(seed: int, count: int, cfg: ToleranceConfig) -> _Recorde
     e2 = np.zeros((2, 2), dtype=np.complex128)
     e2[1, 1] = 1.0
     a, b, _ = corner_block_pair(e1, e2, 1.0)
-    pyth = LatticeProfile(Pair(a, b), cfg).definition().verdict
+    pyth = _lattice_profile(shared_pair(a, b), cfg).definition().verdict
     rec.check("corner-rank-one", "pythagoras_false", not pyth)
     return rec
 
@@ -298,7 +298,7 @@ def _suite_scalar_block(seed: int, count: int, cfg: ToleranceConfig) -> _Recorde
         resid = abs(closed - spectral_norm(a + lam * b)) / (1.0 + closed)
         rec.check(pid, "closed_form", resid <= cfg.eps_eq, resid)
 
-        profile = LatticeProfile(Pair(a, b), cfg)
+        profile = _lattice_profile(shared_pair(a, b), cfg)
         pyth = profile.definition().verdict
         par = profile.parallelogram()
         cond = abs(a0 * d0) <= cfg.eps_eq and abs(b0 * c0) <= cfg.eps_eq
@@ -356,7 +356,7 @@ def _suite_rank_one(seed: int, count: int, cfg: ToleranceConfig) -> _Recorder:
         rec.case(pid, kind=kind, pythagoras=verdicts.pythagoras)
         rec.check(pid, "bj_forward_agreement", bj_ab == verdicts.bj_forward)
         rec.check(pid, "bj_reverse_agreement", bj_ba == verdicts.bj_reverse)
-        profile = LatticeProfile(Pair(a, b), cfg)
+        profile = _lattice_profile(shared_pair(a, b), cfg)
         rec.check(pid, "roberts_agreement", profile.roberts() == verdicts.roberts)
         rec.check(
             pid, "pythagoras_agreement", profile.definition().verdict == verdicts.pythagoras
@@ -625,10 +625,10 @@ def _suite_properties(seed: int, count: int, cfg: ToleranceConfig) -> _Recorder:
         )
 
         # nondegeneracy: x is orthogonal to itself only when x = 0
-        self_pyth = LatticeProfile(Pair(a, a), cfg).definition().verdict
+        self_pyth = _lattice_profile(shared_pair(a, a), cfg).definition().verdict
         rec.check(pid, "self_orthogonality_fails", not self_pyth)
         zero = np.zeros_like(a)
-        zero_pyth = LatticeProfile(Pair(zero, zero), cfg).definition().verdict
+        zero_pyth = _lattice_profile(shared_pair(zero, zero), cfg).definition().verdict
         rec.check(pid, "zero_self_orthogonal", zero_pyth)
 
         # property chain on an engineered orthogonal pair
@@ -662,7 +662,7 @@ def _suite_properties(seed: int, count: int, cfg: ToleranceConfig) -> _Recorder:
         bj_fg, _ = bj_orthogonal(f, g, cfg)
         bj_gf, _ = bj_orthogonal(g, f, cfg)
         rec.check(pid, "bj_both_ways", bj_fg and bj_gf)
-        profile = LatticeProfile(Pair(f, g), cfg)
+        profile = _lattice_profile(shared_pair(f, g), cfg)
         rec.check(pid, "roberts", profile.roberts())
         rec.check(pid, "pythagoras_false", not profile.definition().verdict)
         rec.check(pid, "parallelogram_false", not profile.parallelogram())

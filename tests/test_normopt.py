@@ -23,7 +23,7 @@ from modnorm import (
     spectral_norm,
     sup_m,
 )
-from modnorm.closedforms import rand_complex
+from modnorm.closedforms import case_rng, rand_complex
 
 CFG = DEFAULT_CONFIG
 
@@ -315,14 +315,21 @@ def _simple_top_pairs():
             yield rand_complex(rng, n, n), np.outer(u, v.conj())
 
 
-def test_no_optimizer_runs_at_a_simple_top(monkeypatch):
-    # where sigma_max is smooth at the minimum, Newton's certificate ends the
-    # solve: no simplex search and at most 60 SVD matrices
+def _refuse_simplex_search(monkeypatch):
     from modnorm import normopt
 
     def refuse(*args, **kwargs):
         raise AssertionError("general optimizer called at a simple top")
 
+    monkeypatch.setattr(normopt, "_nelder_mead", refuse)
+
+
+def test_no_optimizer_runs_at_a_simple_top(monkeypatch):
+    # where sigma_max is smooth at the minimum, Newton's certificate ends the
+    # solve: no simplex search and at most 60 SVD matrices.  Counts do not
+    # depend on the machine: from the Frobenius minimizer a solve here takes
+    # 2 SVDs for ||A|| and ||B|| and about 7 Newton SVDs on average, and a
+    # start grid would show as many more
     svd, norm = np.linalg.svd, np.linalg.norm
     count = [0]
 
@@ -335,15 +342,127 @@ def test_no_optimizer_runs_at_a_simple_top(monkeypatch):
             count[0] += 1
         return norm(m, ord, *args, **kwargs)
 
-    monkeypatch.setattr(normopt, "_nelder_mead", refuse)
+    _refuse_simplex_search(monkeypatch)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(np.linalg, "norm", counting_norm)
-    for a, b in _simple_top_pairs():
+    pairs, total = list(_simple_top_pairs()), 0
+    for a, b in pairs:
         count[0] = 0
         res = min_lambda_norm(a, b, CFG)
         assert count[0] <= 60, (a.shape, count[0])
+        total += count[0]
         s = svd(a + res.lambda_star * b, compute_uv=False)
         assert s[1] < s[0] * (1.0 - 1e-7)
+    assert total / len(pairs) <= 10.0, total / len(pairs)
+
+
+def test_criterion_01_pairs_certify_without_the_simplex_search(monkeypatch):
+    # the pairs of acceptance criterion 01 (seed 20260823 + n, n = 2-5)
+    _refuse_simplex_search(monkeypatch)
+    for n in (2, 3, 4, 5):
+        for i in range(200):
+            rng = case_rng(20260823 + n, i)
+            a, b = rand_complex(rng, n, n), rand_complex(rng, n, n)
+            min_lambda_norm(a, b, CFG)
+
+
+def _solve_families():
+    # random, rank-one B, tall and wide (n = 2-8), A = c B, and A = 0
+    rng = np.random.default_rng(31)
+    for n in range(2, 9):
+        yield "random", rand_complex(rng, n, n), rand_complex(rng, n, n)
+        yield "rank-one", rand_complex(rng, n, n), rand_complex(rng, n, 1) @ rand_complex(rng, 1, n)
+        yield "tall", rand_complex(rng, n + 2, n), rand_complex(rng, n + 2, n)
+        yield "wide", rand_complex(rng, n, n + 3), rand_complex(rng, n, n + 3)
+        b = rand_complex(rng, n, n)
+        yield "multiple", complex(*rng.standard_normal(2)) * b, b
+        yield "zero", np.zeros((n, n), dtype=complex), rand_complex(rng, n, n)
+
+
+def test_min_lambda_is_not_improved_by_a_search_from_it():
+    # Nelder-Mead from a small simplex at lambda* must not find a value lower
+    # by more than 1e-12 relative, up to the rounding in forming A + lambda B
+    from modnorm import normopt
+
+    edges = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    for family, a, b in _solve_families():
+        res = min_lambda_norm(a, b, CFG)
+        lam = res.lambda_star
+
+        def f(x, a=a, b=b):
+            return spectral_norm(a + (x[0] + 1j * x[1]) * b)
+
+        x0 = np.array([lam.real, lam.imag])
+        check = normopt._nelder_mead(f, x0 + 1e-3 * (1.0 + abs(lam)) * edges, 1e-13, 1e-16, 300)
+        rounding = 16 * np.finfo(float).eps * (spectral_norm(a) + abs(lam) * spectral_norm(b))
+        assert res.value <= check.fun * (1.0 + 1e-12) + rounding, (family, a.shape)
+        if family == "zero":
+            # lambda* = +0, as the command line prints it
+            assert res.value == 0.0 and lam == 0.0, a.shape
+            assert not (np.signbit(lam.real) or np.signbit(lam.imag)), a.shape
+
+
+def _dense_hessian(d, s):
+    """The Hessian of a simple sigma_1 as one 2 x 2 matrix product over the
+    eigenpairs of the dilation (see ``normopt._hessian``): an oracle for the
+    scalar sums."""
+    r = s.size
+    col = np.stack([d[:, 0], 1j * d[:, 0]])
+    row = np.stack([d[0, :], 1j * d[0, :]]).conj()
+    c = np.concatenate(
+        [
+            (col[:, 1:r] + row[:, 1:r]) / 2,
+            (col[:, :r] - row[:, :r]) / 2,
+            col[:, r:] / np.sqrt(2),
+            row[:, r:] / np.sqrt(2),
+        ],
+        axis=1,
+    )
+    gap = np.concatenate([s[0] - s[1:], s[0] + s, np.full(c.shape[1] - 2 * r + 1, s[0])])
+    return 2.0 * np.real((c / gap) @ c.conj().T)
+
+
+def _hessian_cases():
+    # square, tall and wide; a generic top, and a second singular value
+    # 1e-2 below the first, where the s_1 - s_2 term dominates
+    rng = np.random.default_rng(23)
+    for m, n in ((2, 2), (5, 5), (8, 8), (6, 3), (3, 6), (2, 7), (8, 2)):
+        for near in (False, True):
+            a, b = rand_complex(rng, m, n), rand_complex(rng, m, n)
+            if near:
+                u, s, vh = np.linalg.svd(a)
+                s[1] = s[0] * (1.0 - 1e-2)
+                a = (u[:, : s.size] * s) @ vh[: s.size]
+            yield a, b
+
+
+def _matrix(h):
+    hrr, hri, hii = h
+    return np.array([[hrr, hri], [hri, hii]])
+
+
+def test_scalar_hessian_matches_the_dense_form_and_finite_differences():
+    from modnorm import normopt
+
+    for a, b in _hessian_cases():
+        u, s, vh = np.linalg.svd(a)
+        d = u.conj().T @ b @ vh.conj().T
+        got = _matrix(normopt._hessian(d, s))
+        dense = _dense_hessian(d, s)
+        assert np.abs(got - dense).max() <= 1e-13 * np.abs(dense).max(), a.shape
+        # central second differences of sigma_1(A + lambda B) along 1, i, 1 + i,
+        # at a step h ||B|| well inside the gap s_1 - s_2
+        h = 1e-5
+
+        def f(lam):
+            return np.linalg.svd(a + lam * b, compute_uv=False)[0]
+
+        def second(e):
+            return (f(h * e) - 2 * f(0.0) + f(-h * e)) / h**2
+
+        drr, dii, dsum = second(1.0), second(1j), second(1.0 + 1j)
+        fd = np.array([[drr, (dsum - drr - dii) / 2], [(dsum - drr - dii) / 2, dii]])
+        assert np.abs(got - fd).max() <= 1e-4 * np.abs(got).max(), a.shape
 
 
 def test_simplex_search_matches_scipy_nelder_mead():
@@ -433,7 +552,7 @@ def test_min_lambda_scale_and_unitary_invariance(seed, n, exponent):
 
 def _count_solves(monkeypatch):
     """From now on, a fresh table of shared pairs, and the count of solves
-    (one Newton run from the grid each at a simple top)."""
+    (one Newton run from the Frobenius minimizer each at a simple top)."""
     import modnorm.linalg
     import modnorm.normopt
 
