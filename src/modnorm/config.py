@@ -52,9 +52,10 @@ class ToleranceConfig:
     eps_opt     tolerance for optimization-mediated equalities
     rng_seed    seed for every derived pseudo-random draw
 
-    ``lambda_lattice`` and ``lattice_negation`` are derived, not set: entry i
-    of the latter is the index of -lambda_lattice[i] (hence an even
-    ``lattice_phases``), so sigma(x - lam y) is a permutation of sigma(x + lam y).
+    ``lambda_lattice`` and ``lattice_negation`` are derived, not set, and are
+    read-only arrays: entry i of the latter is the index of -lambda_lattice[i]
+    (hence an even ``lattice_phases``), so sigma(x - lam y) is a permutation
+    of sigma(x + lam y).
     """
 
     eps_eq: float = 1e-9
@@ -62,7 +63,7 @@ class ToleranceConfig:
     rng_seed: int = DEFAULT_SEED
     lattice_mag_exponents: tuple[int, int] = (-8, 8)
     lattice_phases: int = 24
-    lambda_lattice: tuple[complex, ...] = field(init=False, repr=False, compare=False)
+    lambda_lattice: np.ndarray = field(init=False, repr=False, compare=False)
     lattice_negation: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -77,8 +78,9 @@ class ToleranceConfig:
         )
         if np.abs(pts[negation] + pts).max() > 1e-12 * (1.0 + np.abs(pts).max()):
             raise ValueError("lambda lattice must be closed under negation")
+        pts.flags.writeable = False
         negation.flags.writeable = False
-        object.__setattr__(self, "lambda_lattice", tuple(complex(z) for z in pts))
+        object.__setattr__(self, "lambda_lattice", pts)
         object.__setattr__(self, "lattice_negation", negation)
 
     def rng(self, *extra_keys: int) -> np.random.Generator:

@@ -119,10 +119,11 @@ class Pair:
     zero pair keeps exponent 0.  Scaling by a power of two is exact, so
     (2^k x, 2^k y) gives bit-identical normalized matrices and every verdict
     read from them is scale-free.  ||x||, ||y||, x^H x, y^H y and x^H y of
-    the normalized pair, and whatever a decider keeps with ``memo``, are
-    computed on first read and kept, so a caller that needs only the
-    normalized bits pays for none of them.  Every array is read-only, so a
-    ``Pair`` and whatever is built from it can be shared between callers.
+    the normalized pair, bases of its joint column and row spaces, and
+    whatever a decider keeps with ``memo``, are computed on first read and
+    kept, so a caller that needs only the normalized bits pays for none of
+    them.  Every array is read-only, so a ``Pair`` and whatever is built from
+    it can be shared between callers.
     """
 
     __slots__ = ("x", "y", "exponent", "_known")
@@ -166,6 +167,36 @@ class Pair:
     def inner(self) -> np.ndarray:
         """x^H y."""
         return self.memo("inner", lambda: read_only(self.x.conj().T @ self.y))
+
+    @property
+    def column_space(self) -> np.ndarray:
+        """Orthonormal basis of range([x, y]), the pair's joint column space."""
+        return self.memo("column_space", lambda: _joint_range(self.x, self.y, self.nx, self.ny))
+
+    @property
+    def row_space(self) -> np.ndarray:
+        """Orthonormal basis of range([x^H, y^H]), the pair's joint row space."""
+        return self.memo(
+            "row_space",
+            lambda: _joint_range(self.x.conj().T, self.y.conj().T, self.nx, self.ny),
+        )
+
+
+def _joint_range(x: np.ndarray, y: np.ndarray, nx: float, ny: float) -> np.ndarray:
+    """Orthonormal basis of range([x / nx, y / ny]) from one SVD, a zero block
+    left out.
+
+    Each block is divided by its own norm, and only singular values at
+    rounding level, max(m, n) eps s_0, are cut.  So the basis is the same for
+    (alpha x, beta y), and a direction that either matrix uses is kept
+    however small that matrix is beside the other.
+    """
+    blocks = [m / norm for m, norm in ((x, nx), (y, ny)) if norm > 0.0]
+    if not blocks:
+        return read_only(np.zeros((x.shape[0], 0), dtype=np.complex128))
+    u, s, _ = np.linalg.svd(np.hstack(blocks), full_matrices=False)
+    kept = np.count_nonzero(s > max(x.shape) * 2.0**-52 * s[0])
+    return read_only(u[:, :kept])
 
 
 # The recently read pairs, each with what it keeps, keyed by normalized bits.

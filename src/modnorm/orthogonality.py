@@ -9,10 +9,10 @@ agreement between the statements.
 Every decider reads the shared ``Pair`` of its inputs (``shared_pair``): the
 inputs divided by a power of two, with what is computed from them.  The "for
 all lambda" notions read the ``LatticeProfile`` the pair keeps per config:
-the squared norms ||x + lam y||^2 at every lattice point, from one batched
-``eigvalsh`` of the Gram pencil.  The upper half of the Pythagoras definition
-is decided off the lattice as well, by an eta certificate confirmed with one
-norm.  The characterizations are homogeneous, so the verdicts do not depend
+the squared norms ||x + lam y||^2 at every lattice point, from one stacked
+top-eigenvalue solve of the Gram pencil compressed to the pair's joint row
+or column space.  The upper half of the Pythagoras definition is decided off
+the lattice as well, by an eta certificate confirmed with one norm.  The characterizations are homogeneous, so the verdicts do not depend
 on the units of (x, y), and a matrix below eps_eq times the pair's scale
 counts as zero.  Statements homogeneous in x and in y separately (maximizing
 sets, || |x| |y| || = ||x|| ||y||) are read at their own unit scale, so a
@@ -517,9 +517,12 @@ _ETA_SEEDS = 8  # lattice points whose right singular vectors are candidate etas
 _PENCIL_BLOCK_BYTES = 1 << 16
 
 
-def _gram_pencil(pair: Pair, lams: np.ndarray) -> np.ndarray:
-    """G(lam) = x^H x + |lam|^2 y^H y + lam x^H y + conj(lam) y^H x, stacked
-    over ``lams``, bit-identical to summing the four terms in that order.
+def _gram_pencil(
+    gx: np.ndarray, gy: np.ndarray, inner: np.ndarray, lams: np.ndarray
+) -> np.ndarray:
+    """G(lam) = gx + |lam|^2 gy + lam inner + conj(lam) inner^H, stacked over
+    ``lams``, bit-identical to summing the four terms in that order.  With
+    x^H x, y^H y and x^H y it is the Gram matrix (x + lam y)^H (x + lam y).
 
     The stack is the only lattice-sized array allocated: the cross terms are
     formed a block of lattice points at a time.  Formed whole, the terms would
@@ -528,29 +531,72 @@ def _gram_pencil(pair: Pair, lams: np.ndarray) -> np.ndarray:
     again on the next, about 200 page faults per profile.
     """
     lams = lams[:, None, None]
-    gram = np.multiply(np.abs(lams) ** 2, pair.gy)
-    gram += pair.gx
-    step = max(1, _PENCIL_BLOCK_BYTES // pair.inner.nbytes)
+    gram = np.multiply(np.abs(lams) ** 2, gy)
+    gram += gx
+    step = max(1, _PENCIL_BLOCK_BYTES // max(inner.nbytes, 1))
     for start in range(0, lams.shape[0], step):
         block = slice(start, start + step)
-        cross = lams[block] * pair.inner
+        cross = lams[block] * inner
         gram[block] += cross
         # conj(lam M) = conj(lam) conj(M) exactly; transposed it is the last
-        # term.  eigvalsh reads the lower triangle only, so G need not be
-        # Hermitian bit for bit.
+        # term.  The top eigenvalue is read from the lower triangle only, so
+        # G need not be Hermitian bit for bit.
         gram[block] += np.conjugate(cross, out=cross).swapaxes(1, 2)
     return gram
 
 
+def _compressed_pencil(pair: Pair, lams: np.ndarray) -> np.ndarray:
+    """The Gram pencil of the pair compressed to the smaller of its joint row
+    and column spaces, stacked over ``lams``.
+
+    On the row space Q, (x + lam y) Q has the nonzero singular values of
+    x + lam y, so its Gram matrix has the top eigenvalue of G(lam).  On the
+    column space Q, Q^H (x + lam y) has them, and its left Gram matrix is the
+    Gram matrix of (x^H + conj(lam) y^H) Q.  Where the row space is taken
+    and is the whole domain, G is formed from the Grams the pair holds.
+    """
+    rows, cols = pair.row_space, pair.column_space
+    if rows.shape[1] <= cols.shape[1]:
+        if rows.shape[1] == pair.x.shape[1]:
+            return _gram_pencil(pair.gx, pair.gy, pair.inner, lams)
+        a, b = pair.x @ rows, pair.y @ rows
+    else:
+        a, b, lams = pair.x.conj().T @ cols, pair.y.conj().T @ cols, np.conjugate(lams)
+    ah = a.conj().T
+    return _gram_pencil(ah @ a, b.conj().T @ b, ah @ b, lams)
+
+
+def _top_eigenvalues(gram: np.ndarray) -> np.ndarray:
+    """The largest eigenvalue of each Hermitian matrix in the stack, read from
+    its lower triangle as ``eigvalsh`` reads it: in closed form for a 1 x 1
+    or 2 x 2 matrix, from one stacked ``eigvalsh`` otherwise."""
+    k = gram.shape[-1]
+    if k == 0:
+        return np.zeros(gram.shape[0])
+    if k == 1:
+        return gram[:, 0, 0].real
+    if k == 2:
+        a, d = gram[:, 0, 0].real, gram[:, 1, 1].real
+        return (a + d) / 2 + np.hypot((a - d) / 2, np.abs(gram[:, 1, 0]))
+    return np.linalg.eigvalsh(gram)[:, -1]
+
+
 class LatticeProfile:
-    """||x + lam y||^2 over the lambda lattice, from one batched ``eigvalsh``
-    of the Gram pencil of the normalized ``Pair``.
+    """||x + lam y||^2 over the lambda lattice, the top eigenvalues of the
+    Gram pencil of the normalized ``Pair`` compressed to its joint row or
+    column space.
 
     ||x + lam y||^2 is the largest eigenvalue of
-    G(lam) = x^H x + |lam|^2 y^H y + lam x^H y + conj(lam) y^H x, and the pair
-    already holds the three Gram matrices, so the whole lattice costs four
-    broadcast adds and one stacked Hermitian eigenvalue solve.  ``norms2``
-    keeps those eigenvalues, clipped at 0, and ``norms`` their square roots.
+    G(lam) = x^H x + |lam|^2 y^H y + lam x^H y + conj(lam) y^H x.  A common
+    kernel of the pair is a zero block of every G(lam), so the pencil is
+    formed on the smaller of the pair's joint row space and joint column
+    space (``_compressed_pencil``), of dimension k.  The whole lattice then
+    costs four broadcast adds and one stacked top-eigenvalue solve
+    (``_top_eigenvalues``): closed forms at k <= 2, one batched ``eigvalsh``
+    otherwise.  A pair whose row space is the whole domain, and no larger
+    than its column space, forms G from the three Gram matrices it already
+    holds.  ``norms2`` keeps those eigenvalues, clipped at 0, and ``norms``
+    their square roots.
     Each lattice-quantified statement about the pair reads this one profile.
     The lattice is closed under negation, so ||x - lam_i y|| is entry
     ``cfg.lattice_negation[i]`` of the same profile.
@@ -575,9 +621,9 @@ class LatticeProfile:
     def __init__(self, pair: Pair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> None:
         self.x, self.y, self.nx, self.ny = pair.x, pair.y, pair.nx, pair.ny
         self.cfg = cfg
-        self.lams = read_only(np.asarray(cfg.lambda_lattice))
-        gram = _gram_pencil(pair, self.lams)
-        self.norms2 = read_only(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+        self.lams = cfg.lambda_lattice
+        gram = _compressed_pencil(pair, self.lams)
+        self.norms2 = read_only(np.maximum(_top_eigenvalues(gram), 0.0))
         self.norms = read_only(np.sqrt(self.norms2))
         self._definition: tuple[StatementResult, complex] | None = None
         self._rank_gate: bool | None = None

@@ -173,7 +173,10 @@ def witness_in_set_with_zero(
 
     Exists iff 0 lies in the numerical range of c compressed to ran(P); the
     witness is a convex combination of at most two pure states built from the
-    chord of the compressed range through the origin.
+    chord of the compressed range through the origin.  On a one-dimensional
+    ran(P) the range is the point z of the 1 x 1 compression, and the witness
+    is the pure state of the basis vector when |z| is within the tolerance
+    ``chord_through_zero`` applies, eps_opt (1 + |z|).
     """
     m = as_matrix(c)
     if m.shape != p.projection.shape:
@@ -181,6 +184,11 @@ def witness_in_set_with_zero(
     if p.dim == 0:
         return None
     comp = p.basis.conj().T @ m @ p.basis
+    if p.dim == 1:
+        z = abs(comp[0, 0])
+        if z <= cfg.eps_opt * (1.0 + z) and z <= cfg.eps_opt * (1.0 + _spectral_norm(m)):
+            return DensityState.pure(p.basis[:, 0])
+        return None
     chord = chord_through_zero(comp, cfg)
     if chord is None:
         return None

@@ -195,8 +195,7 @@ def _suite_weighted_shift(seed: int, count: int, cfg: ToleranceConfig) -> _Recor
     rec = _Recorder()
     m = 20
     a, b = weighted_shift_pair(m)
-    lattice = np.asarray(cfg.lambda_lattice[:50])
-    for k, lam in enumerate(lattice):
+    for k, lam in enumerate(cfg.lambda_lattice[:50]):
         pid = f"shift-m20-{k}"
         exact = weighted_shift_norm(m, complex(lam))
         measured = spectral_norm(a + lam * b)

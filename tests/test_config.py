@@ -32,6 +32,7 @@ def test_lattice_negation_is_the_nearest_negated_point(kwargs):
     assert np.array_equal(neg[neg], np.arange(pts.size))
     assert np.abs(pts[neg] + pts).max() <= 1e-12 * (1.0 + np.abs(pts).max())
     assert not neg.flags.writeable
+    assert isinstance(cfg.lambda_lattice, np.ndarray) and not cfg.lambda_lattice.flags.writeable
 
 
 @pytest.mark.parametrize("phases", [3, 25, 0, -2])

@@ -37,7 +37,13 @@ from modnorm import (
     triangle_witness,
     unimodular_reduction,
 )
-from modnorm.closedforms import bj_engineered_true, gate_pair, rand_unitary, triangle_pair
+from modnorm.closedforms import (
+    bj_engineered_true,
+    corner_block_pair,
+    gate_pair,
+    rand_unitary,
+    triangle_pair,
+)
 from modnorm.config import EPS_RANK
 from modnorm.linalg import shared_pair
 from modnorm.orthogonality import scaled_triangle_persistence
@@ -332,18 +338,20 @@ LATTICE = len(CFG.lambda_lattice)
 
 
 def _count_stacks(monkeypatch):
-    """From now on, the function name and size of every batched SVD and
-    ``eigvalsh``, in call order."""
-    stacked = []
-    for name in ("svd", "eigvalsh"):
-        real = getattr(np.linalg, name)
+    """From now on, the function name and size of every batched SVD and of
+    every stack of Gram matrices turned into top eigenvalues, in call order."""
+    import modnorm.orthogonality
 
-        def counting(m, *args, _name=name, _real=real, **kwargs):
+    stacked = []
+    for owner, name in ((np.linalg, "svd"), (modnorm.orthogonality, "_top_eigenvalues")):
+        real = getattr(owner, name)
+
+        def counting(m, *args, _name=name.strip("_"), _real=real, **kwargs):
             if np.ndim(m) == 3:
                 stacked.append((_name, len(m)))
             return _real(m, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counting)
+        monkeypatch.setattr(owner, name, counting)
     return stacked
 
 
@@ -359,14 +367,14 @@ def _fresh_gate_pair(seed):
 def test_pythagoras_orthogonal_one_lattice_pass(monkeypatch):
     # the definition, Roberts and parallelogram statements, and the Roberts
     # and parallelogram deciders run after it, share one lattice-sized
-    # eigvalsh stack; the eta certificate adds the SVDs of 8 of its points
-    # and the rank gate those of at most the four innermost rings
+    # top-eigenvalue solve; the eta certificate adds the SVDs of 8 of its
+    # points and the rank gate those of at most the four innermost rings
     x, y = _fresh_gate_pair(101)
     stacked = _count_stacks(monkeypatch)
     rep = pythagoras_orthogonal(x, y, CFG)
     assert "witness_form" in rep.statements  # the gated parallelogram check ran
     assert roberts_check(x, y, CFG) and parallelogram_law_check(x, y, CFG)
-    assert [s for s in stacked if s[1] == LATTICE] == [("eigvalsh", LATTICE)]
+    assert [s for s in stacked if s[1] == LATTICE] == [("top_eigenvalues", LATTICE)]
     svds = [size for name, size in stacked if name == "svd"]
     assert sum(svds) <= 4 * CFG.lattice_phases + 8
 
@@ -394,7 +402,7 @@ def test_shared_profile_follows_the_config(monkeypatch):
     assert roberts_check(x, y, ToleranceConfig())  # an equal config reads the same profile
     assert stacked == []
     assert roberts_check(x, y, coarse)
-    assert stacked == [("eigvalsh", len(coarse.lambda_lattice))]
+    assert stacked == [("top_eigenvalues", len(coarse.lambda_lattice))]
 
 
 def test_shared_profile_follows_in_place_writes():
@@ -415,7 +423,7 @@ def test_shared_profile_is_per_order(monkeypatch):
     forward = pythagoras_orthogonal(x, y, CFG)
     stacked = _count_stacks(monkeypatch)
     reverse = pythagoras_orthogonal(y, x, CFG)
-    assert stacked.count(("eigvalsh", LATTICE)) == 1
+    assert stacked.count(("top_eigenvalues", LATTICE)) == 1
     fresh = LatticeProfile(Pair(y, x), CFG)
     assert reverse.statements["definition"] == fresh.definition()
     # x + i y = i (y - i x): the worst residuals agree, at lam = i forward and
@@ -497,7 +505,7 @@ def test_shared_tables_keep_the_most_recent_entries(monkeypatch):
     assert profile(*pairs[-1]) is built[-1]
     stacked = _count_stacks(monkeypatch)
     again = profile(*pairs[0])
-    assert again is not built[0] and stacked == [("eigvalsh", LATTICE)]
+    assert again is not built[0] and stacked == [("top_eigenvalues", LATTICE)]
     assert again.norms2.tobytes() == built[0].norms2.tobytes()
     assert len(pairs_kept) == keep
 
@@ -599,6 +607,89 @@ def test_lattice_profile_agrees_with_a_batched_svd():
         verdicts.add(definition.verdict)
         gates.add(ref["rank_gate"])
     assert verdicts == gates == {False, True}
+
+
+def _deflation_pairs():
+    """Seeded pairs with a common kernel or a small joint range, each with the
+    compressed size the lattice pencil must take: corner blocks
+    [[S, 0], [0, 0]], [[0, T], [0, 0]], gate pairs, rank-one pairs, pairs
+    padded with zero rows and columns, tall and wide pairs, y = 0, and the
+    zero pair."""
+    rng = np.random.default_rng(111)
+
+    def rand(m, n):
+        return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+
+    for n in (2, 4, 8):
+        x, y, _ = corner_block_pair(rand(n // 2, n // 2), rand(n // 2, n // 2), 1.0)
+        yield x, y, n // 2
+    for n in (4, 6, 8):
+        yield (*gate_pair(rng, n, True), 3)
+        yield (*gate_pair(rng, n, False), 3)
+    for n in (2, 5, 8):
+        yield rand(n, 1) @ rand(1, n), rand(n, 1) @ rand(1, n), 2
+        column = rand(n, 1)
+        yield column @ rand(1, n), column @ rand(1, n), 1
+        padded = [np.zeros((n + 3, n + 2), dtype=complex) for _ in range(2)]
+        for m in padded:
+            m[1 : n + 1, 2:] = rand(n, n)
+        yield (*padded, n)
+        yield rand(n + 3, n), rand(n + 3, n), n
+        yield rand(n, n + 3), rand(n, n + 3), n
+        yield rand(2 * n, 1) @ rand(1, n), rand(2 * n, 1) @ rand(1, n), 2
+        yield rand(n, n), np.zeros((n, n), dtype=complex), n
+        yield rand(n, 1) @ rand(1, n + 1), np.zeros((n, n + 1), dtype=complex), 1
+        yield np.zeros((n + 1, n), dtype=complex), np.zeros((n + 1, n), dtype=complex), 0
+
+
+def _compressed_profile(monkeypatch, x, y):
+    """The lattice profile of (x, y) and the size of the Gram matrices whose
+    top eigenvalues it took."""
+    import modnorm.orthogonality
+
+    sizes = []
+    real = modnorm.orthogonality._top_eigenvalues
+
+    def recording(gram):
+        sizes.append(gram.shape[-1])
+        return real(gram)
+
+    monkeypatch.setattr(modnorm.orthogonality, "_top_eigenvalues", recording)
+    profile = LatticeProfile(Pair(x, y), CFG)
+    monkeypatch.undo()
+    assert len(sizes) == 1
+    return profile, sizes[0]
+
+
+def test_deflated_lattice_profile_matches_the_full_gram(monkeypatch):
+    # the top eigenvalue of the compressed pencil is that of the full Gram
+    # matrix (x + lam y)^H (x + lam y), and the compressed size does not
+    # depend on the scale of x beside y
+    for x, y, k in _deflation_pairs():
+        for scale in (1.0, 2.0**30, 2.0**-30):
+            pair = Pair(scale * x, y)
+            stack = pair.x[None] + CFG.lambda_lattice[:, None, None] * pair.y[None]
+            full = np.linalg.eigvalsh(stack.conj().swapaxes(1, 2) @ stack)[:, -1]
+            full = np.maximum(full, 0.0)
+            profile, size = _compressed_profile(monkeypatch, scale * x, y)
+            assert size == k
+            assert np.all(np.abs(profile.norms2 - full) <= 1e-14 * (1.0 + full))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (5, 5), (8, 8), (7, 4)])
+def test_a_pair_without_a_common_kernel_keeps_the_full_pencil(monkeypatch, shape):
+    # no common kernel on the right and n >= 3: the profile is the stacked
+    # eigvalsh of x^H x + |lam|^2 y^H y + lam x^H y + conj(lam) y^H x, bit for bit
+    rng = np.random.default_rng(112)
+    x, y = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
+    pair = Pair(x, y)
+    lams = CFG.lambda_lattice[:, None, None]
+    cross = lams * pair.inner
+    gram = np.abs(lams) ** 2 * pair.gy + pair.gx + cross + np.conjugate(cross).swapaxes(1, 2)
+    full = np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0)
+    profile, size = _compressed_profile(monkeypatch, x, y)
+    assert size == shape[1]
+    assert profile.norms2.tobytes() == full.tobytes()
 
 
 def test_rank_gate_reads_the_other_rings_only_after_a_rank_one_point(monkeypatch):

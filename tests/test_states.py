@@ -10,6 +10,7 @@ from modnorm import (
     DensityState,
     SubspaceProjection,
     ZeroMatrixError,
+    chord_through_zero,
     evaluate,
     maximizing_set,
     sets_intersect,
@@ -217,6 +218,31 @@ def test_witness_chord_weight_orientation():
     w = witness_in_set_with_zero(p, c, CFG)
     assert w is not None
     assert abs(evaluate(w, c)) <= 1e-5 * 4
+
+
+@pytest.mark.parametrize("z", [0.0, 1e-7j, -0.99e-6, 1.01e-6, (1 + 1j) * 1e-3, 2.0])
+def test_witness_on_a_line_reads_the_point_without_a_chord(monkeypatch, z):
+    # on a one-dimensional P, W of the 1 x 1 compression is its entry z: the
+    # witness is the pure state of the basis vector iff |z| is within
+    # eps_opt (1 + |z|), which is where chord_through_zero finds a chord
+    import modnorm.states
+
+    rng = np.random.default_rng(7)
+    u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    c = u @ np.diag([z, 1.0, -1.0]) @ u.conj().T
+    p = SubspaceProjection.from_basis(u[:, :1])
+    comp = p.basis.conj().T @ c @ p.basis
+    chord = chord_through_zero(comp, CFG)
+    found = chord is not None and chord[3] <= CFG.eps_opt * (1.0 + np.linalg.norm(c, 2))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a chord was built for a point")
+
+    monkeypatch.setattr(modnorm.states, "chord_through_zero", refuse)
+    w = witness_in_set_with_zero(p, c, CFG)
+    assert (w is not None) == found == (abs(z) <= CFG.eps_opt * (1.0 + abs(z)))
+    if found:
+        assert np.array_equal(w.rho, DensityState.pure(u[:, 0]).rho)
 
 
 @settings(max_examples=30, deadline=None)
