@@ -175,8 +175,10 @@ def witness_in_set_with_zero(
     witness is a convex combination of at most two pure states built from the
     chord of the compressed range through the origin.  On a one-dimensional
     ran(P) the range is the point z of the 1 x 1 compression, and the witness
-    is the pure state of the basis vector when |z| is within the tolerance
-    ``chord_through_zero`` applies, eps_opt (1 + |z|).
+    is the pure state of the basis vector when the chord would accept it:
+    |z| <= eps_opt (1 + |z|), or, on the chord's near-zero branch,
+    |z| <= eps_eq and |z| <= eps_opt (1 + ||c||), which only a config with
+    eps_opt < eps_eq reaches.
     """
     m = as_matrix(c)
     if m.shape != p.projection.shape:
@@ -186,7 +188,9 @@ def witness_in_set_with_zero(
     comp = p.basis.conj().T @ m @ p.basis
     if p.dim == 1:
         z = abs(comp[0, 0])
-        if z <= cfg.eps_opt * (1.0 + z) and z <= cfg.eps_opt * (1.0 + _spectral_norm(m)):
+        if z <= cfg.eps_opt * (1.0 + z) or (
+            z <= cfg.eps_eq and z <= cfg.eps_opt * (1.0 + _spectral_norm(m))
+        ):
             return DensityState.pure(p.basis[:, 0])
         return None
     chord = chord_through_zero(comp, cfg)

@@ -9,6 +9,7 @@ from modnorm import (
     DEFAULT_CONFIG,
     DensityState,
     SubspaceProjection,
+    ToleranceConfig,
     ZeroMatrixError,
     chord_through_zero,
     evaluate,
@@ -220,11 +221,14 @@ def test_witness_chord_weight_orientation():
     assert abs(evaluate(w, c)) <= 1e-5 * 4
 
 
-@pytest.mark.parametrize("z", [0.0, 1e-7j, -0.99e-6, 1.01e-6, (1 + 1j) * 1e-3, 2.0])
-def test_witness_on_a_line_reads_the_point_without_a_chord(monkeypatch, z):
+@pytest.mark.parametrize("cfg", [CFG, ToleranceConfig(eps_eq=1e-3)], ids=["default", "eps_eq>eps_opt"])
+@pytest.mark.parametrize("z", [0.0, 1e-7j, -0.99e-6, 1.01e-6, 5e-6, (1 + 1j) * 1e-3, 2.0])
+def test_witness_on_a_line_reads_the_point_without_a_chord(monkeypatch, z, cfg):
     # on a one-dimensional P, W of the 1 x 1 compression is its entry z: the
-    # witness is the pure state of the basis vector iff |z| is within
-    # eps_opt (1 + |z|), which is where chord_through_zero finds a chord
+    # witness is the pure state of the basis vector iff chord_through_zero
+    # finds a chord there, which at the default tolerances is |z| within
+    # eps_opt (1 + |z|); with eps_eq above eps_opt the chord's near-zero
+    # branch also accepts 1.01e-6 (|z| <= eps_eq and <= eps_opt (1 + ||c||))
     import modnorm.states
 
     rng = np.random.default_rng(7)
@@ -232,15 +236,19 @@ def test_witness_on_a_line_reads_the_point_without_a_chord(monkeypatch, z):
     c = u @ np.diag([z, 1.0, -1.0]) @ u.conj().T
     p = SubspaceProjection.from_basis(u[:, :1])
     comp = p.basis.conj().T @ c @ p.basis
-    chord = chord_through_zero(comp, CFG)
-    found = chord is not None and chord[3] <= CFG.eps_opt * (1.0 + np.linalg.norm(c, 2))
+    chord = chord_through_zero(comp, cfg)
+    found = chord is not None and chord[3] <= cfg.eps_opt * (1.0 + np.linalg.norm(c, 2))
 
     def refuse(*args, **kwargs):
         raise AssertionError("a chord was built for a point")
 
     monkeypatch.setattr(modnorm.states, "chord_through_zero", refuse)
-    w = witness_in_set_with_zero(p, c, CFG)
-    assert (w is not None) == found == (abs(z) <= CFG.eps_opt * (1.0 + abs(z)))
+    w = witness_in_set_with_zero(p, c, cfg)
+    assert (w is not None) == found
+    if cfg is CFG:
+        assert found == (abs(z) <= CFG.eps_opt * (1.0 + abs(z)))
+    else:
+        assert found == (abs(z) <= 1.01e-6)
     if found:
         assert np.array_equal(w.rho, DensityState.pure(u[:, 0]).rho)
 

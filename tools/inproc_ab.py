@@ -1,7 +1,7 @@
 """In-process A/B timing of two checkouts on one benchmark workload's pool.
 
 Usage: python tools/inproc_ab.py PARENT CHANGE --workload lattice --seeds 1 3
-       [--repeats 3] [--limit N]
+       [--repeats 3]
 
 PARENT and CHANGE are checkout directories.  Each one's ``src/modnorm`` is
 copied to a temporary directory under a distinct package name
@@ -83,8 +83,8 @@ def time_pair(workloads, tables, pair, cfg, repeats: int) -> tuple[float, list[s
     return best, texts, raws
 
 
-def run_seed(sides: dict, workload: str, seed: int, repeats: int, limit: int | None) -> dict:
-    pool = sides["parent"][0].make_pool(workload, seed)[:limit]
+def run_seed(sides: dict, workload: str, seed: int, repeats: int) -> dict:
+    pool = sides["parent"][0].make_pool(workload, seed)
     totals = {side: 0.0 for side in SIDES}
     failures = {side: 0 for side in SIDES}
     differ = 0
@@ -117,7 +117,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--repeats", type=int, default=3, help="cold runs per pair and side")
-    parser.add_argument("--limit", type=int, default=None, help="first N pool pairs only")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -129,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
         total = {"pairs": 0, "seconds": dict.fromkeys(SIDES, 0.0),
                  "failures": dict.fromkeys(SIDES, 0), "differ": 0}
         for seed in args.seeds:
-            result = run_seed(sides, args.workload, seed, args.repeats, args.limit)
+            result = run_seed(sides, args.workload, seed, args.repeats)
             print(report(f"seed {seed}", result), flush=True)
             total["pairs"] += result["pairs"]
             total["differ"] += result["differ"]
