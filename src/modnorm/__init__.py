@@ -44,7 +44,6 @@ from .normopt import (
 )
 from .numrange import (
     RangeBoundary,
-    chord_through_zero,
     range_boundary,
     range_contains,
     support_dips_below,

@@ -234,10 +234,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
     @property
     def norm(self) -> float:
         """Spectral norm: the largest eigenvalue modulus."""

@@ -140,8 +140,11 @@ def _newton(
 ) -> _NewtonRun:
     """Damped Newton on f(lambda) = sigma_1(A + lambda B) from lam.
 
-    The certificate holds where f = 0, or where the top singular value is
-    simple (relative gap _SIMPLE_GAP) and |u^H B v| <= _STATIONARY ||B||.  From
+    The certificate holds where f is at most the rounding of forming
+    A + lambda B, _ROUNDING (||A|| + |lambda| ||B||): f >= 0, so lambda then
+    minimizes f up to rounding, as at the vertex lambda = -c of the cone f
+    for A = c B.  It also holds where the top singular value is simple
+    (relative gap _SIMPLE_GAP) and |u^H B v| <= _STATIONARY ||B||.  From
     the first certified point one more full step is tried, which takes
     u^H B v from the threshold to rounding (M in sup_m divides it by
     ||B xi||^2); it is kept if the certificate still holds there.  The run
@@ -162,7 +165,7 @@ def _newton(
 
     while True:
         top = float(s[0])
-        if top == 0.0:
+        if top <= _ROUNDING * (na + abs(lam) * nb):
             return _NewtonRun(lam, top, steps, True, (s, vh))
         d = u.conj().T @ bm @ vh.conj().T
         w = complex(d[0, 0])

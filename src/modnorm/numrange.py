@@ -13,10 +13,14 @@ the sign on each arc.  This is the arc algorithm for definite Hermitian pairs
 (Higham, Tisseur & Van Dooren, Linear Algebra Appl. 351-352, 2002; Guo,
 Higham & Tisseur, SIAM J. Matrix Anal. Appl. 31, 2009).  A pencil singular at
 both of its fixed shifts is taken as singular everywhere, and then h >= level.
-A zero of the quadratic form is built on a polygon inscribed in W(A), refined
-by cutting planes from its four axis support points, and finished by a
-closed-form 2x2 step; ``range_boundary`` samples the boundary at a given
-number of angles for display.
+``zero_unit_vector`` finds a zero of the quadratic form, a unit xi with
+<xi, A xi> = 0: on a chord through 0 of a polygon inscribed in W(A), refined
+by cutting planes from its four axis support points, then by a closed-form
+2x2 step.  W(A) is convex, so a state that kills A exists iff such a vector
+does, and every zero-trace witness state of the package is the pure state of
+one (Bhatia & Semrl, Linear Algebra Appl. 287, 1999, state Birkhoff-James
+orthogonality of matrices in this form).  ``range_boundary`` samples the
+boundary at a given number of angles for display.
 Conventions: <a, b> = a^H b (conjugate-linear in the first slot, matching
 ``np.vdot``).
 """
@@ -238,29 +242,23 @@ def _zero_in_span(m: np.ndarray, xi1: np.ndarray, xi2: np.ndarray) -> tuple[np.n
     return v, float(abs(np.vdot(v, m @ v)))
 
 
-def chord_through_zero(
-    c: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG
-) -> tuple[np.ndarray, np.ndarray, float, float] | None:
-    """Two unit vectors xi1, xi2 and weight t with z1 + t (z2 - z1) ~ 0, z_k = <xi_k, c xi_k>.
+def _chord_through_zero(
+    m: np.ndarray, scale: float, cfg: ToleranceConfig
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Unit vectors xi1, xi2 whose points z_k = <xi_k, m xi_k> span a chord of
+    W(m) through 0, for a square m of norm ``scale``, or None when 0 is
+    outside W(m), which the exact membership test decides first.
 
-    Returns (xi1, xi2, t, residual), or None when 0 is outside W(c), which
-    the exact membership test decides first.  Used to rebuild zero-trace
-    density states from at most two pure states.  The polygon inscribed in
-    W(c) starts from the support points at theta = 0, pi/2, pi, 3 pi/2, the
-    extreme eigenvectors of Re c and Im c.  While 0 lies outside it, the edge
-    with the largest signed gap to 0 along its outward normal n is cut by the
-    support point at angle arg n (Johnson, SIAM J. Numer. Anal. 15, 1978),
-    until that gap, or the outward move of the new point, is at most
-    eps_opt * (1 + ||c||).  On the final polygon, xi1 attains the vertex p
-    farthest from 0 and xi2, in the span of the exit edge's vertex vectors,
-    the point where the ray from p through 0 leaves the polygon.
+    The polygon inscribed in W(m) starts from the support points at theta = 0,
+    pi/2, pi, 3 pi/2, the extreme eigenvectors of Re m and Im m.  While 0 lies
+    outside it, the edge with the largest signed gap to 0 along its outward
+    normal n is cut by the support point at angle arg n (Johnson, SIAM J.
+    Numer. Anal. 15, 1978), until that gap, or the outward move of the new
+    point, is at most eps_opt * (1 + ||m||).  On the final polygon, xi1
+    attains the vertex p farthest from 0 and xi2, in the span of the exit
+    edge's vertex vectors, the point where the ray from p through 0 leaves
+    the polygon.
     """
-    m = _require_square(c)
-    scale = _spectral_norm(m)
-    if scale <= cfg.eps_eq:
-        e = np.zeros(m.shape[0], dtype=np.complex128)
-        e[0] = 1.0
-        return e, e, 1.0, float(abs(np.vdot(e, m @ e)))
     tol = cfg.eps_opt * (1.0 + scale)
     if _dips_below(m, -tol):
         return None
@@ -287,27 +285,31 @@ def chord_through_zero(
 
     j = (i + 1) % pts.size
     if s in (0.0, 1.0):  # the exit is a vertex, as on a collinear boundary
-        xi2 = vecs[i] if s == 0.0 else vecs[j]
-    else:
-        q = pts[i] + s * (pts[j] - pts[i])
-        xi2 = _zero_in_span(m - q * np.eye(m.shape[0]), vecs[i], vecs[j])[0]
-    d = complex(np.vdot(xi2, m @ xi2)) - pts[k]
-    t = float(_segment_weight(pts[k], d))
-    return vecs[k], xi2, t, float(abs(pts[k] + t * d))
+        return vecs[k], vecs[i] if s == 0.0 else vecs[j]
+    q = pts[i] + s * (pts[j] - pts[i])
+    return vecs[k], _zero_in_span(m - q * np.eye(m.shape[0]), vecs[i], vecs[j])[0]
 
 
 def zero_unit_vector(
     c: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> tuple[np.ndarray, float] | None:
-    """A single unit vector xi with <xi, c xi> ~ 0, or None if 0 is outside W(c).
+    """A unit vector xi with <xi, c xi> ~ 0 and |<xi, c xi>|, or None if 0 is
+    outside W(c).
 
-    The chord through 0 lies in the numerical range of the 2x2 compression to
-    the span of its two vectors, where the quadratic form has an exact zero,
-    solved for in closed form.
+    For a 1 x 1 c, whose numerical range is its entry, and for a c of norm
+    at most eps_eq, xi is e_0.  Otherwise the chord of W(c) through 0 lies in
+    the numerical range of the 2 x 2 compression to the span of its two
+    vectors, where the quadratic form has an exact zero, solved for in closed
+    form.  xi is accepted iff |<xi, c xi>| <= eps_opt * (1 + ||c||).
     """
     m = _require_square(c)
-    chord = chord_through_zero(m, cfg)
-    if chord is None:
-        return None
-    xi, res = _zero_in_span(m, chord[0], chord[1])
-    return (xi, res) if res <= cfg.eps_opt * (1.0 + _spectral_norm(m)) else None
+    scale = abs(m[0, 0]) if m.shape[0] == 1 else _spectral_norm(m)
+    if m.shape[0] == 1 or scale <= cfg.eps_eq:
+        xi, res = np.zeros(m.shape[0], dtype=np.complex128), float(abs(m[0, 0]))
+        xi[0] = 1.0
+    else:
+        chord = _chord_through_zero(m, scale, cfg)
+        if chord is None:
+            return None
+        xi, res = _zero_in_span(m, *chord)
+    return (xi, res) if res <= cfg.eps_opt * (1.0 + scale) else None

@@ -33,7 +33,6 @@ from .linalg import (
     _spectral_norm,
     _top_right_subspace,
     read_only,
-    real_part,
     shared_pair,
     spectral_norm,
     unit_exponent,
@@ -124,9 +123,14 @@ def _product_in_range(pair: Pair, cfg: ToleranceConfig) -> bool:
     )
 
 
+def _re_inner(pair: Pair) -> np.ndarray:
+    """Re<x, y> = (x^H y + y^H x) / 2."""
+    return (pair.inner + pair.inner.conj().T) / 2
+
+
 def _sum_gram(pair: Pair) -> np.ndarray:
     """|x + y|^2 = |x|^2 + |y|^2 + 2 Re<x, y>."""
-    return pair.gx + pair.gy + 2 * real_part(pair.inner)
+    return pair.gx + pair.gy + 2 * _re_inner(pair)
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +159,9 @@ def triangle_equality(
         basis = _hermitian_eig(_sum_gram(pair), cfg).top_space(cfg)
         phi = DensityState.pure(basis[:, 0])
         ok = (
-            abs(evaluate(phi, pair.gx) - nx**2) <= 10 * tol * (1.0 + nx**2)
-            and abs(evaluate(phi, pair.gy) - ny**2) <= 10 * tol * (1.0 + ny**2)
-            and abs(evaluate(phi, pair.inner) - nx * ny) <= 10 * tol * (1.0 + nx * ny)
+            abs(np.trace(phi.rho @ pair.gx) - nx**2) <= 10 * tol * (1.0 + nx**2)
+            and abs(np.trace(phi.rho @ pair.gy) - ny**2) <= 10 * tol * (1.0 + ny**2)
+            and abs(np.trace(phi.rho @ pair.inner) - nx * ny) <= 10 * tol * (1.0 + nx * ny)
         )
         if ok:
             witnesses.append(("shared_maximizing_state", phi))
@@ -388,7 +392,7 @@ def pythagoras_identity(
 ) -> OrthogonalityReport:
     """Pythagoras identity characterizations under Re(<x,y>) <= 0."""
     pair = shared_pair(x, y)
-    re_inner = real_part(pair.inner)
+    re_inner = _re_inner(pair)
     if not _hermitian_eig(-re_inner, cfg).is_psd(cfg):
         raise HypothesisViolation("pythagoras_identity requires Re(<x,y>) <= 0")
 
@@ -401,7 +405,6 @@ def pythagoras_identity(
     statements = {"pythagoras": _eq(_spectral_norm(pair.x + pair.y) ** 2, rhs, tol, rhs)}
 
     # joint maximizing state with vanishing real inner part
-    exists = False
     if nx <= cfg.eps_eq or ny <= cfg.eps_eq:
         exists = True
         if max(nx, ny) > cfg.eps_eq:
@@ -409,24 +412,12 @@ def pythagoras_identity(
             witnesses.append(("zero_real_joint_state", DensityState.pure(basis[:, 0])))
     else:
         inter = subspace_intersection(_maximizers(gx, nx, cfg), _maximizers(gy, ny, cfg), cfg)
-        if inter.shape[1] > 0:
-            comp = inter.conj().T @ re_inner @ inter
-            dec = _hermitian_eig(comp, cfg)
-            lo, hi = dec.eigenvalues[-1], dec.eigenvalues[0]
-            slack = tol * (1.0 + nx * ny)
-            if lo <= slack and hi >= -slack:
-                exists = True
-                if hi <= slack and lo >= -slack:
-                    phi = DensityState.pure(inter @ dec.eigenvectors[:, 0])
-                else:
-                    t = hi / (hi - lo)
-                    phi = DensityState.mix(
-                        [
-                            (1.0 - t, DensityState.pure(inter @ dec.eigenvectors[:, 0])),
-                            (t, DensityState.pure(inter @ dec.eigenvectors[:, -1])),
-                        ]
-                    )
-                witnesses.append(("zero_real_joint_state", phi))
+        # Re<x, y> is read at unit scale, as _bj_orthogonal reads <x, y>
+        comp = inter.conj().T @ unit_scaled(re_inner, nx * ny) @ inter
+        zero = zero_unit_vector(comp, cfg) if inter.shape[1] else None
+        exists = zero is not None
+        if exists:
+            witnesses.append(("zero_real_joint_state", DensityState.pure(inter @ zero[0])))
     statements["zero_real_joint_state"] = StatementResult(exists, 0.0)
 
     decomposed_first = abs(
@@ -459,7 +450,7 @@ def scaled_pythagoras_report(
     """
     pair = shared_pair(x, y)
     nx, ny, gx, gy = pair.nx, pair.ny, pair.gx, pair.gy
-    if _spectral_norm(real_part(pair.inner)) > cfg.eps_eq * (1.0 + nx * ny):
+    if _spectral_norm(_re_inner(pair)) > cfg.eps_eq * (1.0 + nx * ny):
         raise HypothesisViolation("scaled_pythagoras_report requires Re(<x,y>) = 0")
     zero_inner = _spectral_norm(pair.inner) <= cfg.eps_eq * (1.0 + nx * ny)
 

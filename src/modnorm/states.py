@@ -3,19 +3,20 @@
 A state is phi = tr(rho .) for a density matrix rho.  For a positive matrix p
 the states attaining |phi(p)| = ||p|| are exactly the density matrices
 supported on the top eigenspace of p, so maximizing sets are carried around as
-orthogonal projections.
+orthogonal projections.  Every witness state is pure: the numerical range of
+a compression is convex, so a state under P that kills c exists iff a unit
+vector in ran(P) does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
-from .linalg import _hermitian_drift, _spectral_norm, as_matrix, hermitian_eig, unit_scaled
-from .numrange import chord_through_zero
+from .linalg import _hermitian_drift, _hermitian_eig, as_matrix, hermitian_eig, unit_scaled
+from .numrange import zero_unit_vector
 
 
 class ZeroMatrixError(ValueError):
@@ -28,9 +29,8 @@ class DensityState:
 
     rho must be Hermitian within 1e-9 * max(||rho||, 1) in the spectral norm.
     The drift is bounded by its Frobenius norm first, and only a bound above
-    5e-10 takes the two SVD norms of the exact check.  ``pure`` and ``mix``
-    (with nonnegative real weights) build matrices that pass these checks by
-    construction, and skip them.
+    5e-10 takes the two SVD norms of the exact check.  ``pure`` builds a
+    matrix that passes these checks by construction, and skips them.
     """
 
     rho: np.ndarray
@@ -47,13 +47,6 @@ class DensityState:
             raise ValueError("density matrix must be positive semidefinite")
 
     @staticmethod
-    def _unchecked(rho: np.ndarray) -> "DensityState":
-        """A state whose rho is a density matrix by construction."""
-        state = object.__new__(DensityState)
-        object.__setattr__(state, "rho", rho)
-        return state
-
-    @staticmethod
     def pure(xi: np.ndarray) -> "DensityState":
         """The pure state of xi: v v^H for v = xi / ||xi||, Hermitian and positive
         up to the rounding of each product and of trace 1 up to rounding, so
@@ -63,22 +56,9 @@ class DensityState:
         if not (np.isfinite(norm) and norm > 0.0):
             raise ValueError("a pure state needs a finite nonzero vector")
         v = v / norm
-        return DensityState._unchecked(np.outer(v, v.conj()))
-
-    @staticmethod
-    def mix(states: list[tuple[float, "DensityState"]]) -> "DensityState":
-        """The normalized combination of the states' rho.  With nonnegative
-        real weights it is a convex combination of density matrices, so it
-        is not checked again; any other weight takes the checks of the
-        constructor."""
-        rho = sum(w * s.rho for w, s in states)
-        trace = np.trace(rho).real
-        if not trace > 0.0:
-            raise ValueError("a mixture needs a positive total trace")
-        rho = rho / trace
-        if all(isinstance(w, Real) and w >= 0 for w, _ in states) and np.isfinite(rho).all():
-            return DensityState._unchecked(rho)
-        return DensityState(rho=rho)
+        state = object.__new__(DensityState)
+        object.__setattr__(state, "rho", np.outer(v, v.conj()))
+        return state
 
 
 def evaluate(phi: DensityState, a: np.ndarray) -> complex:
@@ -127,10 +107,12 @@ def maximizing_set(
 def _maximizers(g: np.ndarray, norm: float, cfg: ToleranceConfig) -> SubspaceProjection:
     """Maximizing set of the Gram g = |m|^2 of a matrix m of norm ``norm`` > eps_eq.
 
-    The set is homogeneous in g, so g is read at unit scale: a matrix the
-    pair does not count as zero is never rejected as the zero matrix.
+    The set is homogeneous in g, so g is read at unit scale, where its norm
+    is at least 1.  A Gram is positive, so neither check of ``maximizing_set``
+    applies to it.
     """
-    return maximizing_set(unit_scaled(g, norm**2), cfg)
+    dec = _hermitian_eig(unit_scaled(g, norm**2), cfg)
+    return SubspaceProjection.from_basis(dec.top_space(cfg))
 
 
 def subspace_intersection(
@@ -146,7 +128,7 @@ def subspace_intersection(
     if p.projection.shape != q.projection.shape:
         raise ValueError("subspaces live in different ambient dimensions")
     pqp = p.projection @ q.projection @ p.projection
-    dec = hermitian_eig(pqp, cfg)
+    dec = _hermitian_eig(pqp, cfg)
     keep = dec.eigenvalues >= 1.0 - cfg.eps_opt
     return dec.eigenvectors[:, keep]
 
@@ -169,41 +151,18 @@ def witness_in_set_with_zero(
     c: np.ndarray,
     cfg: ToleranceConfig = DEFAULT_CONFIG,
 ) -> DensityState | None:
-    """A density state supported under P with tr(rho c) ~ 0, or None.
+    """A pure state supported under P with tr(rho c) ~ 0, or None.
 
-    Exists iff 0 lies in the numerical range of c compressed to ran(P); the
-    witness is a convex combination of at most two pure states built from the
-    chord of the compressed range through the origin.  On a one-dimensional
-    ran(P) the range is the point z of the 1 x 1 compression, and the witness
-    is the pure state of the basis vector when the chord would accept it:
-    |z| <= eps_opt (1 + |z|), or, on the chord's near-zero branch,
-    |z| <= eps_eq and |z| <= eps_opt (1 + ||c||), which only a config with
-    eps_opt < eps_eq reaches.
+    A density state supported under P kills c iff 0 lies in the numerical
+    range of c compressed to ran(P), which is convex; then the pure state of
+    the compression's ``zero_unit_vector``, carried back by the basis of P, is
+    one.  On a one-dimensional ran(P) that is the pure state of the basis
+    vector when the 1 x 1 compression z has |z| <= eps_opt (1 + |z|).
     """
     m = as_matrix(c)
     if m.shape != p.projection.shape:
         raise ValueError(f"dimension mismatch: projection {p.projection.shape}, matrix {m.shape}")
     if p.dim == 0:
         return None
-    comp = p.basis.conj().T @ m @ p.basis
-    if p.dim == 1:
-        z = abs(comp[0, 0])
-        if z <= cfg.eps_opt * (1.0 + z) or (
-            z <= cfg.eps_eq and z <= cfg.eps_opt * (1.0 + _spectral_norm(m))
-        ):
-            return DensityState.pure(p.basis[:, 0])
-        return None
-    chord = chord_through_zero(comp, cfg)
-    if chord is None:
-        return None
-    xi1, xi2, t, resid = chord
-    if resid > cfg.eps_opt * (1.0 + _spectral_norm(m)):
-        return None
-    v1 = p.basis @ xi1
-    v2 = p.basis @ xi2
-    # the chord weight t interpolates from the first point toward the second
-    if t >= 1.0 - 1e-15:
-        return DensityState.pure(v2)
-    if t <= 1e-15:
-        return DensityState.pure(v1)
-    return DensityState.mix([(1.0 - t, DensityState.pure(v1)), (t, DensityState.pure(v2))])
+    zero = zero_unit_vector(p.basis.conj().T @ m @ p.basis, cfg)
+    return None if zero is None else DensityState.pure(p.basis @ zero[0])

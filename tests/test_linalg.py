@@ -116,8 +116,9 @@ def test_hermitian_eig_reconstruction():
     h = rand_complex(rng, 5, 5)
     h = h + h.conj().T
     dec = hermitian_eig(h)
-    np.testing.assert_allclose(dec.reconstruct(), h, atol=1e-9 * spectral_norm(h))
-    gram = dec.eigenvectors.conj().T @ dec.eigenvectors
+    v = dec.eigenvectors
+    np.testing.assert_allclose((v * dec.eigenvalues) @ v.conj().T, h, atol=1e-9 * spectral_norm(h))
+    gram = v.conj().T @ v
     np.testing.assert_allclose(gram, np.eye(5), atol=1e-9)
 
 

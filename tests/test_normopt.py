@@ -356,6 +356,41 @@ def test_no_optimizer_runs_at_a_simple_top(monkeypatch):
     assert total / len(pairs) <= 10.0, total / len(pairs)
 
 
+def test_a_multiple_of_b_is_certified_at_the_cone_vertex(monkeypatch):
+    # for A = c B, f(lambda) = |c + lambda| ||B|| is a cone with its vertex at
+    # lambda = -c, the Frobenius start up to rounding; f there is rounding
+    # noise, so the start is certified with no step and no simplex search.
+    # A perturbation well above rounding is not certified at the start.
+    from modnorm import normopt
+
+    runs = []
+    newton = normopt._newton
+    monkeypatch.setattr(normopt, "_newton", lambda *args: runs.append(newton(*args)) or runs[-1])
+    simplex = normopt._nelder_mead
+    refused = [True]
+
+    def search(*args):
+        assert not refused[0], "simplex search at the vertex of a cone"
+        return simplex(*args)
+
+    monkeypatch.setattr(normopt, "_nelder_mead", search)
+    rng = np.random.default_rng(5)
+    for n in range(2, 9):
+        for _ in range(10):
+            b = rand_complex(rng, n, n)
+            c = complex(rng.standard_normal(), rng.standard_normal())
+            runs.clear()
+            refused[0] = True
+            res = min_lambda_norm(c * b, b, CFG)
+            assert runs[0].certified and runs[0].steps == 0
+            assert abs(res.lambda_star + c) <= 1e-14 * abs(c)
+            assert res.value <= 1e-14 * spectral_norm(c * b)
+            runs.clear()
+            refused[0] = False
+            min_lambda_norm(c * b + 1e-8 * rand_complex(rng, n, n), b, CFG)
+            assert not (runs[0].certified and runs[0].steps == 0)
+
+
 def test_criterion_01_pairs_certify_without_the_simplex_search(monkeypatch):
     # the pairs of acceptance criterion 01 (seed 20260823 + n, n = 2-5)
     _refuse_simplex_search(monkeypatch)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import modnorm
 from modnorm import (
     DEFAULT_CONFIG,
-    chord_through_zero,
     pythagoras_orthogonal,
     range_boundary,
     range_contains,
@@ -121,28 +120,55 @@ def test_range_contains_refines_between_samples():
     assert range_contains(a, (0.5 + 0.5 * tol) * np.exp(1j * theta), CFG, tol=tol)
 
 
-def test_chord_through_zero_absent():
-    # W(I + nilpotent/4) stays away from zero
+def _spy_chords(monkeypatch):
+    """Record the (xi1, xi2) of every chord that ``zero_unit_vector`` builds."""
+    chords = []
+    build = modnorm.numrange._chord_through_zero
+
+    def spy(*args):
+        chord = build(*args)
+        chords.append(chord)
+        return chord
+
+    monkeypatch.setattr(modnorm.numrange, "_chord_through_zero", spy)
+    return chords
+
+
+def _gap_to_zero(c, xi1, xi2):
+    """Distance from 0 to the chord [<xi1, c xi1>, <xi2, c xi2>] of W(c)."""
+    z1, z2 = np.vdot(xi1, c @ xi1), np.vdot(xi2, c @ xi2)
+    t = np.clip(-np.real(z1 * np.conj(z2 - z1)) / max(abs(z2 - z1) ** 2, 1e-300), 0.0, 1.0)
+    return abs(z1 + t * (z2 - z1))
+
+
+def test_chord_through_zero_absent(monkeypatch):
+    # W(I + nilpotent/4) stays away from zero: the membership test refuses
+    # before a chord is built
+    chords = _spy_chords(monkeypatch)
     a = np.eye(2, dtype=complex) + 0.25 * np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert chord_through_zero(a, CFG) is None
     assert zero_unit_vector(a, CFG) is None
+    assert chords == [None]
 
 
-def test_chord_through_zero_present():
+def test_chord_through_zero_present(monkeypatch):
+    chords = _spy_chords(monkeypatch)
     a = np.diag([-1.0, 2.0]).astype(complex)
-    chord = chord_through_zero(a, CFG)
-    assert chord is not None
-    xi1, xi2, t, resid = chord
-    # the chord is parameterized z1 + t (z2 - z1)
-    z1 = np.vdot(xi1, a @ xi1)
-    z2 = np.vdot(xi2, a @ xi2)
-    assert abs(z1 + t * (z2 - z1)) <= 1e-6 * (1 + 2.0)
-    assert resid <= 1e-6 * (1 + 2.0)
+    out = zero_unit_vector(a, CFG)
+    assert out is not None
+    # the chord between the two vectors' points passes through 0, and the
+    # zero vector lies in their span
+    (xi1, xi2), = chords
+    assert _gap_to_zero(a, xi1, xi2) <= 1e-6 * (1 + 2.0)
+    span = np.stack([xi1, xi2], axis=1)
+    xi, resid = out
+    assert np.linalg.norm(xi - span @ np.linalg.lstsq(span, xi, rcond=None)[0]) <= 1e-12
+    assert resid == abs(np.vdot(xi, a @ xi)) <= 1e-12
 
 
-def test_chord_and_zero_vector_on_polygonal_ranges():
+def test_chord_and_zero_vector_on_polygonal_ranges(monkeypatch):
     # W of a normal matrix is the polygon spanned by its eigenvalues, so the
     # boundary sampling sees the same vertex at many angles
+    chords = _spy_chords(monkeypatch)
     rng = np.random.default_rng(7)
     checked = 0
     for n in range(3, 7):
@@ -154,14 +180,10 @@ def test_chord_and_zero_vector_on_polygonal_ranges():
                 if not range_contains(c, 0.0, CFG, tol=tol):
                     continue
                 checked += 1
-                chord = chord_through_zero(c, CFG)
-                assert chord is not None
-                xi1, xi2, t, resid = chord
-                z1, z2 = np.vdot(xi1, c @ xi1), np.vdot(xi2, c @ xi2)
-                assert 0.0 <= t <= 1.0
-                assert abs(z1 + t * (z2 - z1)) <= tol and resid <= tol
+                chords.clear()
                 out = zero_unit_vector(c, CFG)
-                assert out is not None
+                assert out is not None and len(chords) == 1
+                assert _gap_to_zero(c, *chords[0]) <= tol
                 assert abs(np.vdot(out[0], c @ out[0])) <= tol
     assert checked >= 40
 
@@ -178,7 +200,7 @@ def test_chord_through_zero_calls_no_optimizer(monkeypatch):
     rng = np.random.default_rng(8)
     for n in (2, 3, 5):
         a = rand_complex(rng, n, n)
-        assert chord_through_zero(a - np.trace(a) / n * np.eye(n), CFG) is not None
+        assert zero_unit_vector(a - np.trace(a) / n * np.eye(n), CFG) is not None
     assert calls == []
 
 
@@ -196,11 +218,11 @@ def test_chord_through_zero_starts_from_four_support_points(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     a = rand_complex(np.random.default_rng(9), 4, 4)
-    assert chord_through_zero(a - np.trace(a) / 4 * np.eye(4), CFG) is not None
+    assert zero_unit_vector(a - np.trace(a) / 4 * np.eye(4), CFG) is not None
     assert stacks == [4]
     stacks.clear()
     far = a + (np.linalg.norm(a, 2) + 1.0) * np.eye(4)
-    assert chord_through_zero(far, CFG) is None
+    assert zero_unit_vector(far, CFG) is None
     assert stacks == []
 
 
@@ -226,6 +248,35 @@ def test_zero_unit_vector_near_zero_matrix():
     a = 1e-13 * np.ones((1, 1), dtype=complex)
     out = zero_unit_vector(a, CFG)
     assert out is not None
+
+
+@pytest.mark.parametrize(
+    "c, found",
+    [
+        (np.array([[0.5e-6 + 0.5e-6j]]), True),
+        (np.array([[-2e-6]]), False),
+        (np.array([[3.0]]), False),
+        (1e-10 * np.array([[0.3, 2.0], [0.0, -0.1]]), True),
+        (1e-10 * np.eye(3), True),
+    ],
+)
+def test_zero_unit_vector_reads_points_and_tiny_matrices_as_e0(monkeypatch, c, found):
+    # a 1 x 1 c is read directly, with no SVD, and a c of norm at most eps_eq
+    # gives e_0; neither builds a chord, and both accept by the one rule
+    # |<e_0, c e_0>| <= eps_opt (1 + ||c||)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a chord was built")
+
+    monkeypatch.setattr(modnorm.numrange, "_chord_through_zero", refuse)
+    c = np.asarray(c, dtype=complex)
+    if c.shape == (1, 1):
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+    out = zero_unit_vector(c, CFG)
+    assert (out is not None) == found
+    if found:
+        xi, resid = out
+        assert np.array_equal(xi, np.eye(c.shape[0])[0])
+        assert resid == abs(c[0, 0])
 
 
 def test_zero_unit_vector_shifted_disc():

@@ -1005,6 +1005,59 @@ def test_verdicts_are_unitarily_invariant(seed, family):
     assert bj_orthogonal(u @ x @ v, u @ y @ v, CFG)[0] == bj_orthogonal(x, y, CFG)[0]
 
 
+def _check_pure_witness(phi, x, y, cross, target):
+    """phi is rank one, attains ||x||^2 on |x|^2 and takes ``target`` on
+    ``cross``, a product of x or y with y, relative to ||x|| ||y|| + |target|."""
+    w = np.linalg.eigvalsh(phi.rho)
+    assert w[-1] == pytest.approx(1.0, abs=1e-12) and np.all(np.abs(w[:-1]) <= 1e-12)
+    nx, ny = np.linalg.norm(x, 2), np.linalg.norm(y, 2)
+    assert abs(np.trace(phi.rho @ x.conj().T @ x) - nx**2) <= 1e-8 * nx**2
+    assert abs(np.trace(phi.rho @ cross) - target) <= 1e-8 * (nx * ny + abs(target))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=-20, max_value=20),
+    st.integers(min_value=-20, max_value=20),
+)
+def test_every_witness_is_a_pure_state_that_attains_and_kills(seed, a, b):
+    # on families where each decider holds by construction, every witness
+    # state is the pure state of one vector: it attains ||x||^2 and kills the
+    # cross term (x^H y for BJ, Re<x, y> for the Pythagoras identity), or
+    # attains ||y||^2 (norm additivity) or ||x|| ||y|| on x^H y (triangle).
+    # Below eps_eq of the pair's scale x counts as zero, and BJ's witness is
+    # then any pure state
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    x, y = bj_engineered_true(rng, n)
+    x, y = 2.0**a * x, 2.0**b * y
+    holds, phi = bj_orthogonal(x, y, CFG)
+    assert holds
+    if shared_pair(x, y).nx <= CFG.eps_eq:
+        assert np.array_equal(phi.rho, np.diag(np.eye(n)[0]).astype(complex))
+    else:
+        _check_pure_witness(phi, x, y, x.conj().T @ y, 0.0)
+
+    x, y = _identity_true(rng, n)
+    report = pythagoras_identity(x, y, CFG)
+    assert report.verdict("zero_real_joint_state") and report.witnesses
+    for _, phi in report.witnesses:
+        _check_pure_witness(phi, x, y, (x.conj().T @ y + y.conj().T @ x) / 2, 0.0)
+
+    x, y = _shared_top(rng, n)
+    report = norm_additivity_report(x, y, CFG)
+    assert report.verdict("maximizers_meet") and report.witnesses
+    for _, phi in report.witnesses:
+        _check_pure_witness(phi, x, y, y.conj().T @ y, np.linalg.norm(y, 2) ** 2)
+
+    x, y = _colinear(rng, n)
+    report = triangle_equality(x, y, CFG)
+    assert report.verdict("norm_sum") and report.witnesses
+    for _, phi in report.witnesses:
+        _check_pure_witness(phi, x, y, x.conj().T @ y, np.linalg.norm(x, 2) * np.linalg.norm(y, 2))
+
+
 # ---------------------------------------------------------------------------
 # operation counts
 # ---------------------------------------------------------------------------

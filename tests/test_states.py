@@ -11,7 +11,6 @@ from modnorm import (
     SubspaceProjection,
     ToleranceConfig,
     ZeroMatrixError,
-    chord_through_zero,
     evaluate,
     maximizing_set,
     sets_intersect,
@@ -34,14 +33,6 @@ def test_pure_state_normalizes():
     assert evaluate(phi, np.diag([5.0, 7.0])) == pytest.approx(5.0)
 
 
-def test_mix_state():
-    phi = DensityState.mix(
-        [(0.25, DensityState.pure(_basis_vec(2, 0))), (0.75, DensityState.pure(_basis_vec(2, 1)))]
-    )
-    np.testing.assert_allclose(phi.rho, np.diag([0.25, 0.75]))
-    assert evaluate(phi, np.diag([1.0, -1.0])).real == pytest.approx(-0.5)
-
-
 def test_density_validation():
     with pytest.raises(ValueError):
         DensityState(rho=np.diag([0.5, 0.6]))  # trace 1.1
@@ -51,7 +42,7 @@ def test_density_validation():
         DensityState(rho=np.diag([1.5, -0.5]))  # not PSD
 
 
-def test_pure_and_mix_skip_the_checks_their_construction_guarantees(monkeypatch):
+def test_pure_skips_the_checks_its_construction_guarantees(monkeypatch):
     rng = np.random.default_rng(3)
     vectors = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in range(1, 9)]
     calls = []
@@ -63,10 +54,6 @@ def test_pure_and_mix_skip_the_checks_their_construction_guarantees(monkeypatch)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     states = [DensityState.pure(v) for v in vectors]
-    states += [
-        DensityState.mix([(0.3, DensityState.pure(v)), (0.7, DensityState.pure(v[::-1]))])
-        for v in vectors
-    ]
     assert calls == []
     for phi in states:
         DensityState(rho=phi.rho)  # the checking constructor accepts each one
@@ -77,13 +64,6 @@ def test_pure_and_mix_skip_the_checks_their_construction_guarantees(monkeypatch)
     for bad in (np.zeros(3), np.array([1.0, np.nan]), np.array([np.inf, 0.0])):
         with pytest.raises(ValueError):
             DensityState.pure(bad)
-    e0, e1 = DensityState.pure(_basis_vec(2, 0)), DensityState.pure(_basis_vec(2, 1))
-    with pytest.raises(ValueError, match="positive semidefinite"):
-        DensityState.mix([(2.0, e0), (-1.0, e1)])  # a negative weight is checked
-    with pytest.raises(ValueError, match="Hermitian"):
-        DensityState.mix([(1j, e0), (1.0, e1)])  # so is a complex one
-    with pytest.raises(ValueError):
-        DensityState.mix([(0.0, e0), (0.0, e1)])
 
 
 @pytest.mark.parametrize(
@@ -213,42 +193,36 @@ def test_witness_in_set_with_zero_absent():
 
 
 def test_witness_chord_weight_orientation():
-    # forces a genuine two-point chord: compressed matrix is diag(-3, 1)
+    # forces a genuine two-point chord: compressed matrix is diag(-3, 1); the
+    # witness is the pure state of the zero in the chord's span, |e0 + sqrt(3) e1|^2 / 4
     p = SubspaceProjection.from_basis(np.eye(2, dtype=complex))
     c = np.diag([-3.0, 1.0]).astype(complex)
     w = witness_in_set_with_zero(p, c, CFG)
     assert w is not None
-    assert abs(evaluate(w, c)) <= 1e-5 * 4
+    assert abs(evaluate(w, c)) <= 1e-12
+    np.testing.assert_allclose(np.abs(w.rho), [[0.25, 3**0.5 / 4], [3**0.5 / 4, 0.75]], atol=1e-12)
 
 
 @pytest.mark.parametrize("cfg", [CFG, ToleranceConfig(eps_eq=1e-3)], ids=["default", "eps_eq>eps_opt"])
 @pytest.mark.parametrize("z", [0.0, 1e-7j, -0.99e-6, 1.01e-6, 5e-6, (1 + 1j) * 1e-3, 2.0])
 def test_witness_on_a_line_reads_the_point_without_a_chord(monkeypatch, z, cfg):
     # on a one-dimensional P, W of the 1 x 1 compression is its entry z: the
-    # witness is the pure state of the basis vector iff chord_through_zero
-    # finds a chord there, which at the default tolerances is |z| within
-    # eps_opt (1 + |z|); with eps_eq above eps_opt the chord's near-zero
-    # branch also accepts 1.01e-6 (|z| <= eps_eq and <= eps_opt (1 + ||c||))
-    import modnorm.states
+    # witness is the pure state of the basis vector iff |z| <= eps_opt (1 + |z|),
+    # whatever eps_eq is, and no chord is built
+    import modnorm.numrange
 
     rng = np.random.default_rng(7)
     u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
     c = u @ np.diag([z, 1.0, -1.0]) @ u.conj().T
     p = SubspaceProjection.from_basis(u[:, :1])
-    comp = p.basis.conj().T @ c @ p.basis
-    chord = chord_through_zero(comp, cfg)
-    found = chord is not None and chord[3] <= cfg.eps_opt * (1.0 + np.linalg.norm(c, 2))
+    found = abs(z) <= cfg.eps_opt * (1.0 + abs(z))
 
     def refuse(*args, **kwargs):
         raise AssertionError("a chord was built for a point")
 
-    monkeypatch.setattr(modnorm.states, "chord_through_zero", refuse)
+    monkeypatch.setattr(modnorm.numrange, "_chord_through_zero", refuse)
     w = witness_in_set_with_zero(p, c, cfg)
     assert (w is not None) == found
-    if cfg is CFG:
-        assert found == (abs(z) <= CFG.eps_opt * (1.0 + abs(z)))
-    else:
-        assert found == (abs(z) <= 1.01e-6)
     if found:
         assert np.array_equal(w.rho, DensityState.pure(u[:, 0]).rho)
 
