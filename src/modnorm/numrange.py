@@ -4,7 +4,15 @@ W(A) = { <xi, A xi> : ||xi|| = 1 } is compact and convex, with support
 function h(theta) = lambda_max(Re(e^{-i theta} A)).  Membership is decided
 exactly, without an angle scan or an optimizer.  For a Hermitian A, W(A) is
 the interval [lambda_min, lambda_max], read from one ``eigvalsh``.  For a
-general A, h(theta) - level changes sign only at angles where w = e^{i theta}
+general A, whether h dips below a level is decided in two steps.  First the
+four axis support points, at theta = 0, pi/2, pi, 3 pi/2, come from one
+stack of two Hermitian eigenproblems, Re A and Im A.  Some h(theta_k) below
+level - delta answers yes.  Their quadrilateral is inscribed in W(A), so its
+support function bounds h from below (Johnson, SIAM J. Numer. Anal. 15,
+1978), and a minimum of it at least level + delta answers no.  delta =
+8 eps n ||A||_F covers the rounding of the four points, so each answer is a
+proof.  Only a level within delta of what they show goes on to the arc test.
+There h(theta) - level changes sign only at angles where w = e^{i theta}
 is an eigenvalue of the quadratic pencil det(w^2 A^H - 2 level w I + A) = 0.
 A shift-and-invert substitution w = mu + 1/s makes that pencil monic, so one
 ``eigvals`` of its 2n x 2n companion matrix finds them (Tisseur & Meerbergen,
@@ -95,13 +103,89 @@ def _boundary(m: np.ndarray, angles: int) -> RangeBoundary:
     return RangeBoundary(angles=thetas, support_values=w[:, -1], extreme_points=pts, vectors=vecs)
 
 
+# (eigenproblem, eigenvalue) of the support points at theta = 0, pi/2, pi,
+# 3 pi/2: the top of Re c, the top of Im c, the bottom of Re c, the bottom of Im c
+_AXIS_ENDS = (np.array([0, 1, 0, 1]), np.array([-1, -1, 0, 0]))
+
+
+def _axis_support(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(h, points, vectors) at theta = 0, pi/2, pi, 3 pi/2, for a validated square c.
+
+    Re(e^{-i theta} c) is Re c, Im c, -Re c and -Im c there, so one stack of
+    two Hermitian eigenproblems gives all four: h(theta + pi) and its vector
+    read the other end of the same spectrum.  points[k] = <vectors[k], c
+    vectors[k]> is the support point at the k-th angle, and the four run
+    counterclockwise round the boundary of W(c).
+    """
+    ch = c.conj().T
+    w, v = np.linalg.eigh(np.stack([c + ch, (ch - c) * 1j]) / 2)
+    h = w[_AXIS_ENDS]
+    h[2:] = -h[2:]
+    vecs = v[_AXIS_ENDS[0], :, _AXIS_ENDS[1]]
+    return h, np.einsum("ki,ij,kj->k", vecs.conj(), c, vecs), vecs
+
+
+# Rounding allowance of the axis certificate, per unit of n ||c||_F: it covers
+# the eigenvalues of Re c and Im c and the support points read from them.
+_AXIS_ROUNDING = 8.0 * np.finfo(float).eps
+
+
+def _axis_verdict(h: np.ndarray, pts: np.ndarray, level: float, delta: float) -> bool | None:
+    """Whether h dips below ``level``, when the four axis support values h and
+    points pts settle it with ``delta`` to spare; None when they do not.
+
+    True when some h(theta_k) < level - delta.  The quadrilateral of the four
+    points is inscribed in W(c), so its own support function bounds h from
+    below, and its minimum over the angles is its inner distance from 0 when 0
+    lies inside it, or minus its distance from 0 otherwise: False when that is
+    at least level + delta.  0 counts as inside only when it lies more than
+    delta inside every edge, which leaves out a quadrilateral collapsed to a
+    segment; the distance is the distance to the nearest edge.
+    """
+    if h.min() < level - delta:
+        return True
+    d = np.concatenate([pts[1:], pts[:1]]) - pts
+    length = np.abs(d)
+    edge = length > 0.0
+    # signed distance from 0 past each edge's line, along its outward normal
+    # n = -i d / |d|: -Re(conj(n) p) = -Re(i conj(d) p) / |d| = Im(conj(d) p) / |d|
+    gap = np.imag(np.conj(d[edge]) * pts[edge]) / length[edge]
+    inner = -gap.max() if gap.size else -np.inf
+    if inner <= delta:
+        inner = -np.min(np.abs(pts + _segment_weight(pts, d) * d))
+    return False if inner >= level + delta else None
+
+
 # Shifts for the arc test, off the unit circle where the wanted roots lie; the
 # second is tried when L(mu) is singular at the first.
 _ARC_SHIFTS = (0.5 + 0.3j, -0.6 + 0.45j)
 
 
-def _dips_below(c: np.ndarray, level: float) -> bool:
+def _dips_below(
+    c: np.ndarray,
+    level: float,
+    axis: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> bool:
     """Whether h(theta) < level at some angle, for a validated square c.
+
+    The four axis support values and points (``axis``, from
+    ``_axis_support(c)`` when not given) decide first, with
+    delta = 8 eps n ||c||_F to cover their rounding (``_axis_verdict``).
+    Only a level within that band of them goes on to the arc test.
+
+    The question is homogeneous in (c, level), and since |h| <= ||c||_2 <=
+    ||c||_F, a c with ||c||_F <= |level| is decided by the sign of level.
+    """
+    size = float(np.linalg.norm(c))
+    if size <= abs(level):
+        return level > 0.0
+    h, pts, _ = _axis_support(c) if axis is None else axis
+    verdict = _axis_verdict(h, pts, level, _AXIS_ROUNDING * c.shape[0] * size)
+    return _arc_dips_below(c, level, size) if verdict is None else verdict
+
+
+def _arc_dips_below(c: np.ndarray, level: float, size: float) -> bool:
+    """``_dips_below`` by the arc test alone, for c with ||c||_F = size > |level|.
 
     h - level changes sign only where level is an eigenvalue of
     Re(e^{-i theta} c), that is where w = e^{i theta} solves det L(w) = 0 for
@@ -122,13 +206,9 @@ def _dips_below(c: np.ndarray, level: float) -> bool:
     an eigenvalue of every Re(e^{-i theta} c), so h >= level everywhere and
     the answer is False.
 
-    The question is homogeneous in (c, level), so both are first scaled by
-    the power of two that puts ||c||_F in [1, 2).  Since |h| <= ||c||_2 <=
-    ||c||_F, a c with ||c||_F <= |level| is decided by the sign of level.
+    Both c and level are first scaled by the power of two that puts
+    ||c||_F in [1, 2).
     """
-    size = float(np.linalg.norm(c))
-    if size <= abs(level):
-        return level > 0.0
     level = float(np.ldexp(level, unit_exponent(size)))
     c = unit_scaled(c, size)
     n = c.shape[0]
@@ -160,7 +240,9 @@ def support_dips_below(a: np.ndarray, level: float) -> bool:
 
     For level > 0 this says that 0 lies outside W(a) or within ``level`` of
     its boundary; for level = -tol, that 0 lies farther than tol outside
-    W(a).  Decided exactly by the arc test of the module docstring.
+    W(a).  Decided exactly: first by the four axis support points, with
+    delta = 8 eps n ||a||_F to spare, then, for a level within delta of what
+    they settle, by the arc test of the module docstring.
     """
     return _dips_below(_require_square(a), float(level))
 
@@ -176,12 +258,19 @@ def range_contains(
     z is accepted when h(theta) - Re(e^{-i theta} z) >= -tol at every angle,
     that is when its distance to W(a) is at most tol.  For a equal to its
     adjoint bit for bit, that distance is measured to [lambda_min,
-    lambda_max]; otherwise a - z I goes through the arc test at level -tol.
+    lambda_max].  Otherwise a - z I goes to ``support_dips_below`` at level
+    -tol: the four axis support points settle it unless -tol lies within
+    delta = 8 eps n ||a - z I||_F of what they show, and the arc test settles
+    the rest.
     """
     m = _require_square(a)
     if tol is None:
         tol = cfg.eps_eq * (1.0 + _spectral_norm(m))
-    z = complex(z)
+    return _contains(m, complex(z), tol)
+
+
+def _contains(m: np.ndarray, z: complex, tol: float) -> bool:
+    """``range_contains`` on a validated square matrix, with its tolerance."""
     if np.array_equal(m, m.conj().T):
         w = np.linalg.eigvalsh(m)
         return abs(complex(z.real - np.clip(z.real, w[0], w[-1]), z.imag)) <= tol
@@ -250,7 +339,10 @@ def _chord_through_zero(
     outside W(m), which the exact membership test decides first.
 
     The polygon inscribed in W(m) starts from the support points at theta = 0,
-    pi/2, pi, 3 pi/2, the extreme eigenvectors of Re m and Im m.  While 0 lies
+    pi/2, pi, 3 pi/2, the extreme eigenvectors of Re m and Im m.  The
+    membership test reads the same four points first, as its certificate
+    (``_axis_verdict``, with delta = 8 eps n ||m||_F), and runs the arc test
+    only when -tol lies within delta of what they settle.  While 0 lies
     outside it, the edge with the largest signed gap to 0 along its outward
     normal n is cut by the support point at angle arg n (Johnson, SIAM J.
     Numer. Anal. 15, 1978), until that gap, or the outward move of the new
@@ -260,10 +352,10 @@ def _chord_through_zero(
     the polygon.
     """
     tol = cfg.eps_opt * (1.0 + scale)
-    if _dips_below(m, -tol):
+    axis = _axis_support(m)
+    if _dips_below(m, -tol, axis):
         return None
-    start = _boundary(m, 4)
-    pts, vecs = start.extreme_points, start.vectors
+    _, pts, vecs = axis
     on_ray = cfg.eps_eq * (1.0 + scale)
     while True:
         k, i, s, x = _ray_exit(pts, on_ray)

@@ -39,7 +39,7 @@ from .linalg import (
     unit_scaled,
 )
 from .normopt import HypothesisViolation, _bj_orthogonal
-from .numrange import range_contains, support_dips_below, zero_unit_vector
+from .numrange import _contains, support_dips_below, zero_unit_vector
 from .states import (
     DensityState,
     SubspaceProjection,
@@ -118,9 +118,7 @@ def _product_in_range(pair: Pair, cfg: ToleranceConfig) -> bool:
     target = pair.nx**2 * pair.ny**2
     k = unit_exponent(target)
     scaled = float(np.ldexp(target, k))
-    return range_contains(
-        unit_scaled(pair.gx @ pair.gy, target), scaled, cfg, tol=cfg.eps_opt * (1.0 + scaled)
-    )
+    return _contains(unit_scaled(pair.gx @ pair.gy, target), scaled, cfg.eps_opt * (1.0 + scaled))
 
 
 def _re_inner(pair: Pair) -> np.ndarray:
@@ -149,7 +147,7 @@ def triangle_equality(
     statements = {
         "norm_sum": _eq(nsum, nx + ny, tol, nx + ny),
         "product_in_inner_range": StatementResult(
-            range_contains(pair.inner, nx * ny, cfg, tol=tol * (1.0 + nx * ny)),
+            _contains(pair.inner, nx * ny, tol * (1.0 + nx * ny)),
             0.0,
         ),
     }
@@ -245,7 +243,7 @@ def norm_additivity_report(
         "maximizers_meet": StatementResult(meet, 0.0),
         "product_in_range": StatementResult(_product_in_range(pair, cfg), 0.0),
         "sum_in_range": StatementResult(
-            range_contains(gx + gy, nx**2 + ny**2, cfg, tol=tol * (1.0 + nx**2 + ny**2)),
+            _contains(gx + gy, nx**2 + ny**2, tol * (1.0 + nx**2 + ny**2)),
             0.0,
         ),
     }

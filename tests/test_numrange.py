@@ -205,25 +205,31 @@ def test_chord_through_zero_calls_no_optimizer(monkeypatch):
 
 
 def test_chord_through_zero_starts_from_four_support_points(monkeypatch):
-    # membership is decided by the exact arc test first; only when 0 is in
-    # W(c) does the polygon start, from one stack of the four axis support
-    # problems, and every later cut solves a single Hermitian eigenproblem
-    stacks = []
-    real = np.linalg.eigh
+    # the membership test reads the four axis support points from one stack
+    # of two Hermitian eigenproblems (Re c and Im c); they settle it here
+    # without the arc test, and the polygon starts from the same four points,
+    # so every later cut solves a single Hermitian eigenproblem
+    stacks, arcs = [], []
+    real_eigh, real_eigvals = np.linalg.eigh, np.linalg.eigvals
 
     def counting(m, *args, **kwargs):
         if np.ndim(m) == 3:
             stacks.append(len(m))
-        return real(m, *args, **kwargs)
+        return real_eigh(m, *args, **kwargs)
+
+    def arc(m, *args, **kwargs):
+        arcs.append(1)
+        return real_eigvals(m, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
+    monkeypatch.setattr(np.linalg, "eigvals", arc)
     a = rand_complex(np.random.default_rng(9), 4, 4)
     assert zero_unit_vector(a - np.trace(a) / 4 * np.eye(4), CFG) is not None
-    assert stacks == [4]
+    assert stacks == [2] and arcs == []
     stacks.clear()
     far = a + (np.linalg.norm(a, 2) + 1.0) * np.eye(4)
     assert zero_unit_vector(far, CFG) is None
-    assert stacks == []
+    assert stacks == [2] and arcs == []
 
 
 def test_range_boundary_needs_an_angle():
@@ -538,11 +544,48 @@ _DIP_FAMILIES = {
 }
 
 
-def test_support_dips_below_agrees_with_qz_and_a_dense_scan():
+def _axis_spy(monkeypatch):
+    """Record each verdict of the axis certificate as (level, verdict), and
+    return them with a switch: while ``alone[0]`` is true the certificate
+    abstains, so ``support_dips_below`` runs the arc test alone."""
+    verdicts, alone = [], [False]
+    real = modnorm.numrange._axis_verdict
+
+    def spy(h, pts, level, delta):
+        if alone[0]:
+            return None
+        out = real(h, pts, level, delta)
+        verdicts.append((level, out))
+        return out
+
+    monkeypatch.setattr(modnorm.numrange, "_axis_verdict", spy)
+    return verdicts, alone
+
+
+def _both_routes(c, level, spy):
+    """support_dips_below(c, level) with the axis certificate, then by the arc
+    test alone; the second is run only when the certificate settled the
+    first, since otherwise the first already ran the arc test alone."""
+    verdicts, alone = spy
+    seen = len(verdicts)
+    with_certificate = support_dips_below(c, level)
+    if len(verdicts) == seen or verdicts[-1][1] is None:
+        return with_certificate, with_certificate
+    alone[0] = True
+    try:
+        return with_certificate, support_dips_below(c, level)
+    finally:
+        alone[0] = False
+
+
+def test_support_dips_below_agrees_with_qz_and_a_dense_scan(monkeypatch):
     # 25 matrices, each scanned at 20001 angles, and 44 similarities of each by
     # a permutation times a diagonal unitary: these keep every zero entry and
     # leave h unchanged, so the scan of the matrix serves all its similarities;
-    # with five levels about the scanned minimum that makes 5500 cases
+    # with five levels about the scanned minimum that makes 5500 cases.  Each
+    # is decided twice, with the axis certificate and by the arc test alone,
+    # and both must agree with the oracle
+    spy = _axis_spy(monkeypatch)
     rng = np.random.default_rng(16)
     thetas = 2 * np.pi * np.arange(20001) / 20001
     cases, missed, differ, flat_cases = 0, [], [], 0
@@ -560,19 +603,66 @@ def test_support_dips_below_agrees_with_qz_and_a_dense_scan():
                 phase = np.exp(2j * np.pi * rng.random(n))
                 c = phase[:, None] * base[np.ix_(perm, perm)] * phase.conj()[None, :]
                 for offset in (-1e-3, -1e-7, 0.0, 1e-7, 1e-3):
-                    dips = support_dips_below(c, low + offset)
+                    routes = _both_routes(c, low + offset, spy)
                     cases += 1
                     if flat and offset == 0.0:
                         flat_cases += 1
-                    elif dips != _qz_dips_below(c, low + offset):
-                        differ.append((name, n, offset))
+                    elif routes != (_qz_dips_below(c, low + offset),) * 2:
+                        differ.append((name, n, offset, routes))
                     # the scan saw h below these levels, and h stays 1e-3 above this one
-                    if dips != (offset > 0.0) and offset in (-1e-3, 1e-7, 1e-3):
-                        missed.append((name, n, offset))
+                    if routes != (offset > 0.0,) * 2 and offset in (-1e-3, 1e-7, 1e-3):
+                        missed.append((name, n, offset, routes))
     # the gram family and the 2 x 2 strictly upper matrix (a disc about 0)
     assert (cases, flat_cases) == (5500, 264)
+    # the sliver, whose support dips to -5.78e-9, and 20 of its similarities
+    for _ in range(20):
+        perm = rng.permutation(3)
+        phase = np.exp(2j * np.pi * rng.random(3))
+        c = phase[:, None] * SLIVER[np.ix_(perm, perm)] * phase.conj()[None, :]
+        for level in (-1e-8, -6e-9, -5.5e-9, 0.0, 1e-8, 1e-3):
+            routes = _both_routes(c, level, spy)
+            if routes != (_qz_dips_below(c, level),) * 2:
+                differ.append(("sliver", 3, level, routes))
     assert missed == []
     assert differ == []
+    # the certificate settles cases each way and leaves some to the arc test
+    assert {verdict for _, verdict in spy[0]} == {True, False, None}
+
+
+# (eigenvalues, the minimum of h over the angles) of two normal matrices.  The
+# square's h is smallest, 1, at the four axis angles; the rhombus has its
+# vertices on the axes, so its four axis support points span W itself, and its
+# h is smallest, 12/5, at the edge normals.
+_AXIS_SHAPES = (
+    (np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]), 1.0),
+    (np.array([3.0, 4j, -3.0, -4j]), 12 / 5),
+)
+
+
+def test_axis_certificate_decides_only_what_it_proves(monkeypatch):
+    # a level a few units in the last place from the minimum of h is closer to
+    # it than the rotated matrix's four axis support points can be read, so
+    # the certificate must leave it to the arc test; at 1e-3 from the minimum
+    # it settles what the four points show: the square's h(0) below, the
+    # rhombus's inner distance above, and neither the other way
+    verdicts, _ = _axis_spy(monkeypatch)
+    rng = np.random.default_rng(18)
+    for (eigs, low), settled in zip(_AXIS_SHAPES, ((None, True), (False, None))):
+        # the largest double with h >= it everywhere, and the least one below
+        # some h; 1 is a double, and 12/5 lies between two
+        floor = low if low == 1.0 else np.nextafter(low, 0.0)
+        above = np.nextafter(low, np.inf)
+        for _ in range(40):
+            u = rand_unitary(rng, 4)
+            c = u @ np.diag(eigs) @ u.conj().T
+            for level in (np.nextafter(floor, 0.0), floor, above, np.nextafter(above, np.inf)):
+                verdicts.clear()
+                support_dips_below(c, level)
+                assert verdicts == [(level, None)], (eigs, level)
+            for level, verdict in zip((low - 1e-3, low + 1e-3), settled):
+                verdicts.clear()
+                assert support_dips_below(c, level) == (level > low)
+                assert verdicts == [(level, verdict)], (eigs, level)
 
 
 @pytest.mark.parametrize(
@@ -584,20 +674,23 @@ def test_support_dips_below_agrees_with_qz_and_a_dense_scan():
         (np.array([[0, 0, 1], [0, 0, 1j], [1, 1j, 0]], dtype=complex), False),
     ],
 )
-def test_support_dips_below_on_singular_pencils(c, below):
+def test_support_dips_below_on_singular_pencils(monkeypatch, c, below):
     # at level 0, det(w^2 c^H + c) vanishes for every w: every shift is
-    # singular, and h >= 0 everywhere because 0 is an eigenvalue at every angle
-    assert not support_dips_below(c, 0.0)
+    # singular, and h >= 0 everywhere because 0 is an eigenvalue at every
+    # angle; each level is decided with the axis certificate and by the arc
+    # test alone
+    spy = _axis_spy(monkeypatch)
+    assert _both_routes(c, 0.0, spy) == (False, False)
     assert not _qz_dips_below(c, 0.0)
     rng = np.random.default_rng(17)
     for u in [np.eye(3)] + [rand_unitary(rng, 3) for _ in range(8)]:
         r = u @ c @ u.conj().T
-        assert support_dips_below(r, 1e-12) == _qz_dips_below(r, 1e-12) == below
-        assert support_dips_below(r, -1e-12) == _qz_dips_below(r, -1e-12) is False
+        assert _both_routes(r, 1e-12, spy) == (_qz_dips_below(r, 1e-12),) * 2 == (below,) * 2
+        assert _both_routes(r, -1e-12, spy) == (_qz_dips_below(r, -1e-12),) * 2 == (False,) * 2
         # a rotation leaves det L(w) = 0 only up to rounding, so no shift is
         # exactly singular; at level 0 the arc where h = 0 is read at rounding
         # level, which decides the triangle's answer, but no error is raised
-        assert support_dips_below(r, 0.0) in (below, False)
+        assert set(_both_routes(r, 0.0, spy)) <= {below, False}
 
 
 def _forbid_scans_and_optimizers(monkeypatch):

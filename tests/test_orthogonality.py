@@ -1091,9 +1091,10 @@ def test_scaled_identity_norms_are_one_stacked_svd(monkeypatch):
 
 
 def _count_factorizations(monkeypatch):
-    """From now on, the number of SVD and eigh calls, each batched call
-    counting once; SVDs behind ``np.linalg.norm`` count too."""
-    counts = {"svd": 0, "eigh": 0}
+    """From now on, the number of LAPACK factorizations by kind, each batched
+    call counting once: the SVDs (those behind ``np.linalg.norm`` too), the
+    Hermitian eigensolves, and the arc test's ``solve`` and ``eigvals``."""
+    counts = dict.fromkeys(("svd", "eigh", "eigvalsh", "eigvals", "solve"), 0)
     modules = [np.linalg, sys.modules.get("numpy.linalg._linalg")]
     for name in counts:
         original = getattr(np.linalg, name)
@@ -1109,12 +1110,13 @@ def _count_factorizations(monkeypatch):
 
 
 # One seeded 4x4 pair on which each decider's primary statement holds, and
-# the most SVD and eigh calls the decider may make on it.
+# the most LAPACK factorizations, of all kinds together, the decider may make
+# on it.
 COUNTED = {
-    "bj_orthogonal": (bj_orthogonal, bj_engineered_true, 4, 2),
-    "norm_additivity_report": (norm_additivity_report, _shared_top, 4, 3),
-    "triangle_equality": (triangle_equality, _colinear, 3, 1),
-    "pythagoras_identity": (pythagoras_identity, _identity_true, 7, 5),
+    "bj_orthogonal": (bj_orthogonal, bj_engineered_true, 5),
+    "norm_additivity_report": (norm_additivity_report, _shared_top, 9),
+    "triangle_equality": (triangle_equality, _colinear, 5),
+    "pythagoras_identity": (pythagoras_identity, _identity_true, 11),
 }
 
 
@@ -1122,11 +1124,10 @@ COUNTED = {
 def test_factorization_counts_stay_bounded(monkeypatch, name):
     # counts do not depend on the machine, so a decider that starts to
     # factor one matrix twice fails here even when no timing notices
-    decider, family, max_svds, max_eighs = COUNTED[name]
+    decider, family, max_total = COUNTED[name]
     x, y = family(np.random.default_rng(7), 4)
     counts = _count_factorizations(monkeypatch)
     out = decider(x, y, CFG)
     holds = out[0] if name == "bj_orthogonal" else next(iter(out.statements.values())).verdict
     assert holds
-    assert counts["svd"] <= max_svds, counts
-    assert counts["eigh"] <= max_eighs, counts
+    assert sum(counts.values()) <= max_total, counts

@@ -18,7 +18,12 @@ falls on both sides alike, which separate processes cannot promise.
 It prints, per seed and over all seeds, each side's ops/s (pairs over the sum
 of the per-pair minima), the change's gain, how many pair operations
 serialize differently between the sides, and each side's ground-truth
-failures (``workloads.check_pair``).  ``bench/`` is imported, never edited.
+failures (``workloads.check_pair``).  Then, for each side, the LAPACK calls
+per op by kind (``svd``, ``eigh``, ``eigvalsh``, ``eigvals``, ``solve``;
+a batched call counts once), from one more cold run of every pair with
+counting wrappers on ``numpy.linalg``, outside the timed runs.  These counts
+do not depend on the machine, so they show where a change in ops/s comes
+from.  ``bench/`` is imported, never edited.
 """
 
 import argparse
@@ -35,7 +40,10 @@ from pathlib import Path
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import numpy as np  # noqa: E402
+
 SIDES = ("parent", "change")
+LAPACK = ("svd", "eigh", "eigvalsh", "eigvals", "solve")
 
 
 def load_side(checkout: Path, name: str, root: Path):
@@ -83,10 +91,39 @@ def time_pair(workloads, tables, pair, cfg, repeats: int) -> tuple[float, list[s
     return best, texts, raws
 
 
+def count_lapack(workloads, tables, pair, cfg, counts: dict) -> None:
+    """Add to ``counts`` the LAPACK calls, by kind, of one cold run of the pair.
+
+    The wrappers go on ``numpy.linalg`` and on the module that holds its
+    functions, where ``np.linalg.norm`` finds ``svd``.
+    """
+    for table in tables:
+        table._entries.clear()
+    modules = [np.linalg, sys.modules.get("numpy.linalg._linalg")]
+    saved = []
+    for kind in LAPACK:
+        original = getattr(np.linalg, kind)
+
+        def counting(*args, _kind=kind, _original=original, **kwargs):
+            counts[_kind] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if module is not None and getattr(module, kind, None) is original:
+                saved.append((module, kind, original))
+                setattr(module, kind, counting)
+    try:
+        workloads.pair_operation(pair, cfg)
+    finally:
+        for module, kind, original in saved:
+            setattr(module, kind, original)
+
+
 def run_seed(sides: dict, workload: str, seed: int, repeats: int) -> dict:
     pool = sides["parent"][0].make_pool(workload, seed)
     totals = {side: 0.0 for side in SIDES}
     failures = {side: 0 for side in SIDES}
+    calls = {side: dict.fromkeys(LAPACK, 0) for side in SIDES}
     differ = 0
     for i, pair in enumerate(pool):
         texts = {}
@@ -95,19 +132,26 @@ def run_seed(sides: dict, workload: str, seed: int, repeats: int) -> dict:
             seconds, texts[side], raws = time_pair(workloads, tables, pair, cfg, repeats)
             totals[side] += seconds
             failures[side] += bool(workloads.check_pair(pair, raws, cfg))
+            count_lapack(workloads, tables, pair, cfg, calls[side])
         differ += texts["parent"] != texts["change"]
-    return {"pairs": len(pool), "seconds": totals, "failures": failures, "differ": differ}
+    return {"pairs": len(pool), "seconds": totals, "failures": failures, "differ": differ,
+            "calls": calls}
 
 
 def report(label: str, result: dict) -> str:
     rate = {side: result["pairs"] / result["seconds"][side] for side in SIDES}
     gain = rate["change"] / rate["parent"] - 1.0
-    return (
+    lines = [
         f"{label}: {result['pairs']} pairs, ops/s parent {rate['parent']:.1f} "
         f"change {rate['change']:.1f} ({gain:+.1%}); outputs differ on {result['differ']}; "
         f"ground-truth failures parent {result['failures']['parent']} "
         f"change {result['failures']['change']}"
-    )
+    ]
+    for side in SIDES:
+        per_op = {kind: n / result["pairs"] for kind, n in result["calls"][side].items()}
+        shown = " ".join(f"{kind} {value:.2f}" for kind, value in per_op.items())
+        lines.append(f"  LAPACK calls per op, {side}: {shown} (all {sum(per_op.values()):.2f})")
+    return "\n".join(lines)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -126,7 +170,8 @@ def main(argv: list[str] | None = None) -> int:
             package, workloads = load_side(checkout.resolve(), f"modnorm_{side}", Path(tmp))
             sides[side] = (workloads, shared_tables(package), package.ToleranceConfig())
         total = {"pairs": 0, "seconds": dict.fromkeys(SIDES, 0.0),
-                 "failures": dict.fromkeys(SIDES, 0), "differ": 0}
+                 "failures": dict.fromkeys(SIDES, 0), "differ": 0,
+                 "calls": {side: dict.fromkeys(LAPACK, 0) for side in SIDES}}
         for seed in args.seeds:
             result = run_seed(sides, args.workload, seed, args.repeats)
             print(report(f"seed {seed}", result), flush=True)
@@ -135,6 +180,8 @@ def main(argv: list[str] | None = None) -> int:
             for side in SIDES:
                 total["seconds"][side] += result["seconds"][side]
                 total["failures"][side] += result["failures"][side]
+                for kind in LAPACK:
+                    total["calls"][side][kind] += result["calls"][side][kind]
         print(report("all seeds", total))
     return 0
 
