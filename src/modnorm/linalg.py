@@ -47,7 +47,7 @@ def as_matrix(a: np.ndarray) -> np.ndarray:
 
 def read_only(m: np.ndarray) -> np.ndarray:
     """m with its writeable flag cleared, so it can be shared between callers."""
-    m.flags.writeable = False
+    m.setflags(write=False)
     return m
 
 
@@ -120,10 +120,10 @@ class Pair:
     (2^k x, 2^k y) gives bit-identical normalized matrices and every verdict
     read from them is scale-free.  ||x||, ||y||, x^H x, y^H y and x^H y of
     the normalized pair, bases of its joint column and row spaces, and
-    whatever a decider keeps with ``memo``, are computed on first read and
-    kept, so a caller that needs only the normalized bits pays for none of
-    them.  Every array is read-only, so a ``Pair`` and whatever is built from
-    it can be shared between callers.
+    whatever a decider keeps with ``memo`` (lattice profiles, the min-lambda
+    solution, maximizing sets) are computed on first read and kept, so a
+    caller that needs only the normalized bits pays for none of them.  Every
+    array is read-only, so a ``Pair`` and what is built from it can be shared.
     """
 
     __slots__ = ("x", "y", "exponent", "_known")
@@ -139,13 +139,13 @@ class Pair:
         self._known: dict[Hashable, object] = {}
 
     def memo(self, key: Hashable, compute: Callable[[], object]) -> object:
-        """The value kept under ``key``, ``compute()`` on first read: a
-        deterministic function of the normalized bits and of ``key``."""
-        known = self._known
-        if key not in known:
+        """The value kept under ``key``, ``compute()`` on first read: never None,
+        a deterministic function of the normalized bits and of ``key``."""
+        value = self._known.get(key)
+        if value is None:
             # threads that miss together compute identical values; one is kept
-            known.setdefault(key, compute())
-        return known[key]
+            value = self._known.setdefault(key, compute())
+        return value
 
     @property
     def nx(self) -> float:

@@ -44,8 +44,7 @@ from .linalg import (
     top_right_space,
     unit_scaled,
 )
-from .numrange import zero_unit_vector
-from .states import DensityState, _maximizers, witness_in_set_with_zero
+from .states import DensityState, _compressed_zero, _maximizers, witness_in_set_with_zero
 
 _SIMPLE_GAP = 1e-7  # relative gap below which the top singular value is multiple
 _STATIONARY = 1e-10  # |u^H B v| <= _STATIONARY * ||B|| certifies lambda*
@@ -393,9 +392,9 @@ def sup_m(
     if sub.shape[1] > 1:
         # on a one-dimensional subspace W of the 1 x 1 compression is a point,
         # and xi is the basis vector whether or not that point is 0
-        zero = zero_unit_vector(sub.conj().T @ (d.conj().T @ bm) @ sub, cfg)
+        zero = _compressed_zero(sub, d.conj().T @ bm, cfg)
         if zero is not None:
-            xi = sub @ zero[0]
+            xi = zero
     return float(np.ldexp(_m_value(am, bm, xi, solution.nb, cfg), 2 * pair.exponent)), xi
 
 
@@ -408,22 +407,22 @@ def bj_orthogonal(
     to everything (the defining inequality is trivial); any pure state
     witnesses it.
     """
-    pair = shared_pair(x, y)
-    return _bj_orthogonal(pair.gx, pair.inner, pair.nx, pair.ny, cfg)
+    return _bj_orthogonal(shared_pair(x, y), "x", cfg)
 
 
 def _bj_orthogonal(
-    gx: np.ndarray, inner: np.ndarray, nx: float, ny: float, cfg: ToleranceConfig
+    pair: Pair, side: str, cfg: ToleranceConfig
 ) -> tuple[bool, DensityState | None]:
-    """``bj_orthogonal`` read from x^H x, x^H y and the norms of x and y."""
-    if nx <= cfg.eps_eq:
-        e = np.zeros(gx.shape[0], dtype=np.complex128)
-        e[0] = 1.0
-        return True, DensityState.pure(e)
-    # the verdict is homogeneous in x and in y separately, so |x|^2 and <x, y>
-    # are each read at unit scale
+    """``bj_orthogonal`` of x to y (``side`` "x") or of y to x ("y"), from the
+    maximizing set of |x|^2 (or |y|^2) that the pair keeps."""
+    norm, other = (pair.nx, pair.ny) if side == "x" else (pair.ny, pair.nx)
+    if norm <= cfg.eps_eq:
+        return True, DensityState.pure(np.eye(pair.x.shape[1], 1)[:, 0])
+    inner = pair.inner if side == "x" else pair.inner.conj().T
+    # the verdict is homogeneous in x and in y separately, so <x, y> is read
+    # at unit scale, as the maximizing set is
     witness = witness_in_set_with_zero(
-        _maximizers(gx, nx, cfg), unit_scaled(inner, nx * ny), cfg
+        _maximizers(pair, side, cfg), unit_scaled(inner, norm * other), cfg
     )
     return witness is not None, witness
 

@@ -31,23 +31,16 @@ from .linalg import (
     Pair,
     _hermitian_eig,
     _spectral_norm,
-    _top_right_subspace,
     read_only,
     shared_pair,
     spectral_norm,
+    top_right_space,
     unit_exponent,
     unit_scaled,
 )
 from .normopt import HypothesisViolation, _bj_orthogonal
-from .numrange import _contains, support_dips_below, zero_unit_vector
-from .states import (
-    DensityState,
-    SubspaceProjection,
-    _maximizers,
-    evaluate,
-    sets_intersect,
-    subspace_intersection,
-)
+from .numrange import _contains, _dips_below
+from .states import DensityState, _compressed_zero, _maximizers, _meet, evaluate
 
 
 @dataclass(frozen=True)
@@ -233,7 +226,7 @@ def norm_additivity_report(
         }
         return OrthogonalityReport("norm-additivity", statements, witnesses, True)
 
-    meet, witness = sets_intersect(_maximizers(gx, nx, cfg), _maximizers(gy, ny, cfg), cfg)
+    meet, witness = _meet_or_degenerate(pair, cfg)
     if witness is not None:
         witnesses.append(("joint_maximizing_state", witness))
 
@@ -267,19 +260,19 @@ def product_norm_check(
     return first, second
 
 
-def _meet_or_degenerate(
-    g: np.ndarray, h: np.ndarray, g_norm: float, h_norm: float, cfg: ToleranceConfig
-) -> tuple[bool, DensityState | None]:
-    """Intersection of the maximizing sets of the Grams g and h of matrices of
-    norms g_norm and h_norm, treating a zero matrix as 'all states'."""
-    gz = g_norm <= cfg.eps_eq
-    hz = h_norm <= cfg.eps_eq
-    if gz and hz:
+def _meet_or_degenerate(pair: Pair, cfg: ToleranceConfig) -> tuple[bool, DensityState | None]:
+    """Whether the maximizing sets of |x|^2 and |y|^2 of the pair meet, and a
+    pure state on the first vector of the meet, a zero matrix's set being all
+    states."""
+    xz = pair.nx <= cfg.eps_eq
+    yz = pair.ny <= cfg.eps_eq
+    if xz and yz:
         return True, None
-    if gz or hz:
-        p = _maximizers(h, h_norm, cfg) if gz else _maximizers(g, g_norm, cfg)
+    if xz or yz:
+        p = _maximizers(pair, "y" if xz else "x", cfg)
         return True, DensityState.pure(p.basis[:, 0])
-    return sets_intersect(_maximizers(g, g_norm, cfg), _maximizers(h, h_norm, cfg), cfg)
+    meet = _meet(pair, cfg)
+    return meet.shape[1] > 0, DensityState.pure(meet[:, 0]) if meet.shape[1] else None
 
 
 def parallelogram_two_imply_third(
@@ -291,14 +284,13 @@ def parallelogram_two_imply_third(
     exactly when two hold and one fails.
     """
     pair = shared_pair(x, y)
-    plus, minus = pair.x + pair.y, pair.x - pair.y
-    np_, nm = _spectral_norm(plus), _spectral_norm(minus)
+    # (x + y, x - y) divided by 1 or 2, so its norms are scaled back exactly
+    sums = Pair(pair.x + pair.y, pair.x - pair.y)
+    np_, nm = (float(np.ldexp(n, sums.exponent)) for n in (sums.nx, sums.ny))
     rhs = 2 * (pair.nx**2 + pair.ny**2)
 
-    meet_xy, w1 = _meet_or_degenerate(pair.gx, pair.gy, pair.nx, pair.ny, cfg)
-    meet_pm, w2 = _meet_or_degenerate(
-        plus.conj().T @ plus, minus.conj().T @ minus, np_, nm, cfg
-    )
+    meet_xy, w1 = _meet_or_degenerate(pair, cfg)
+    meet_pm, w2 = _meet_or_degenerate(sums, cfg)
 
     statements = {
         "parallelogram_at_one": _eq(np_**2 + nm**2, rhs, cfg.eps_opt, rhs),
@@ -325,12 +317,11 @@ def triangle_witness(
         raise NonSquareError("triangle_witness needs square matrices")
     na, nb = pair.nx, pair.ny
     total = pair.x + pair.y
-    if abs(_spectral_norm(total) - (na + nb)) > cfg.eps_opt * (1.0 + na + nb):
+    _, s, vh = np.linalg.svd(total)
+    if abs(float(s[0]) - (na + nb)) > cfg.eps_opt * (1.0 + na + nb):
         return None
-    xi = _top_right_subspace(total, cfg)[:, 0]
-    n = total.shape[0]
-    e1 = np.zeros(n, dtype=np.complex128)
-    e1[0] = 1.0
+    xi = top_right_space(s, vh, cfg)[:, 0]
+    e1 = np.eye(total.shape[0], 1, dtype=np.complex128)[:, 0]
     c = np.outer(xi, e1.conj())
     phi = DensityState.pure(e1)
     val = evaluate(phi, c.conj().T @ pair.inner @ c)
@@ -394,33 +385,27 @@ def pythagoras_identity(
     if not _hermitian_eig(-re_inner, cfg).is_psd(cfg):
         raise HypothesisViolation("pythagoras_identity requires Re(<x,y>) <= 0")
 
-    nx, ny, gx, gy = pair.nx, pair.ny, pair.gx, pair.gy
-    gsum = _sum_gram(pair)
+    nx, ny = pair.nx, pair.ny
     rhs = nx**2 + ny**2
     tol = cfg.eps_opt
     witnesses: list[tuple[str, object]] = []
 
-    statements = {"pythagoras": _eq(_spectral_norm(pair.x + pair.y) ** 2, rhs, tol, rhs)}
+    # ||x + y||^2 is also || |x + y|^2 ||, which the decomposed form reads
+    sum_norm2 = _spectral_norm(pair.x + pair.y) ** 2
+    statements = {"pythagoras": _eq(sum_norm2, rhs, tol, rhs)}
 
     # joint maximizing state with vanishing real inner part
     if nx <= cfg.eps_eq or ny <= cfg.eps_eq:
-        exists = True
-        if max(nx, ny) > cfg.eps_eq:
-            basis = _hermitian_eig(gy if nx <= cfg.eps_eq else gx, cfg).top_space(cfg)
-            witnesses.append(("zero_real_joint_state", DensityState.pure(basis[:, 0])))
+        exists, state = _meet_or_degenerate(pair, cfg)
     else:
-        inter = subspace_intersection(_maximizers(gx, nx, cfg), _maximizers(gy, ny, cfg), cfg)
         # Re<x, y> is read at unit scale, as _bj_orthogonal reads <x, y>
-        comp = inter.conj().T @ unit_scaled(re_inner, nx * ny) @ inter
-        zero = zero_unit_vector(comp, cfg) if inter.shape[1] else None
-        exists = zero is not None
-        if exists:
-            witnesses.append(("zero_real_joint_state", DensityState.pure(inter @ zero[0])))
+        xi = _compressed_zero(_meet(pair, cfg), unit_scaled(re_inner, nx * ny), cfg)
+        exists, state = xi is not None, None if xi is None else DensityState.pure(xi)
+    if state is not None:
+        witnesses.append(("zero_real_joint_state", state))
     statements["zero_real_joint_state"] = StatementResult(exists, 0.0)
 
-    decomposed_first = abs(
-        _spectral_norm(gsum) - _spectral_norm(gx + gy)
-    ) <= tol * (1.0 + rhs)
+    decomposed_first = abs(sum_norm2 - _spectral_norm(pair.gx + pair.gy)) <= tol * (1.0 + rhs)
     decomposed_second = _modulus_product(pair, tol).verdict
     statements["decomposed"] = StatementResult(decomposed_first and decomposed_second, 0.0)
 
@@ -447,7 +432,7 @@ def scaled_pythagoras_report(
     nonzero coefficient pairs as well.
     """
     pair = shared_pair(x, y)
-    nx, ny, gx, gy = pair.nx, pair.ny, pair.gx, pair.gy
+    nx, ny = pair.nx, pair.ny
     if _spectral_norm(_re_inner(pair)) > cfg.eps_eq * (1.0 + nx * ny):
         raise HypothesisViolation("scaled_pythagoras_report requires Re(<x,y>) = 0")
     zero_inner = _spectral_norm(pair.inner) <= cfg.eps_eq * (1.0 + nx * ny)
@@ -471,8 +456,7 @@ def scaled_pythagoras_report(
     }
 
     # maximizing-set equality S_{|x+y|^2} = S_{|x|^2} cap S_{|y|^2}
-    p_x, p_y = _maximizers(gx, nx, cfg), _maximizers(gy, ny, cfg)
-    inter = subspace_intersection(p_x, p_y, cfg)
+    inter = _meet(pair, cfg)
     sum_basis = _hermitian_eig(_sum_gram(pair), cfg).top_space(cfg)
     if inter.shape[1] != sum_basis.shape[1]:
         equal_sets = False
@@ -738,9 +722,9 @@ def pythagoras_witness_vector(
 ) -> np.ndarray | None:
     """Unit xi with ||x xi|| = ||x||, ||y xi|| = ||y||, <x xi, y xi> = 0, or None.
 
-    Such a vector must live in the intersection of the top right singular
-    subspaces; within it the cross terms form a numerical range that has to
-    contain zero.
+    Such a vector must live in the meet of the maximizing sets of |x|^2 and
+    |y|^2 (the top right singular subspaces of x and y) that the pair keeps;
+    within it the cross terms form a numerical range that has to contain zero.
     """
     return _witness_vector(shared_pair(x, y), cfg)
 
@@ -748,19 +732,9 @@ def pythagoras_witness_vector(
 def _witness_vector(pair: Pair, cfg: ToleranceConfig) -> np.ndarray | None:
     """``pythagoras_witness_vector`` on a pair already built by the caller."""
     if pair.nx <= cfg.eps_eq or pair.ny <= cfg.eps_eq:
-        zm = pair.x if pair.nx > cfg.eps_eq else pair.y
-        sub = _top_right_subspace(zm, cfg)
-        return np.asarray(sub[:, 0])
-    p = SubspaceProjection.from_basis(_top_right_subspace(pair.x, cfg))
-    q = SubspaceProjection.from_basis(_top_right_subspace(pair.y, cfg))
-    inter = subspace_intersection(p, q, cfg)
-    if inter.shape[1] == 0:
-        return None
-    comp = inter.conj().T @ pair.inner @ inter
-    zero = zero_unit_vector(comp, cfg)
-    if zero is None:
-        return None
-    return inter @ zero[0]
+        # a zero matrix asks nothing of xi
+        return _maximizers(pair, "x" if pair.nx > cfg.eps_eq else "y", cfg).basis[:, 0].copy()
+    return _compressed_zero(_meet(pair, cfg), pair.inner, cfg)
 
 
 def pythagoras_orthogonal(
@@ -800,7 +774,7 @@ def pythagoras_orthogonal(
         # is positive iff a support value of C is at most 0
         inner = pair.inner
         scale = max(_spectral_norm(inner), 1.0)
-        positivity_gate = support_dips_below(inner, cfg.eps_eq * scale)
+        positivity_gate = _dips_below(inner, cfg.eps_eq * scale)
 
     statements["rank_gate"] = StatementResult(rank_gate, 0.0)
     statements["positivity_gate"] = StatementResult(positivity_gate, 0.0)
@@ -816,8 +790,8 @@ def pythagoras_orthogonal(
     # the parallelogram law
     statements["roberts"] = StatementResult(profile.roberts(), 0.0)
     statements["parallelogram"] = StatementResult(parallelogram, 0.0)
-    bj_xy, w_xy = _bj_orthogonal(pair.gx, pair.inner, pair.nx, pair.ny, cfg)
-    bj_yx, w_yx = _bj_orthogonal(pair.gy, pair.inner.conj().T, pair.ny, pair.nx, cfg)
+    bj_xy, w_xy = _bj_orthogonal(pair, "x", cfg)
+    bj_yx, w_yx = _bj_orthogonal(pair, "y", cfg)
     statements["bj_forward"] = StatementResult(bj_xy, 0.0)
     statements["bj_reverse"] = StatementResult(bj_yx, 0.0)
     if w_xy is not None:
@@ -847,7 +821,7 @@ def pythagoras_via_bj_parallelogram(
     ):
         raise HypothesisViolation("requires |y|^2 to be a positive scalar multiple of I")
     profile = _lattice_profile(pair, cfg)
-    bj, _ = _bj_orthogonal(pair.gx, pair.inner, pair.nx, pair.ny, cfg)
+    bj, _ = _bj_orthogonal(pair, "x", cfg)
     return profile.definition().verdict, bj and profile.parallelogram()
 
 

@@ -5,7 +5,9 @@ the states attaining |phi(p)| = ||p|| are exactly the density matrices
 supported on the top eigenspace of p, so maximizing sets are carried around as
 orthogonal projections.  Every witness state is pure: the numerical range of
 a compression is convex, so a state under P that kills c exists iff a unit
-vector in ran(P) does.
+vector in ran(P) does, which ``_compressed_zero`` finds.  The maximizing sets
+of |x|^2 and |y|^2 of a ``Pair`` and their meet are kept on it, read-only,
+under ("maximizers", side, cfg) and ("meet", cfg), each built on first read.
 """
 
 from __future__ import annotations
@@ -15,7 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
-from .linalg import _hermitian_drift, _hermitian_eig, as_matrix, hermitian_eig, unit_scaled
+from .linalg import (
+    Pair,
+    _hermitian_drift,
+    _hermitian_eig,
+    as_matrix,
+    hermitian_eig,
+    read_only,
+    unit_scaled,
+)
 from .numrange import zero_unit_vector
 
 
@@ -104,15 +114,26 @@ def maximizing_set(
     return SubspaceProjection.from_basis(dec.top_space(cfg))
 
 
-def _maximizers(g: np.ndarray, norm: float, cfg: ToleranceConfig) -> SubspaceProjection:
-    """Maximizing set of the Gram g = |m|^2 of a matrix m of norm ``norm`` > eps_eq.
+def _maximizers(pair: Pair, side: str, cfg: ToleranceConfig) -> SubspaceProjection:
+    """Maximizing set of the Gram g of x (``side`` "x") or of y ("y").
 
     The set is homogeneous in g, so g is read at unit scale, where its norm
-    is at least 1.  A Gram is positive, so neither check of ``maximizing_set``
-    applies to it.
+    is at least 1 unless g = 0, whose set is the whole space.  A Gram is
+    positive, so neither check of ``maximizing_set`` applies to it.
     """
-    dec = _hermitian_eig(unit_scaled(g, norm**2), cfg)
-    return SubspaceProjection.from_basis(dec.top_space(cfg))
+
+    def build() -> SubspaceProjection:
+        g, norm = (pair.gx, pair.nx) if side == "x" else (pair.gy, pair.ny)
+        basis = read_only(_hermitian_eig(unit_scaled(g, norm**2), cfg).top_space(cfg))
+        return SubspaceProjection(basis, read_only(basis @ basis.conj().T))
+
+    return pair.memo(("maximizers", side, cfg), build)
+
+
+def _meet(pair: Pair, cfg: ToleranceConfig) -> np.ndarray:
+    """Orthonormal basis of the meet of the two maximizing sets of the pair."""
+    sets = (_maximizers(pair, side, cfg) for side in "xy")  # read on a miss only
+    return pair.memo(("meet", cfg), lambda: read_only(subspace_intersection(*sets, cfg)))
 
 
 def subspace_intersection(
@@ -155,14 +176,20 @@ def witness_in_set_with_zero(
 
     A density state supported under P kills c iff 0 lies in the numerical
     range of c compressed to ran(P), which is convex; then the pure state of
-    the compression's ``zero_unit_vector``, carried back by the basis of P, is
-    one.  On a one-dimensional ran(P) that is the pure state of the basis
+    ``_compressed_zero`` is one: on a one-dimensional ran(P), that of the basis
     vector when the 1 x 1 compression z has |z| <= eps_opt (1 + |z|).
     """
     m = as_matrix(c)
     if m.shape != p.projection.shape:
         raise ValueError(f"dimension mismatch: projection {p.projection.shape}, matrix {m.shape}")
-    if p.dim == 0:
+    xi = _compressed_zero(p.basis, m, cfg)
+    return None if xi is None else DensityState.pure(xi)
+
+
+def _compressed_zero(basis: np.ndarray, c: np.ndarray, cfg: ToleranceConfig) -> np.ndarray | None:
+    """A unit xi spanned by the orthonormal columns of ``basis`` with <xi, c xi> ~ 0,
+    or None: the ``zero_unit_vector`` of c compressed to them, carried back."""
+    if basis.shape[1] == 0:
         return None
-    zero = zero_unit_vector(p.basis.conj().T @ m @ p.basis, cfg)
-    return None if zero is None else DensityState.pure(p.basis @ zero[0])
+    zero = zero_unit_vector(basis.conj().T @ c @ basis, cfg)
+    return None if zero is None else basis @ zero[0]

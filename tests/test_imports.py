@@ -95,9 +95,15 @@ def _unread_exports(package: Path, bench: Path) -> list[str]:
 
 
 # Exports kept without a reader: the two Pythagoras deciders that take their
-# limits as arguments and still wait for a suite check, and support_function,
-# which the numerical-range tests use to place levels.
-UNREAD_EXPORTS = {"limit_relations_check", "pythagoras_via_bj_parallelogram", "support_function"}
+# limits as arguments and still wait for a suite check, support_function,
+# which the numerical-range tests use to place levels, and support_dips_below:
+# the numerical-range tests decide positive levels through it.
+UNREAD_EXPORTS = {
+    "limit_relations_check",
+    "pythagoras_via_bj_parallelogram",
+    "support_dips_below",
+    "support_function",
+}
 
 
 def test_every_export_has_a_reader():

@@ -1116,7 +1116,12 @@ COUNTED = {
     "bj_orthogonal": (bj_orthogonal, bj_engineered_true, 5),
     "norm_additivity_report": (norm_additivity_report, _shared_top, 9),
     "triangle_equality": (triangle_equality, _colinear, 5),
-    "pythagoras_identity": (pythagoras_identity, _identity_true, 11),
+    "pythagoras_identity": (pythagoras_identity, _identity_true, 10),
+    "pythagoras_orthogonal": (
+        pythagoras_orthogonal,
+        lambda rng, n: gate_pair(rng, n, want_true=True),
+        12,
+    ),
 }
 
 
@@ -1131,3 +1136,32 @@ def test_factorization_counts_stay_bounded(monkeypatch, name):
     holds = out[0] if name == "bj_orthogonal" else next(iter(out.statements.values())).verdict
     assert holds
     assert sum(counts.values()) <= max_total, counts
+
+
+def test_maximizing_sets_and_their_meet_are_kept_once_per_pair(monkeypatch):
+    # every eigensolve in states builds S_{|x|^2}, S_{|y|^2} or their meet
+    import modnorm.linalg
+    import modnorm.states
+
+    monkeypatch.setattr(modnorm.linalg, "_shared_pairs", modnorm.linalg._SharedTable())
+    solves = []
+    eig = modnorm.states._hermitian_eig
+
+    def counting(m, cfg):
+        solves.append(m.shape)
+        return eig(m, cfg)
+
+    monkeypatch.setattr(modnorm.states, "_hermitian_eig", counting)
+    x, y = _identity_true(np.random.default_rng(7), 4)
+    bj_orthogonal(x, y, CFG)
+    assert len(solves) == 1  # S_{|x|^2} alone: neither S_{|y|^2} nor the meet
+    norm_additivity_report(x, y, CFG)
+    assert len(solves) == 3
+    assert pythagoras_identity(x, y, CFG).verdict("zero_real_joint_state")
+    assert len(solves) == 3
+    pair = shared_pair(x, y)
+    kept = [modnorm.states._maximizers(pair, side, CFG) for side in "xy"]
+    arrays = [m for p in kept for m in (p.basis, p.projection)]
+    arrays.append(modnorm.states._meet(pair, CFG))
+    assert len(solves) == 3
+    assert not any(m.flags.writeable for m in arrays)
