@@ -85,8 +85,13 @@ class ToleranceConfig:
 
     def rng(self, *extra_keys: int) -> np.random.Generator:
         """Deterministic generator derived from the seed plus context keys."""
-        keys = [k & 0xFFFFFFFFFFFFFFFF for k in (self.rng_seed, *extra_keys)]
-        return np.random.default_rng(np.random.SeedSequence(keys))
+        return seeded_rng(self.rng_seed, *extra_keys)
+
+
+def seeded_rng(seed: int, *extra_keys: int) -> np.random.Generator:
+    """``ToleranceConfig.rng`` for a config whose ``rng_seed`` is ``seed``."""
+    keys = [k & 0xFFFFFFFFFFFFFFFF for k in (seed, *extra_keys)]
+    return np.random.default_rng(np.random.SeedSequence(keys))
 
 
 DEFAULT_CONFIG = ToleranceConfig()

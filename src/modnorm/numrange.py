@@ -22,19 +22,25 @@ the sign on each arc.  This is the arc algorithm for definite Hermitian pairs
 Higham & Tisseur, SIAM J. Matrix Anal. Appl. 31, 2009).  A pencil singular at
 both of its fixed shifts is taken as singular everywhere, and then h >= level.
 ``zero_unit_vector`` finds a zero of the quadratic form, a unit xi with
-<xi, A xi> = 0: on a chord through 0 of a polygon inscribed in W(A), refined
-by cutting planes from its four axis support points, then by a closed-form
-2x2 step.  W(A) is convex, so a state that kills A exists iff such a vector
-does, and every zero-trace witness state of the package is the pure state of
-one (Bhatia & Semrl, Linear Algebra Appl. 287, 1999, state Birkhoff-James
-orthogonality of matrices in this form).  ``range_boundary`` samples the
-boundary at a given number of angles for display.
+<xi, A xi> = 0.  For a 2 x 2 A, whose W(A) is an ellipse (C.-K. Li, Proc.
+Amer. Math. Soc. 124, 1996), it is first solved for in closed form on the
+Bloch sphere, and taken when its residual meets the acceptance rule.  Any
+other case goes to the exact membership test and then to a chord through 0
+of a polygon inscribed in W(A), refined by cutting planes from its four axis
+support points, then by a closed-form 2x2 step.  W(A) is convex, so a state
+that kills A exists iff such a vector does, and every zero-trace witness
+state of the package is the pure state of one (Bhatia & Semrl, Linear
+Algebra Appl. 287, 1999, state Birkhoff-James orthogonality of matrices in
+this form).  ``range_boundary`` samples the boundary at a given number of
+angles for display.
 Conventions: <a, b> = a^H b (conjugate-linear in the first slot, matching
 ``np.vdot``).
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -382,6 +388,65 @@ def _chord_through_zero(
     return vecs[k], _zero_in_span(m - q * np.eye(m.shape[0]), vecs[i], vecs[j])[0]
 
 
+_EPS = float(np.finfo(float).eps)
+
+
+def _bloch_zero(m: np.ndarray, scale: float) -> tuple[np.ndarray, float] | None:
+    """A unit xi with <xi, m xi> = 0 for a 2 x 2 m of norm ``scale``, in closed
+    form, and |<xi, m xi>|; None when W(m) is a segment, a point or an
+    ellipse too thin for the solve below, or 0 lies outside it.  Where that
+    solve under- or overflows, xi or |<xi, m xi>| may be NaN, which the
+    caller's acceptance rule refuses.
+
+    Write m = H + i K, H = h0 I + h.sigma and K = k0 I + k.sigma in the Pauli
+    basis.  The unit xi = (cos theta/2, e^{i phi} sin theta/2) with Bloch
+    vector r = (sin theta cos phi, sin theta sin phi, cos theta) has
+    <xi, m xi> = (h0 + h.r) + i (k0 + k.r), so W(m) is the image of the unit
+    sphere under an affine map to the plane, an ellipse (C.-K. Li, Proc. Amer.
+    Math. Soc. 124, 1996).  With n = h x k, the two planes h0 + h.r = 0 and
+    k0 + k.r = 0 meet in the line r = p + t n, where
+    p = (k0 h x n - h0 k x n) / |n|^2 is its point in span{h, k}; it meets
+    the unit sphere at t = sqrt(1 - |p|^2) / |n| when |p| <= 1.  The solve
+    for p has condition about |h| |k| / |n|, so the rounding it leaves grows
+    as the ellipse thins; at |n| > sqrt(eps) |h| |k| one step of iterative
+    refinement takes it out.  A thinner ellipse, or n = 0 (H and K commute:
+    m is normal and W(m) a segment or a point), is left, like |p| > 1, to
+    the exact test.  The Pauli coefficients are read divided by ||m||, which
+    leaves r unchanged and keeps |n|^2 from overflow; it underflows only when
+    H and K differ in size by some 1e150.  xi is built from the angles of r.
+    """
+    (a, b), (c, d) = m.tolist()
+    unit = 0.5 / scale
+    h0, hz = (a.real + d.real) * unit, (a.real - d.real) * unit
+    k0, kz = (a.imag + d.imag) * unit, (a.imag - d.imag) * unit
+    hx, hy = (b.real + c.real) * unit, (c.imag - b.imag) * unit
+    kx, ky = (b.imag + c.imag) * unit, (b.real - c.real) * unit
+    nx, ny, nz = hy * kz - hz * ky, hz * kx - hx * kz, hx * ky - hy * kx
+    nn = nx * nx + ny * ny + nz * nz
+    if not nn > _EPS * (hx * hx + hy * hy + hz * hz) * (kx * kx + ky * ky + kz * kz):
+        return None
+    # (h x n, k x n) / |n|^2: the point of span{h, k} with h.p = -eh and
+    # k.p = -ek is (ek h x n - eh k x n) / |n|^2, as h.(k x n) = -k.(h x n) = |n|^2
+    ax, ay, az = (hy * nz - hz * ny) / nn, (hz * nx - hx * nz) / nn, (hx * ny - hy * nx) / nn
+    bx, by, bz = (ky * nz - kz * ny) / nn, (kz * nx - kx * nz) / nn, (kx * ny - ky * nx) / nn
+    px = py = pz = rx = ry = rz = 0.0
+    # the solve from r = 0, then one step of iterative refinement: r = p + t n
+    # in rounding misses the two planes by (eh, ek), and moving p by the
+    # solve for that miss takes it out
+    for _ in range(2):
+        eh = h0 + hx * rx + hy * ry + hz * rz
+        ek = k0 + kx * rx + ky * ry + kz * rz
+        px, py, pz = px + ek * ax - eh * bx, py + ek * ay - eh * by, pz + ek * az - eh * bz
+        pp = px * px + py * py + pz * pz
+        if not pp <= 1.0:  # or NaN, where |n|^2 underflows
+            return None
+        t = math.sqrt((1.0 - pp) / nn)
+        rx, ry, rz = px + t * nx, py + t * ny, pz + t * nz
+    half = math.atan2(math.hypot(rx, ry), rz) / 2
+    xi = np.array([math.cos(half), cmath.rect(math.sin(half), math.atan2(ry, rx))])
+    return xi, float(abs(np.vdot(xi, m @ xi)))
+
+
 def zero_unit_vector(
     c: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> tuple[np.ndarray, float] | None:
@@ -389,19 +454,28 @@ def zero_unit_vector(
     outside W(c).
 
     For a 1 x 1 c, whose numerical range is its entry, and for a c of norm
-    at most eps_eq, xi is e_0.  Otherwise the chord of W(c) through 0 lies in
-    the numerical range of the 2 x 2 compression to the span of its two
-    vectors, where the quadratic form has an exact zero, solved for in closed
-    form.  xi is accepted iff |<xi, c xi>| <= eps_opt * (1 + ||c||).
+    at most eps_eq, xi is e_0.  A 2 x 2 c is tried in closed form first, on
+    the Bloch sphere (``_bloch_zero``): its xi is taken when it meets the
+    acceptance rule below.  Every other case, a segment or point W(c), 0
+    outside W(c), or a residual the rule refuses, goes on to the exact
+    membership test, so every None comes from that test or from the rule.
+    Past it, the chord of W(c) through 0 lies in the numerical range of the
+    2 x 2 compression to the span of its two vectors, where the quadratic
+    form has an exact zero, solved for in closed form.  xi is accepted iff
+    |<xi, c xi>| <= eps_opt * (1 + ||c||).
     """
     m = _require_square(c)
     scale = abs(m[0, 0]) if m.shape[0] == 1 else _spectral_norm(m)
+    tol = cfg.eps_opt * (1.0 + scale)
     if m.shape[0] == 1 or scale <= cfg.eps_eq:
         xi, res = np.zeros(m.shape[0], dtype=np.complex128), float(abs(m[0, 0]))
         xi[0] = 1.0
     else:
-        chord = _chord_through_zero(m, scale, cfg)
-        if chord is None:
-            return None
-        xi, res = _zero_in_span(m, *chord)
-    return (xi, res) if res <= cfg.eps_opt * (1.0 + scale) else None
+        zero = _bloch_zero(m, scale) if m.shape[0] == 2 else None
+        if zero is None or not zero[1] <= tol:
+            chord = _chord_through_zero(m, scale, cfg)
+            if chord is None:
+                return None
+            zero = _zero_in_span(m, *chord)
+        xi, res = zero
+    return (xi, res) if res <= tol else None

@@ -22,10 +22,11 @@ small but nonzero partner is judged relatively.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, EPS_RANK, ToleranceConfig
+from .config import DEFAULT_CONFIG, EPS_RANK, ToleranceConfig, seeded_rng
 from .linalg import (
     NonSquareError,
     Pair,
@@ -147,15 +148,14 @@ def triangle_equality(
     witnesses: list[tuple[str, object]] = []
     if statements["norm_sum"].verdict and nsum > cfg.eps_eq:
         # top eigenvector of |x+y|^2 realizes the shared maximizing state
-        basis = _hermitian_eig(_sum_gram(pair), cfg).top_space(cfg)
-        phi = DensityState.pure(basis[:, 0])
+        v = _hermitian_eig(_sum_gram(pair), cfg).top_space(cfg)[:, 0]
         ok = (
-            abs(np.trace(phi.rho @ pair.gx) - nx**2) <= 10 * tol * (1.0 + nx**2)
-            and abs(np.trace(phi.rho @ pair.gy) - ny**2) <= 10 * tol * (1.0 + ny**2)
-            and abs(np.trace(phi.rho @ pair.inner) - nx * ny) <= 10 * tol * (1.0 + nx * ny)
+            abs(np.vdot(v, pair.gx @ v) - nx**2) <= 10 * tol * (1.0 + nx**2)
+            and abs(np.vdot(v, pair.gy @ v) - ny**2) <= 10 * tol * (1.0 + ny**2)
+            and abs(np.vdot(v, pair.inner @ v) - nx * ny) <= 10 * tol * (1.0 + nx * ny)
         )
         if ok:
-            witnesses.append(("shared_maximizing_state", phi))
+            witnesses.append(("shared_maximizing_state", DensityState.pure(v)))
 
     consistent = _check_consistent(
         statements, [["norm_sum", "product_in_inner_range"]]
@@ -343,37 +343,50 @@ def _nonzero_complex(rng: np.random.Generator) -> complex:
     return z
 
 
-def _real_ratio_pairs(cfg: ToleranceConfig, count: int = 20) -> list[tuple[complex, complex]]:
-    """Seeded nonzero pairs (alpha, beta) with conj(alpha) * beta real."""
-    rng = cfg.rng(0x5CA1E5)
-    pairs = []
-    for _ in range(count):
-        alpha = _nonzero_complex(rng)
-        s = float(rng.standard_normal())
-        while abs(s) < 1e-3:
+# Coefficient pairs (alpha, beta) that probe the scaled Pythagoras identity.
+_PROBES = 20
+
+
+@lru_cache(maxsize=16)
+def _coefficients(seed: int, real_ratio: bool) -> tuple[np.ndarray, ...]:
+    """Read-only alpha, beta, |alpha|^2 and |beta|^2 of the seeded nonzero
+    coefficient pairs: with conj(alpha) * beta real, or any.  They depend on
+    the seed alone, so they are drawn once per seed."""
+    if real_ratio:
+        rng = seeded_rng(seed, 0x5CA1E5)
+        pairs = []
+        for _ in range(_PROBES):
+            alpha = _nonzero_complex(rng)
             s = float(rng.standard_normal())
-        pairs.append((alpha, s * alpha / abs(alpha)))
-    return pairs
+            while abs(s) < 1e-3:
+                s = float(rng.standard_normal())
+            pairs.append((alpha, s * alpha / abs(alpha)))
+    else:
+        rng = seeded_rng(seed, 0xBE7A)
+        pairs = [(_nonzero_complex(rng), _nonzero_complex(rng)) for _ in range(_PROBES)]
+    alphas, betas = zip(*pairs)
+    return tuple(
+        read_only(np.array(values))
+        for values in (alphas, betas, [abs(a) ** 2 for a in alphas], [abs(b) ** 2 for b in betas])
+    )
 
 
-def _scaled_residuals(pair: Pair, coefficients: list[tuple[complex, complex]]) -> np.ndarray:
+def _scaled_residuals(pair: Pair, coefficients: tuple[np.ndarray, ...]) -> np.ndarray:
     """Signed residuals (rhs - lhs) / (1 + rhs) of the scaled identity
     ||alpha x + beta y||^2 = |alpha|^2 ||x||^2 + |beta|^2 ||y||^2, one per
-    coefficient pair (alpha, beta).
+    coefficient pair of ``_coefficients``.
 
-    Each alpha x + beta y is formed on its own, as a single norm would read
-    it, and all their norms come from one batched SVD.
+    Every alpha x + beta y comes from one broadcast, bit-identical to forming
+    each on its own as a single norm would read it, and all their norms come
+    from one batched SVD.
     """
-    stack = np.empty((len(coefficients), *pair.x.shape), dtype=np.complex128)
-    for k, (alpha, beta) in enumerate(coefficients):
-        stack[k] = alpha * pair.x + beta * pair.y
+    alphas, betas, alpha2, beta2 = coefficients
+    stack = alphas[:, None, None] * pair.x + betas[:, None, None] * pair.y
     norms = np.linalg.svd(stack, compute_uv=False)[:, 0]
-    out = []
-    for (alpha, beta), norm in zip(coefficients, norms):
-        lhs = float(norm) ** 2
-        rhs = abs(alpha) ** 2 * pair.nx**2 + abs(beta) ** 2 * pair.ny**2
-        out.append((rhs - lhs) / (1.0 + rhs))
-    return np.array(out)
+    # squared as Python floats, as one norm at a time was, for the same bits
+    lhs = np.array([norm**2 for norm in norms.tolist()])
+    rhs = alpha2 * pair.nx**2 + beta2 * pair.ny**2
+    return (rhs - lhs) / (1.0 + rhs)
 
 
 def pythagoras_identity(
@@ -382,7 +395,10 @@ def pythagoras_identity(
     """Pythagoras identity characterizations under Re(<x,y>) <= 0."""
     pair = shared_pair(x, y)
     re_inner = _re_inner(pair)
-    if not _hermitian_eig(-re_inner, cfg).is_psd(cfg):
+    # Re<x, y> is Hermitian bit for bit, so its eigenvalues are read directly,
+    # by the rule of SpectralDecomposition.is_psd
+    w = np.linalg.eigvalsh(-re_inner)
+    if w[0] < -cfg.eps_eq * max(abs(w[0]), abs(w[-1]), 1.0):
         raise HypothesisViolation("pythagoras_identity requires Re(<x,y>) <= 0")
 
     nx, ny = pair.nx, pair.ny
@@ -410,7 +426,7 @@ def pythagoras_identity(
     statements["decomposed"] = StatementResult(decomposed_first and decomposed_second, 0.0)
 
     if statements["pythagoras"].verdict:
-        worst = float(_scaled_residuals(pair, _real_ratio_pairs(cfg)).max())
+        worst = float(_scaled_residuals(pair, _coefficients(cfg.rng_seed, True)).max())
         statements["scaled_lower_bound"] = StatementResult(worst <= tol, max(worst, 0.0))
     else:
         statements["scaled_lower_bound"] = StatementResult(True, 0.0)
@@ -448,7 +464,7 @@ def scaled_pythagoras_report(
         statements = {label: StatementResult(True, 0.0) for label in labels}
         return OrthogonalityReport("scaled-pythagoras", statements, witnesses, True)
 
-    real_worst = float(np.abs(_scaled_residuals(pair, _real_ratio_pairs(cfg))).max())
+    real_worst = float(np.abs(_scaled_residuals(pair, _coefficients(cfg.rng_seed, True))).max())
     statements = {
         "pythagoras": _eq(_spectral_norm(pair.x + pair.y) ** 2, rhs, tol, rhs),
         "scaled_real_ratio": StatementResult(real_worst <= tol, real_worst),
@@ -469,9 +485,8 @@ def scaled_pythagoras_report(
 
     groups = [["pythagoras", "scaled_real_ratio", "modulus_product_norm", "maximizer_equality"]]
     if zero_inner:
-        rng = cfg.rng(0xBE7A)
-        coefficients = [(_nonzero_complex(rng), _nonzero_complex(rng)) for _ in range(20)]
-        any_worst = float(np.abs(_scaled_residuals(pair, coefficients)).max())
+        any_ratio = _coefficients(cfg.rng_seed, False)
+        any_worst = float(np.abs(_scaled_residuals(pair, any_ratio)).max())
         statements["scaled_any_ratio"] = StatementResult(any_worst <= tol, any_worst)
         groups[0].append("scaled_any_ratio")
 

@@ -332,6 +332,69 @@ def test_zero_unit_vector_agrees_with_membership():
     assert inside >= 280
 
 
+def _two_by_two(rng, kind):
+    """A 2 x 2 matrix of the named kind: random; traceless; normal and
+    traceless, Hermitian, or scalar, whose W is a segment or a point;
+    near-normal and traceless, a thin ellipse round 0; of norm below eps_eq;
+    a traceless Hermitian plus i 1e-160 to 1e-150 times another, an ellipse so
+    thin that the Bloch solve under- and overflows; or traceless and shifted
+    so that 0 lies 1e-8 to 1e-2 * (1 + ||c||) inside the support line at a
+    random angle."""
+    c = rand_complex(rng, 2, 2)
+    u = rand_unitary(rng, 2)
+    if kind == "traceless":
+        return c - np.trace(c) / 2 * np.eye(2)
+    if kind == "normal":
+        z = complex(rng.standard_normal(), rng.standard_normal())
+        return u @ np.diag([z, -z]) @ u.conj().T
+    if kind == "hermitian":
+        return (c + c.conj().T) / 2
+    if kind == "scalar":
+        return complex(rng.standard_normal(), rng.standard_normal()) * np.eye(2)
+    if kind == "thin":
+        thin = u @ np.diag([1.0, -1.0] + 1j * rng.standard_normal(2)) @ u.conj().T
+        thin = thin + 10 ** rng.uniform(-12, -3) * c
+        return thin - np.trace(thin) / 2 * np.eye(2)
+    if kind == "tiny":
+        return 1e-10 * c
+    if kind == "lopsided":
+        h = (c + c.conj().T) / 2
+        k = u @ np.diag([1.0, -1.0]) @ u.conj().T
+        return h - np.trace(h) / 2 * np.eye(2) + 10 ** -rng.uniform(150, 160) * 1j * k
+    if kind == "shifted":
+        c = c - np.trace(c) / 2 * np.eye(2)
+        phi = rng.uniform(0, 2 * np.pi)
+        _, xi = support_function(c, phi)
+        d = 10 ** rng.uniform(-8, -2) * (1.0 + np.linalg.norm(c, 2))
+        return c - (np.vdot(xi, c @ xi) - d * np.exp(1j * phi)) * np.eye(2)
+    return c
+
+
+TWO_BY_TWO = (
+    "random", "traceless", "normal", "hermitian", "scalar", "thin", "tiny", "lopsided", "shifted"
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from(TWO_BY_TWO))
+def test_the_closed_form_on_two_by_two_agrees_with_the_chord(seed, kind):
+    # the closed form on the Bloch sphere finds a zero exactly when the chord
+    # path, run with the closed form taken out, does, and each zero meets the
+    # acceptance rule
+    c = _two_by_two(np.random.default_rng(seed), kind)
+    tol = CFG.eps_opt * (1.0 + np.linalg.norm(c, 2))
+    found = zero_unit_vector(c, CFG)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modnorm.numrange, "_bloch_zero", lambda m, scale: None)
+        chord = zero_unit_vector(c, CFG)
+    assert (found is None) == (chord is None)
+    for out in (found, chord):
+        if out is not None:
+            xi, resid = out
+            assert np.linalg.norm(xi) == pytest.approx(1.0, abs=1e-12)
+            assert resid == abs(np.vdot(xi, c @ xi)) <= tol
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=5))
 @example(seed=33554431, n=3)  # scan minimum not strict: Brent bracket was invalid

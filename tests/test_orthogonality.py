@@ -1090,6 +1090,57 @@ def test_scaled_identity_norms_are_one_stacked_svd(monkeypatch):
     assert canonical_json(looped.to_dict()) == canonical_json(batched.to_dict())
 
 
+def _scaled_residuals_by_loop(x, y, cfg, real_ratio):
+    """Residuals (rhs - lhs) / (1 + rhs) of the scaled identity over the
+    seeded coefficient pairs, each alpha x + beta y of the normalized pair
+    formed and normed on its own: the reference for the deciders' one
+    broadcast and batched SVD.  The pairs are drawn as the deciders draw
+    them: conj(alpha) * beta real, or any."""
+    pair = shared_pair(x, y)
+    rng = cfg.rng(0x5CA1E5 if real_ratio else 0xBE7A)
+
+    def nonzero():
+        z = complex(rng.standard_normal(), rng.standard_normal())
+        while abs(z) < 1e-3:
+            z = complex(rng.standard_normal(), rng.standard_normal())
+        return z
+
+    residuals = []
+    for _ in range(20):
+        alpha = nonzero()
+        if real_ratio:
+            s = float(rng.standard_normal())
+            while abs(s) < 1e-3:
+                s = float(rng.standard_normal())
+            beta = s * alpha / abs(alpha)
+        else:
+            beta = nonzero()
+        lhs = float(np.linalg.svd(alpha * pair.x + beta * pair.y, compute_uv=False)[0]) ** 2
+        rhs = abs(alpha) ** 2 * pair.nx**2 + abs(beta) ** 2 * pair.ny**2
+        residuals.append((rhs - lhs) / (1.0 + rhs))
+    return residuals
+
+
+@pytest.mark.parametrize("seed", [41, 42])
+def test_scaled_identity_residuals_match_a_loop_bit_for_bit(seed):
+    # Re<x, y> = 0 on both pairs, and <x, y> = 0 on the gate pair, so every
+    # scaled statement is read; the coefficients are drawn once per seed and
+    # the combinations formed in one broadcast, with the same bits as a loop
+    rng = np.random.default_rng(seed)
+    identity, gate = _identity_true(rng, 4), gate_pair(rng, 4, want_true=True)
+    for x, y in (identity, gate):
+        real = _scaled_residuals_by_loop(x, y, CFG, True)
+        report = pythagoras_identity(x, y, CFG)
+        if report.verdict("pythagoras"):
+            assert report.statements["scaled_lower_bound"].residual == max(max(real), 0.0)
+        report = scaled_pythagoras_report(x, y, CFG)
+        assert report.statements["scaled_real_ratio"].residual == max(map(abs, real))
+        if "scaled_any_ratio" in report.statements:
+            anyr = _scaled_residuals_by_loop(x, y, CFG, False)
+            assert report.statements["scaled_any_ratio"].residual == max(map(abs, anyr))
+    assert "scaled_any_ratio" in scaled_pythagoras_report(*gate, CFG).statements
+
+
 def _count_factorizations(monkeypatch):
     """From now on, the number of LAPACK factorizations by kind, each batched
     call counting once: the SVDs (those behind ``np.linalg.norm`` too), the
@@ -1113,7 +1164,7 @@ def _count_factorizations(monkeypatch):
 # the most LAPACK factorizations, of all kinds together, the decider may make
 # on it.
 COUNTED = {
-    "bj_orthogonal": (bj_orthogonal, bj_engineered_true, 5),
+    "bj_orthogonal": (bj_orthogonal, bj_engineered_true, 4),
     "norm_additivity_report": (norm_additivity_report, _shared_top, 9),
     "triangle_equality": (triangle_equality, _colinear, 5),
     "pythagoras_identity": (pythagoras_identity, _identity_true, 10),
@@ -1122,6 +1173,18 @@ COUNTED = {
         lambda rng, n: gate_pair(rng, n, want_true=True),
         12,
     ),
+}
+
+
+# Of those, the most Hermitian eigensolves with eigenvectors (``eigh``):
+# a gate that reads eigenvalues alone takes ``eigvalsh``, and a 2x2
+# compression with 0 inside its numerical range takes none.
+EIGENVECTOR_SOLVES = {
+    "bj_orthogonal": 1,
+    "norm_additivity_report": 4,
+    "triangle_equality": 2,
+    "pythagoras_identity": 3,
+    "pythagoras_orthogonal": 3,
 }
 
 
@@ -1136,6 +1199,58 @@ def test_factorization_counts_stay_bounded(monkeypatch, name):
     holds = out[0] if name == "bj_orthogonal" else next(iter(out.statements.values())).verdict
     assert holds
     assert sum(counts.values()) <= max_total, counts
+    assert counts["eigh"] <= EIGENVECTOR_SOLVES[name], counts
+
+
+# The most calls into functions of the package (Python frames, generator
+# expressions included) that each witness-hold decider may make on its
+# COUNTED pair, read on a fresh shared table after one call has drawn what is
+# kept per seed.
+PYTHON_CALLS = {
+    "bj_orthogonal": 62,
+    "norm_additivity_report": 118,
+    "pythagoras_identity": 115,
+    "triangle_equality": 63,
+}
+
+
+def _package_calls(call):
+    """How many calls ``call()`` makes into functions defined in the package,
+    counted by ``sys.setprofile``."""
+    files = {
+        module.__file__
+        for name, module in list(sys.modules.items())
+        if name.split(".")[0] == "modnorm" and getattr(module, "__file__", None)
+    }
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename in files:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(PYTHON_CALLS))
+def test_python_calls_stay_bounded(monkeypatch, name):
+    # Python is most of a witness-hold op, and the number of calls it makes
+    # does not depend on the machine, so a decider that starts to take a
+    # general path where a closed form did, or to draw its seeded
+    # coefficients again, fails here even when no timing notices
+    import modnorm.linalg
+
+    decider, family, _ = COUNTED[name]
+    x, y = family(np.random.default_rng(7), 4)
+    decider(x, y, CFG)
+    monkeypatch.setattr(modnorm.linalg, "_shared_pairs", modnorm.linalg._SharedTable())
+    calls = _package_calls(lambda: decider(x, y, CFG))
+    assert 0 < calls <= PYTHON_CALLS[name], calls
 
 
 def test_maximizing_sets_and_their_meet_are_kept_once_per_pair(monkeypatch):

@@ -203,6 +203,31 @@ def test_witness_chord_weight_orientation():
     np.testing.assert_allclose(np.abs(w.rho), [[0.25, 3**0.5 / 4], [3**0.5 / 4, 0.75]], atol=1e-12)
 
 
+def test_a_two_by_two_compression_with_zero_inside_needs_no_eigensolve(monkeypatch):
+    # W of a 2 x 2 compression is an ellipse; with 0 inside it, the zero comes
+    # in closed form on the Bloch sphere, so neither the membership test nor
+    # the chord solves an eigenproblem
+    rng = np.random.default_rng(5)
+    u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    p = SubspaceProjection.from_basis(u[:, :2])
+    c = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    # shifted so that the compression is traceless, which puts 0 in its W
+    c = c - np.trace(p.basis.conj().T @ c @ p.basis) / 2 * np.eye(4)
+    calls = []
+    for name in ("eigh", "eigvalsh", "eigvals", "solve"):
+        real = getattr(np.linalg, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    w = witness_in_set_with_zero(p, c, CFG)
+    assert w is not None and calls == []
+    assert abs(evaluate(w, c)) <= 1e-12 * np.linalg.norm(c, 2)
+    assert np.linalg.norm((np.eye(4) - p.projection) @ w.rho) <= 1e-12
+
+
 @pytest.mark.parametrize("cfg", [CFG, ToleranceConfig(eps_eq=1e-3)], ids=["default", "eps_eq>eps_opt"])
 @pytest.mark.parametrize("z", [0.0, 1e-7j, -0.99e-6, 1.01e-6, 5e-6, (1 + 1j) * 1e-3, 2.0])
 def test_witness_on_a_line_reads_the_point_without_a_chord(monkeypatch, z, cfg):
