@@ -80,12 +80,10 @@ from .serialization import (
     save_matrix,
 )
 from .states import (
-    DensityState,
-    SubspaceProjection,
+    VectorState,
     ZeroMatrixError,
     evaluate,
     maximizing_set,
-    sets_intersect,
     subspace_intersection,
     witness_in_set_with_zero,
 )

@@ -44,7 +44,7 @@ from .linalg import (
     top_right_space,
     unit_scaled,
 )
-from .states import DensityState, _compressed_zero, _maximizers, witness_in_set_with_zero
+from .states import VectorState, _compressed_zero, _maximizers, witness_in_set_with_zero
 
 _SIMPLE_GAP = 1e-7  # relative gap below which the top singular value is multiple
 _STATIONARY = 1e-10  # |u^H B v| <= _STATIONARY * ||B|| certifies lambda*
@@ -400,11 +400,11 @@ def sup_m(
 
 def bj_orthogonal(
     x: np.ndarray, y: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG
-) -> tuple[bool, DensityState | None]:
+) -> tuple[bool, VectorState | None]:
     """Birkhoff-James decision: a maximizing state of |x|^2 killing <x,y>.
 
     x = 0 (below eps_eq times the scale of the pair) is declared orthogonal
-    to everything (the defining inequality is trivial); any pure state
+    to everything (the defining inequality is trivial); any vector state
     witnesses it.
     """
     return _bj_orthogonal(shared_pair(x, y), "x", cfg)
@@ -412,12 +412,12 @@ def bj_orthogonal(
 
 def _bj_orthogonal(
     pair: Pair, side: str, cfg: ToleranceConfig
-) -> tuple[bool, DensityState | None]:
+) -> tuple[bool, VectorState | None]:
     """``bj_orthogonal`` of x to y (``side`` "x") or of y to x ("y"), from the
     maximizing set of |x|^2 (or |y|^2) that the pair keeps."""
     norm, other = (pair.nx, pair.ny) if side == "x" else (pair.ny, pair.nx)
     if norm <= cfg.eps_eq:
-        return True, DensityState.pure(np.eye(pair.x.shape[1], 1)[:, 0])
+        return True, VectorState(np.eye(pair.x.shape[1], 1)[:, 0])
     inner = pair.inner if side == "x" else pair.inner.conj().T
     # the verdict is homogeneous in x and in y separately, so <x, y> is read
     # at unit scale, as the maximizing set is

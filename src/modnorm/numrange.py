@@ -29,7 +29,7 @@ other case goes to the exact membership test and then to a chord through 0
 of a polygon inscribed in W(A), refined by cutting planes from its four axis
 support points, then by a closed-form 2x2 step.  W(A) is convex, so a state
 that kills A exists iff such a vector does, and every zero-trace witness
-state of the package is the pure state of one (Bhatia & Semrl, Linear
+state of the package is the vector state of one (Bhatia & Semrl, Linear
 Algebra Appl. 287, 1999, state Birkhoff-James orthogonality of matrices in
 this form).  ``range_boundary`` samples the boundary at a given number of
 angles for display.
@@ -320,7 +320,10 @@ def _zero_in_span(m: np.ndarray, xi1: np.ndarray, xi2: np.ndarray) -> tuple[np.n
     """
     mx1, mx2 = m @ xi1, m @ xi2
     a, d = np.vdot(xi1, mx1), np.vdot(xi2, mx2)
-    w = np.conj(d - a)
+    # w is conj(d - a) at modulus in [1, 2), so that ra, rd and x are of the
+    # order of ||m||, not ||m||^2; the scaling by a power of two is exact
+    w, k = np.conj(d - a), unit_exponent(abs(d - a))
+    w = complex(math.ldexp(w.real, k), math.ldexp(w.imag, k))
     ra, rd = float(np.real(w * a)), float(np.real(w * d))
     if not ra < 0.0 < rd:  # 0 is an end of [a, d] (or off it): keep the nearer end
         return (xi1, float(abs(a))) if abs(a) <= abs(d) else (xi2, float(abs(d)))

@@ -41,7 +41,7 @@ from .linalg import (
 )
 from .normopt import HypothesisViolation, _bj_orthogonal
 from .numrange import _contains, _dips_below
-from .states import DensityState, _compressed_zero, _maximizers, _meet, evaluate
+from .states import VectorState, _compressed_zero, _maximizers, _meet, evaluate
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,7 @@ def triangle_equality(
             and abs(np.vdot(v, pair.inner @ v) - nx * ny) <= 10 * tol * (1.0 + nx * ny)
         )
         if ok:
-            witnesses.append(("shared_maximizing_state", DensityState.pure(v)))
+            witnesses.append(("shared_maximizing_state", VectorState(v)))
 
     consistent = _check_consistent(
         statements, [["norm_sum", "product_in_inner_range"]]
@@ -260,19 +260,18 @@ def product_norm_check(
     return first, second
 
 
-def _meet_or_degenerate(pair: Pair, cfg: ToleranceConfig) -> tuple[bool, DensityState | None]:
+def _meet_or_degenerate(pair: Pair, cfg: ToleranceConfig) -> tuple[bool, VectorState | None]:
     """Whether the maximizing sets of |x|^2 and |y|^2 of the pair meet, and a
-    pure state on the first vector of the meet, a zero matrix's set being all
+    vector state on the first vector of the meet, a zero matrix's set being all
     states."""
     xz = pair.nx <= cfg.eps_eq
     yz = pair.ny <= cfg.eps_eq
     if xz and yz:
         return True, None
     if xz or yz:
-        p = _maximizers(pair, "y" if xz else "x", cfg)
-        return True, DensityState.pure(p.basis[:, 0])
+        return True, VectorState(_maximizers(pair, "y" if xz else "x", cfg)[:, 0])
     meet = _meet(pair, cfg)
-    return meet.shape[1] > 0, DensityState.pure(meet[:, 0]) if meet.shape[1] else None
+    return meet.shape[1] > 0, VectorState(meet[:, 0]) if meet.shape[1] else None
 
 
 def parallelogram_two_imply_third(
@@ -306,7 +305,7 @@ def parallelogram_two_imply_third(
 
 def triangle_witness(
     a: np.ndarray, b: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG
-) -> tuple[DensityState, np.ndarray] | None:
+) -> tuple[VectorState, np.ndarray] | None:
     """Constructive witness (phi, c) with phi(c*c) = 1, phi(c* a* b c) = ||a|| ||b||.
 
     Exists exactly when ||a+b|| = ||a|| + ||b||; built from a maximizing unit
@@ -323,7 +322,7 @@ def triangle_witness(
     xi = top_right_space(s, vh, cfg)[:, 0]
     e1 = np.eye(total.shape[0], 1, dtype=np.complex128)[:, 0]
     c = np.outer(xi, e1.conj())
-    phi = DensityState.pure(e1)
+    phi = VectorState(e1)
     val = evaluate(phi, c.conj().T @ pair.inner @ c)
     if abs(val - na * nb) > 10 * cfg.eps_opt * (1.0 + na * nb):
         raise AssertionError("triangle witness failed to certify the equality")
@@ -416,7 +415,7 @@ def pythagoras_identity(
     else:
         # Re<x, y> is read at unit scale, as _bj_orthogonal reads <x, y>
         xi = _compressed_zero(_meet(pair, cfg), unit_scaled(re_inner, nx * ny), cfg)
-        exists, state = xi is not None, None if xi is None else DensityState.pure(xi)
+        exists, state = xi is not None, None if xi is None else VectorState(xi)
     if state is not None:
         witnesses.append(("zero_real_joint_state", state))
     statements["zero_real_joint_state"] = StatementResult(exists, 0.0)
@@ -491,7 +490,7 @@ def scaled_pythagoras_report(
         groups[0].append("scaled_any_ratio")
 
     if equal_sets and inter.shape[1] > 0:
-        witnesses.append(("joint_maximizing_state", DensityState.pure(inter[:, 0])))
+        witnesses.append(("joint_maximizing_state", VectorState(inter[:, 0])))
     consistent = _check_consistent(statements, groups)
     return OrthogonalityReport("scaled-pythagoras", statements, witnesses, consistent)
 
@@ -748,7 +747,7 @@ def _witness_vector(pair: Pair, cfg: ToleranceConfig) -> np.ndarray | None:
     """``pythagoras_witness_vector`` on a pair already built by the caller."""
     if pair.nx <= cfg.eps_eq or pair.ny <= cfg.eps_eq:
         # a zero matrix asks nothing of xi
-        return _maximizers(pair, "x" if pair.nx > cfg.eps_eq else "y", cfg).basis[:, 0].copy()
+        return _maximizers(pair, "x" if pair.nx > cfg.eps_eq else "y", cfg)[:, 0].copy()
     return _compressed_zero(_meet(pair, cfg), pair.inner, cfg)
 
 

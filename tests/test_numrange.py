@@ -250,6 +250,19 @@ def test_zero_unit_vector_traceless():
     assert abs(np.vdot(xi, a @ xi)) <= 1e-6 * 2
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e60, 1e80, 1e100])
+def test_zero_unit_vector_of_a_traceless_matrix_at_large_scale(scale):
+    # 0 = tr c / 3 lies in W(c) at every scale; the zero in the chord's span
+    # takes d - a at unit modulus, so no term of order ||c||^2 is squared
+    c = rand_complex(np.random.default_rng(1), 3, 3)
+    c = scale * (c - np.trace(c) / 3 * np.eye(3))
+    out = zero_unit_vector(c, CFG)
+    assert out is not None
+    xi, resid = out
+    assert np.linalg.norm(xi) == pytest.approx(1.0, abs=1e-12)
+    assert resid <= 1e-12 * np.linalg.norm(c, 2)
+
+
 def test_zero_unit_vector_near_zero_matrix():
     a = 1e-13 * np.ones((1, 1), dtype=complex)
     out = zero_unit_vector(a, CFG)

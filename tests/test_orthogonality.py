@@ -1006,13 +1006,14 @@ def test_verdicts_are_unitarily_invariant(seed, family):
 
 
 def _check_pure_witness(phi, x, y, cross, target):
-    """phi is rank one, attains ||x||^2 on |x|^2 and takes ``target`` on
-    ``cross``, a product of x or y with y, relative to ||x|| ||y|| + |target|."""
-    w = np.linalg.eigvalsh(phi.rho)
-    assert w[-1] == pytest.approx(1.0, abs=1e-12) and np.all(np.abs(w[:-1]) <= 1e-12)
+    """phi is the vector state of a unit xi, attains ||x||^2 on |x|^2 and takes
+    ``target`` on ``cross``, a product of x or y with y, relative to
+    ||x|| ||y|| + |target|."""
+    xi = phi.xi
+    assert np.linalg.norm(xi) == pytest.approx(1.0, abs=1e-12)
     nx, ny = np.linalg.norm(x, 2), np.linalg.norm(y, 2)
-    assert abs(np.trace(phi.rho @ x.conj().T @ x) - nx**2) <= 1e-8 * nx**2
-    assert abs(np.trace(phi.rho @ cross) - target) <= 1e-8 * (nx * ny + abs(target))
+    assert abs(np.vdot(xi, x.conj().T @ x @ xi) - nx**2) <= 1e-8 * nx**2
+    assert abs(np.vdot(xi, cross @ xi) - target) <= 1e-8 * (nx * ny + abs(target))
 
 
 @settings(max_examples=30, deadline=None)
@@ -1035,7 +1036,7 @@ def test_every_witness_is_a_pure_state_that_attains_and_kills(seed, a, b):
     holds, phi = bj_orthogonal(x, y, CFG)
     assert holds
     if shared_pair(x, y).nx <= CFG.eps_eq:
-        assert np.array_equal(phi.rho, np.diag(np.eye(n)[0]).astype(complex))
+        assert np.array_equal(phi.xi, np.eye(n)[0])
     else:
         _check_pure_witness(phi, x, y, x.conj().T @ y, 0.0)
 
@@ -1207,9 +1208,9 @@ def test_factorization_counts_stay_bounded(monkeypatch, name):
 # COUNTED pair, read on a fresh shared table after one call has drawn what is
 # kept per seed.
 PYTHON_CALLS = {
-    "bj_orthogonal": 62,
-    "norm_additivity_report": 118,
-    "pythagoras_identity": 115,
+    "bj_orthogonal": 61,
+    "norm_additivity_report": 114,
+    "pythagoras_identity": 111,
     "triangle_equality": 63,
 }
 
@@ -1254,19 +1255,21 @@ def test_python_calls_stay_bounded(monkeypatch, name):
 
 
 def test_maximizing_sets_and_their_meet_are_kept_once_per_pair(monkeypatch):
-    # every eigensolve in states builds S_{|x|^2}, S_{|y|^2} or their meet
+    # every factorization in states builds S_{|x|^2} or S_{|y|^2} (an
+    # eigensolve each) or their meet (one SVD in ``subspace_intersection``)
     import modnorm.linalg
     import modnorm.states
 
     monkeypatch.setattr(modnorm.linalg, "_shared_pairs", modnorm.linalg._SharedTable())
     solves = []
-    eig = modnorm.states._hermitian_eig
+    for name in ("_hermitian_eig", "subspace_intersection"):
+        original = getattr(modnorm.states, name)
 
-    def counting(m, cfg):
-        solves.append(m.shape)
-        return eig(m, cfg)
+        def counting(*args, _name=name, _original=original):
+            solves.append(_name)
+            return _original(*args)
 
-    monkeypatch.setattr(modnorm.states, "_hermitian_eig", counting)
+        monkeypatch.setattr(modnorm.states, name, counting)
     x, y = _identity_true(np.random.default_rng(7), 4)
     bj_orthogonal(x, y, CFG)
     assert len(solves) == 1  # S_{|x|^2} alone: neither S_{|y|^2} nor the meet
@@ -1276,7 +1279,6 @@ def test_maximizing_sets_and_their_meet_are_kept_once_per_pair(monkeypatch):
     assert len(solves) == 3
     pair = shared_pair(x, y)
     kept = [modnorm.states._maximizers(pair, side, CFG) for side in "xy"]
-    arrays = [m for p in kept for m in (p.basis, p.projection)]
-    arrays.append(modnorm.states._meet(pair, CFG))
-    assert len(solves) == 3
+    arrays = [*kept, modnorm.states._meet(pair, CFG)]
+    assert len(solves) == 3 and solves.count("subspace_intersection") == 1
     assert not any(m.flags.writeable for m in arrays)

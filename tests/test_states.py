@@ -1,4 +1,4 @@
-"""Tests for density states, maximizing sets, and intersection witnesses."""
+"""Tests for vector states, maximizing sets, and intersection witnesses."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from modnorm import (
     DEFAULT_CONFIG,
-    DensityState,
-    SubspaceProjection,
     ToleranceConfig,
+    VectorState,
     ZeroMatrixError,
     evaluate,
     maximizing_set,
-    sets_intersect,
     subspace_intersection,
     witness_in_set_with_zero,
 )
@@ -27,72 +25,27 @@ def _basis_vec(n, k):
     return e
 
 
+def _outside(basis, v):
+    """||v - B B^H v||: how far v lies outside the span of the orthonormal basis B."""
+    return np.linalg.norm(v - basis @ (basis.conj().T @ v))
+
+
 def test_pure_state_normalizes():
-    phi = DensityState.pure(np.array([3.0, 0.0]))
-    np.testing.assert_allclose(phi.rho, np.diag([1.0, 0.0]))
+    phi = VectorState(np.array([3.0, 0.0]))
+    np.testing.assert_allclose(phi.xi, [1.0, 0.0])
     assert evaluate(phi, np.diag([5.0, 7.0])) == pytest.approx(5.0)
 
 
-def test_density_validation():
-    with pytest.raises(ValueError):
-        DensityState(rho=np.diag([0.5, 0.6]))  # trace 1.1
-    with pytest.raises(ValueError):
-        DensityState(rho=np.array([[0.5, 0.5], [0.0, 0.5]]))  # not Hermitian
-    with pytest.raises(ValueError):
-        DensityState(rho=np.diag([1.5, -0.5]))  # not PSD
-
-
-def test_pure_skips_the_checks_its_construction_guarantees(monkeypatch):
-    rng = np.random.default_rng(3)
-    vectors = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in range(1, 9)]
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counting(m, *args, **kwargs):
-        calls.append(np.shape(m))
-        return eigvalsh(m, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    states = [DensityState.pure(v) for v in vectors]
-    assert calls == []
-    for phi in states:
-        DensityState(rho=phi.rho)  # the checking constructor accepts each one
-    assert len(calls) == len(states)
-    # the constructor still checks what it is given
-    with pytest.raises(ValueError, match="Hermitian"):
-        DensityState(rho=np.array([[0.5, 0.5], [0.0, 0.5]]))
+def test_vector_state_rejects_a_zero_or_nonfinite_vector():
     for bad in (np.zeros(3), np.array([1.0, np.nan]), np.array([np.inf, 0.0])):
         with pytest.raises(ValueError):
-            DensityState.pure(bad)
-
-
-@pytest.mark.parametrize(
-    "rho, drift, error",
-    [
-        (np.diag([0.5, 0.25, 0.125, 0.125]), 0.9e-9, None),
-        (np.diag([0.5, 0.25, 0.125, 0.125]), 1.1e-9, "Hermitian"),
-        # the Hermitian check passes at this scale and the positivity check fails
-        (np.diag([1e3, -999.0, 0.0, 0.0]), 1e-7, "positive semidefinite"),
-    ],
-)
-def test_density_hermitian_check_boundary(rho, drift, error):
-    # rho + (i drift / 2) I has ||m - m^H||_2 = drift and a Frobenius drift of
-    # 2 drift, above 5e-10, so the two SVD norms decide, as they always did:
-    # drift <= 1e-9 * max(||m||, 1)
-    m = rho + 0.5j * drift * np.eye(4)
-    exact = np.linalg.norm(m - m.conj().T, 2) <= 1e-9 * max(np.linalg.norm(m, 2), 1.0)
-    assert exact == (error != "Hermitian")
-    if error is None:
-        DensityState(rho=m)
-    else:
-        with pytest.raises(ValueError, match=error):
-            DensityState(rho=m)
+            VectorState(bad)
 
 
 def test_evaluate_is_linear_and_positive():
     rng = np.random.default_rng(0)
     v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    phi = DensityState.pure(v)
+    phi = VectorState(v)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     assert evaluate(phi, a + 2j * b) == pytest.approx(
@@ -100,20 +53,14 @@ def test_evaluate_is_linear_and_positive():
     )
     assert evaluate(phi, a.conj().T @ a).real >= -1e-12
     assert evaluate(phi, np.eye(3)).real == pytest.approx(1.0)
-
-
-def test_subspace_projection_idempotent():
-    basis = np.stack([_basis_vec(3, 0), _basis_vec(3, 2)], axis=1)
-    p = SubspaceProjection.from_basis(basis)
-    assert p.dim == 2
-    np.testing.assert_allclose(p.projection @ p.projection, p.projection, atol=1e-12)
-    np.testing.assert_allclose(p.projection, p.projection.conj().T, atol=1e-12)
+    # the density matrix the benchmark's witness check reads gives the same value
+    assert evaluate(phi, a) == pytest.approx(np.trace(phi.rho @ a), abs=1e-12)
 
 
 def test_maximizing_set_simple():
     p = maximizing_set(np.diag([2.0, 1.0, 2.0]), CFG)
-    assert p.dim == 2
-    np.testing.assert_allclose(p.projection, np.diag([1.0, 0.0, 1.0]), atol=1e-9)
+    assert p.shape == (3, 2) and not p.flags.writeable
+    np.testing.assert_allclose(p @ p.conj().T, np.diag([1.0, 0.0, 1.0]), atol=1e-9)
 
 
 def test_maximizing_set_rejects_zero_and_nonpsd():
@@ -128,79 +75,122 @@ def test_maximizing_states_attain_norm():
     x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     g = x.conj().T @ x
     p = maximizing_set(g, CFG)
-    phi = DensityState.pure(p.basis[:, 0])
+    phi = VectorState(p[:, 0])
     assert evaluate(phi, g).real == pytest.approx(np.linalg.norm(g, 2), rel=1e-9)
 
 
 def test_sets_intersect_true_and_false():
-    p = SubspaceProjection.from_basis(np.stack([_basis_vec(3, 0), _basis_vec(3, 1)], axis=1))
-    q = SubspaceProjection.from_basis(_basis_vec(3, 1).reshape(3, 1))
-    meet, w = sets_intersect(p, q, CFG)
-    assert meet and w is not None
-    np.testing.assert_allclose(w.rho, np.diag([0.0, 1.0, 0.0]), atol=1e-8)
-
-    r = SubspaceProjection.from_basis(_basis_vec(3, 2).reshape(3, 1))
-    meet, w = sets_intersect(p, r, CFG)
-    assert not meet and w is None
+    p = np.stack([_basis_vec(3, 0), _basis_vec(3, 1)], axis=1)
+    meet = subspace_intersection(p, _basis_vec(3, 1).reshape(3, 1), CFG)
+    assert meet.shape == (3, 1)
+    np.testing.assert_allclose(np.abs(meet[:, 0]), [0.0, 1.0, 0.0], atol=1e-8)
+    assert subspace_intersection(p, _basis_vec(3, 2).reshape(3, 1), CFG).shape == (3, 0)
 
 
 def test_sets_intersect_rotated():
     rng = np.random.default_rng(2)
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    p1 = SubspaceProjection.from_basis(q[:, :2])
-    p2 = SubspaceProjection.from_basis(q[:, 1:3])
-    meet, w = sets_intersect(p1, p2, CFG)
-    assert meet
-    # the witness lives (numerically) in both subspaces
-    v = w.rho @ np.ones(4)  # any vector in the support
-    v = v / np.linalg.norm(v)
-    assert np.linalg.norm(p1.projection @ v - v) <= 1e-5
-    assert np.linalg.norm(p2.projection @ v - v) <= 1e-5
+    meet = subspace_intersection(q[:, :2], q[:, 1:3], CFG)
+    assert meet.shape == (4, 1)
+    # the meet lives (numerically) in both subspaces
+    v = meet[:, 0]
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    assert _outside(q[:, :2], v) <= 1e-5
+    assert _outside(q[:, 1:3], v) <= 1e-5
 
 
 def test_subspace_intersection_dimension():
     rng = np.random.default_rng(3)
     q, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
-    p1 = SubspaceProjection.from_basis(q[:, :3])
-    p2 = SubspaceProjection.from_basis(q[:, 2:4])
-    inter = subspace_intersection(p1, p2, CFG)
+    inter = subspace_intersection(q[:, :3], q[:, 2:4], CFG)
     assert inter.shape[1] == 1
     # the intersection is span(q[:, 2])
     assert abs(np.vdot(q[:, 2], inter[:, 0])) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_subspace_intersection_empty():
-    p1 = SubspaceProjection.from_basis(_basis_vec(3, 0).reshape(3, 1))
-    p2 = SubspaceProjection.from_basis(_basis_vec(3, 1).reshape(3, 1))
+    p1 = _basis_vec(3, 0).reshape(3, 1)
+    p2 = _basis_vec(3, 1).reshape(3, 1)
     assert subspace_intersection(p1, p2, CFG).shape[1] == 0
+    with pytest.raises(ValueError, match="ambient"):
+        subspace_intersection(p1, np.eye(4, 1, dtype=complex), CFG)
+
+
+def _projection_rule_dim(p, q, cfg):
+    """Dimension of the meet by the rule of the projections P, Q onto the spans
+    of p and q: the eigenvalues of P Q P within eps_opt of 1."""
+    pp, qq = p @ p.conj().T, q @ q.conj().T
+    return int(np.sum(np.linalg.eigvalsh(pp @ qq @ pp) >= 1.0 - cfg.eps_opt))
+
+
+def _checked_meet_dim(p, q, cfg=CFG):
+    """The dimension of ``subspace_intersection(p, q)``, once it is shown to
+    agree with the projection rule and to have orthonormal columns that lie in
+    the span of p and within the kept angle, sqrt(eps_opt), of that of q."""
+    meet = subspace_intersection(p, q, cfg)
+    k = meet.shape[1]
+    assert meet.shape == (p.shape[0], _projection_rule_dim(p, q, cfg))
+    np.testing.assert_allclose(meet.conj().T @ meet, np.eye(k), atol=1e-12)
+    for v in meet.T:
+        assert _outside(p, v) <= 1e-12
+        assert _outside(q, v) <= np.sqrt(cfg.eps_opt) + 1e-12
+    return k
+
+
+def test_meet_from_principal_angles_keeps_the_projection_rule():
+    rng = np.random.default_rng(11)
+    for n in range(2, 9):
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        for shared in range(min(n, 2) + 1):
+            # bases that share ``shared`` planted directions, each with a
+            # random complement of its own
+            bases = []
+            for extra in rng.integers(0, n - shared + 1, size=2):
+                g = rng.standard_normal((n, extra)) + 1j * rng.standard_normal((n, extra))
+                bases.append(np.linalg.qr(np.hstack([u[:, :shared], g]))[0])
+            p, q = bases
+            assert _checked_meet_dim(p, q) >= max(shared, p.shape[1] + q.shape[1] - n)
+            assert _checked_meet_dim(q, p) == _checked_meet_dim(p, q)
+        # one direction at squared cosine 1 - eps_opt / 2 is kept; those at
+        # 1 - 1.5 eps_opt, whose cosine is within eps_opt of 1, and at
+        # 1 - 2 eps_opt are dropped
+        eps = CFG.eps_opt
+        for cos2, kept in ((1.0 - eps / 2, 1), (1.0 - 1.5 * eps, 0), (1.0 - 2.0 * eps, 0)):
+            tilted = np.sqrt(cos2) * u[:, :1] + np.sqrt(1.0 - cos2) * u[:, 1:2]
+            assert _checked_meet_dim(u[:, :1], tilted) == kept
+            assert _checked_meet_dim(tilted, u[:, :1]) == kept
+        # an empty basis on either side
+        empty = np.zeros((n, 0), dtype=complex)
+        assert _checked_meet_dim(empty, u) == 0
+        assert _checked_meet_dim(u, empty) == 0
 
 
 def test_witness_in_set_with_zero_exists():
     # compressed to span(e1, e2), diag(-1, 1, 5) has zero in its range
-    p = SubspaceProjection.from_basis(np.stack([_basis_vec(3, 0), _basis_vec(3, 1)], axis=1))
+    p = np.stack([_basis_vec(3, 0), _basis_vec(3, 1)], axis=1)
     c = np.diag([-1.0, 1.0, 5.0]).astype(complex)
     w = witness_in_set_with_zero(p, c, CFG)
     assert w is not None
     assert abs(evaluate(w, c)) <= 1e-5
-    # supported under P
-    assert np.linalg.norm((np.eye(3) - p.projection) @ w.rho) <= 1e-8
+    # supported on the span of p
+    assert _outside(p, w.xi) <= 1e-8
 
 
 def test_witness_in_set_with_zero_absent():
-    p = SubspaceProjection.from_basis(np.stack([_basis_vec(3, 0), _basis_vec(3, 1)], axis=1))
+    p = np.stack([_basis_vec(3, 0), _basis_vec(3, 1)], axis=1)
     c = np.diag([1.0, 2.0, -5.0]).astype(complex)
     assert witness_in_set_with_zero(p, c, CFG) is None
 
 
 def test_witness_chord_weight_orientation():
     # forces a genuine two-point chord: compressed matrix is diag(-3, 1); the
-    # witness is the pure state of the zero in the chord's span, |e0 + sqrt(3) e1|^2 / 4
-    p = SubspaceProjection.from_basis(np.eye(2, dtype=complex))
+    # witness is the vector state of the zero in the chord's span, (e0 + sqrt(3) e1) / 2
+    p = np.eye(2, dtype=complex)
     c = np.diag([-3.0, 1.0]).astype(complex)
     w = witness_in_set_with_zero(p, c, CFG)
     assert w is not None
     assert abs(evaluate(w, c)) <= 1e-12
-    np.testing.assert_allclose(np.abs(w.rho), [[0.25, 3**0.5 / 4], [3**0.5 / 4, 0.75]], atol=1e-12)
+    np.testing.assert_allclose(np.abs(w.xi), [0.5, 3**0.5 / 2], atol=1e-12)
 
 
 def test_a_two_by_two_compression_with_zero_inside_needs_no_eigensolve(monkeypatch):
@@ -209,10 +199,10 @@ def test_a_two_by_two_compression_with_zero_inside_needs_no_eigensolve(monkeypat
     # the chord solves an eigenproblem
     rng = np.random.default_rng(5)
     u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    p = SubspaceProjection.from_basis(u[:, :2])
+    p = u[:, :2]
     c = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     # shifted so that the compression is traceless, which puts 0 in its W
-    c = c - np.trace(p.basis.conj().T @ c @ p.basis) / 2 * np.eye(4)
+    c = c - np.trace(p.conj().T @ c @ p) / 2 * np.eye(4)
     calls = []
     for name in ("eigh", "eigvalsh", "eigvals", "solve"):
         real = getattr(np.linalg, name)
@@ -225,21 +215,21 @@ def test_a_two_by_two_compression_with_zero_inside_needs_no_eigensolve(monkeypat
     w = witness_in_set_with_zero(p, c, CFG)
     assert w is not None and calls == []
     assert abs(evaluate(w, c)) <= 1e-12 * np.linalg.norm(c, 2)
-    assert np.linalg.norm((np.eye(4) - p.projection) @ w.rho) <= 1e-12
+    assert _outside(p, w.xi) <= 1e-12
 
 
 @pytest.mark.parametrize("cfg", [CFG, ToleranceConfig(eps_eq=1e-3)], ids=["default", "eps_eq>eps_opt"])
 @pytest.mark.parametrize("z", [0.0, 1e-7j, -0.99e-6, 1.01e-6, 5e-6, (1 + 1j) * 1e-3, 2.0])
 def test_witness_on_a_line_reads_the_point_without_a_chord(monkeypatch, z, cfg):
-    # on a one-dimensional P, W of the 1 x 1 compression is its entry z: the
-    # witness is the pure state of the basis vector iff |z| <= eps_opt (1 + |z|),
+    # on a one-dimensional span, W of the 1 x 1 compression is its entry z: the
+    # witness is the vector state of the basis vector iff |z| <= eps_opt (1 + |z|),
     # whatever eps_eq is, and no chord is built
     import modnorm.numrange
 
     rng = np.random.default_rng(7)
     u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
     c = u @ np.diag([z, 1.0, -1.0]) @ u.conj().T
-    p = SubspaceProjection.from_basis(u[:, :1])
+    p = u[:, :1]
     found = abs(z) <= cfg.eps_opt * (1.0 + abs(z))
 
     def refuse(*args, **kwargs):
@@ -249,7 +239,7 @@ def test_witness_on_a_line_reads_the_point_without_a_chord(monkeypatch, z, cfg):
     w = witness_in_set_with_zero(p, c, cfg)
     assert (w is not None) == found
     if found:
-        assert np.array_equal(w.rho, DensityState.pure(u[:, 0]).rho)
+        assert np.array_equal(w.xi, VectorState(u[:, 0]).xi)
 
 
 @settings(max_examples=30, deadline=None)
@@ -261,7 +251,7 @@ def test_witness_agrees_with_range_membership(seed):
     c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h = (c + c.conj().T) / 2
     k = (c - c.conj().T) / 2j
-    p = SubspaceProjection.from_basis(np.eye(n, dtype=complex))
+    p = np.eye(n, dtype=complex)
     w = witness_in_set_with_zero(p, c, CFG)
     lo_h, hi_h = np.linalg.eigvalsh(h)[[0, -1]]
     lo_k, hi_k = np.linalg.eigvalsh(k)[[0, -1]]

@@ -1,16 +1,23 @@
-"""The A/B summary of ``tools/bench_ab.py``, on synthetic runs."""
+"""The A/B summary of ``tools/bench_ab.py`` and the suite comparison of
+``tools/suite_diff.py``, on synthetic inputs."""
 
+import copy
 import importlib.util
+import json
 from pathlib import Path
 
-BENCH_AB = Path(__file__).resolve().parents[1] / "tools" / "bench_ab.py"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
-def _bench_ab():
-    spec = importlib.util.spec_from_file_location("bench_ab", BENCH_AB)
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _bench_ab():
+    return _tool("bench_ab")
 
 
 SPECS = {
@@ -63,3 +70,52 @@ def test_summarize_leaves_a_spread_wider_than_the_bound_unresolved():
     # every change run beats every parent run: the spread cannot hide a loss
     above = _runs(pairs_per_s=[161.0, 170.0, 165.0, 180.0, 175.0])
     assert _verdicts(parent, above) == {"pairs_per_s": "ok"}
+
+
+RUN = {
+    "suite_name": "all",
+    "seed": 1,
+    "case_count": 2,
+    "failures": [],
+    "cases": [
+        {"pair_id": "bj/pair-0", "verdict": True, "margin": {"residual": 1e-12}},
+        {"pair_id": "pythagoras/pair-0", "verdict": False, "residual": 0.25},
+    ],
+}
+
+
+def _suite_diff(tmp_path, capsys, after):
+    """(exit code, printed lines) of ``suite_diff.main`` on RUN against ``after``."""
+    paths = []
+    for name, run in (("before", RUN), ("after", after)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(run))
+    code = _tool("suite_diff").main(*paths)
+    return code, capsys.readouterr().out.splitlines()
+
+
+def test_suite_diff_reads_no_differences_flips_residuals_and_cases(tmp_path, capsys):
+    assert _suite_diff(tmp_path, capsys, copy.deepcopy(RUN)) == (0, ["no differences"])
+
+    flipped = copy.deepcopy(RUN)
+    flipped["cases"][0]["verdict"] = False
+    code, lines = _suite_diff(tmp_path, capsys, flipped)
+    assert code == 1 and "bj: 1 verdict or consistent flips" in lines
+
+    moved = copy.deepcopy(RUN)
+    moved["cases"][0]["margin"]["residual"] = 4e-12
+    moved["cases"][1]["residual"] = 0.5
+    code, lines = _suite_diff(tmp_path, capsys, moved)
+    assert code == 1
+    assert "  margin.residual: 1 changed, max |change| 3e-12" in lines
+    assert "  residual: 1 changed, max |change| 0.25" in lines
+    assert "bj: 0 verdict or consistent flips" in lines
+
+    grown = copy.deepcopy(RUN)
+    grown["cases"].append({"pair_id": "bj/pair-1", "verdict": True})
+    code, lines = _suite_diff(tmp_path, capsys, grown)
+    assert code == 1 and "  (case added or removed): 1 changed, max |change| 0" in lines
+
+    failing = copy.deepcopy(RUN)
+    failing["failures"] = ["pythagoras/pair-0"]
+    assert _suite_diff(tmp_path, capsys, failing) == (1, ["failures: 0 -> 1"])
