@@ -37,11 +37,17 @@ class NonSquareError(ShapeError):
 
 def as_matrix(a: np.ndarray) -> np.ndarray:
     """Validate and return a 2-d finite complex array (no copy if possible)."""
+    m = _two_d(a)
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
+    return m
+
+
+def _two_d(a: np.ndarray) -> np.ndarray:
+    """a as a complex array, checked to be a nonempty 2-d matrix."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
     return m
 
 
@@ -120,22 +126,31 @@ class Pair:
     (2^k x, 2^k y) gives bit-identical normalized matrices and every verdict
     read from them is scale-free.  ||x||, ||y||, x^H x, y^H y and x^H y of
     the normalized pair, bases of its joint column and row spaces, and
-    whatever a decider keeps with ``memo`` (lattice profiles, the min-lambda
-    solution, maximizing sets) are computed on first read and kept, so a
-    caller that needs only the normalized bits pays for none of them.  Every
-    array is read-only, so a ``Pair`` and what is built from it can be shared.
+    whatever a decider keeps with ``memo`` (the lattice pencil split into
+    joint blocks, lattice profiles, the min-lambda solution, maximizing
+    sets) are computed on first read and kept, so a caller that needs only
+    the normalized bits pays for none of them.  Every array is read-only, so
+    a ``Pair`` and what is built from it can be shared.
     """
 
     __slots__ = ("x", "y", "exponent", "_known")
 
     def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
-        xm, ym = as_matrix(x), as_matrix(y)
+        xm, ym = _two_d(x), _two_d(y)
         if xm.shape != ym.shape:
             raise ShapeError(f"shape mismatch: {xm.shape} vs {ym.shape}")
-        top = max(float(np.abs(_parts(m)).max()) for m in (xm, ym))
+        # both matrices in one contiguous stack: one finiteness test, read off
+        # the largest |Re| or |Im| entry (inf or NaN when some entry is not
+        # finite), and one exact scaling
+        stack = np.empty((2, *xm.shape), dtype=np.complex128)
+        stack[0], stack[1] = xm, ym
+        parts = stack.view(np.float64)
+        top = float(np.abs(parts).max())
+        if not math.isfinite(top):
+            raise ValueError("matrix entries must be finite")
         self.exponent = math.frexp(top)[1] - 1 if top > 0.0 else 0
-        self.x = read_only(_times_power_of_two(xm, -self.exponent))
-        self.y = read_only(_times_power_of_two(ym, -self.exponent))
+        stack = read_only(np.ldexp(parts, -self.exponent, out=parts).view(np.complex128))
+        self.x, self.y = stack
         self._known: dict[Hashable, object] = {}
 
     def memo(self, key: Hashable, compute: Callable[[], object]) -> object:

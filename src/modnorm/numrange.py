@@ -341,10 +341,10 @@ def _zero_in_span(m: np.ndarray, xi1: np.ndarray, xi2: np.ndarray) -> tuple[np.n
 
 
 def _chord_through_zero(
-    m: np.ndarray, scale: float, cfg: ToleranceConfig
+    m: np.ndarray, tol: float, on_ray: float
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Unit vectors xi1, xi2 whose points z_k = <xi_k, m xi_k> span a chord of
-    W(m) through 0, for a square m of norm ``scale``, or None when 0 is
+    W(m) through 0, for a square m, or None when 0 is farther than ``tol``
     outside W(m), which the exact membership test decides first.
 
     The polygon inscribed in W(m) starts from the support points at theta = 0,
@@ -355,17 +355,15 @@ def _chord_through_zero(
     outside it, the edge with the largest signed gap to 0 along its outward
     normal n is cut by the support point at angle arg n (Johnson, SIAM J.
     Numer. Anal. 15, 1978), until that gap, or the outward move of the new
-    point, is at most eps_opt * (1 + ||m||).  On the final polygon, xi1
-    attains the vertex p farthest from 0 and xi2, in the span of the exit
-    edge's vertex vectors, the point where the ray from p through 0 leaves
-    the polygon.
+    point, is at most ``tol``.  On the final polygon, xi1 attains the vertex
+    p farthest from 0 and xi2, in the span of the exit edge's vertex vectors,
+    the point where the ray from p through 0 leaves the polygon (``_ray_exit``,
+    with vertices within ``on_ray`` of the ray taken as exits).
     """
-    tol = cfg.eps_opt * (1.0 + scale)
     axis = _axis_support(m)
     if _dips_below(m, -tol, axis):
         return None
     _, pts, vecs = axis
-    on_ray = cfg.eps_eq * (1.0 + scale)
     while True:
         k, i, s, x = _ray_exit(pts, on_ray)
         if x >= 0.0:
@@ -466,6 +464,10 @@ def zero_unit_vector(
     2 x 2 compression to the span of its two vectors, where the quadratic
     form has an exact zero, solved for in closed form.  xi is accepted iff
     |<xi, c xi>| <= eps_opt * (1 + ||c||).
+
+    Past the 1 x 1 and near-zero cases, c and every tolerance are divided by
+    the power of two nearest ||c||, exactly, so that no square the zero's
+    construction forms overflows or underflows at any scale of c.
     """
     m = _require_square(c)
     scale = abs(m[0, 0]) if m.shape[0] == 1 else _spectral_norm(m)
@@ -474,11 +476,14 @@ def zero_unit_vector(
         xi, res = np.zeros(m.shape[0], dtype=np.complex128), float(abs(m[0, 0]))
         xi[0] = 1.0
     else:
-        zero = _bloch_zero(m, scale) if m.shape[0] == 2 else None
-        if zero is None or not zero[1] <= tol:
-            chord = _chord_through_zero(m, scale, cfg)
+        k = unit_exponent(scale)
+        m, unit_tol = unit_scaled(m, scale), math.ldexp(tol, k)
+        zero = _bloch_zero(m, math.ldexp(scale, k)) if m.shape[0] == 2 else None
+        if zero is None or not zero[1] <= unit_tol:
+            on_ray = math.ldexp(cfg.eps_eq * (1.0 + scale), k)
+            chord = _chord_through_zero(m, unit_tol, on_ray)
             if chord is None:
                 return None
             zero = _zero_in_span(m, *chord)
-        xi, res = zero
+        xi, res = zero[0], math.ldexp(zero[1], -k)
     return (xi, res) if res <= tol else None

@@ -9,20 +9,23 @@ agreement between the statements.
 Every decider reads the shared ``Pair`` of its inputs (``shared_pair``): the
 inputs divided by a power of two, with what is computed from them.  The "for
 all lambda" notions read the ``LatticeProfile`` the pair keeps per config:
-the squared norms ||x + lam y||^2 at every lattice point, from one stacked
-top-eigenvalue solve of the Gram pencil compressed to the pair's joint row
-or column space.  The upper half of the Pythagoras definition is decided off
-the lattice as well, by an eta certificate confirmed with one norm.  The characterizations are homogeneous, so the verdicts do not depend
-on the units of (x, y), and a matrix below eps_eq times the pair's scale
-counts as zero.  Statements homogeneous in x and in y separately (maximizing
-sets, || |x| |y| || = ||x|| ||y||) are read at their own unit scale, so a
-small but nonzero partner is judged relatively.
+the squared norms ||x + lam y||^2 at every lattice point, the top
+eigenvalues of the Gram pencil compressed to the pair's joint row or column
+space and split into its joint blocks, one stacked solve per block.  The
+upper half of the Pythagoras definition is decided off the lattice as well,
+by an eta certificate confirmed with one norm.  The characterizations are
+homogeneous, so the verdicts do not depend on the units of (x, y), and a
+matrix below eps_eq times the pair's scale counts as zero.  Statements
+homogeneous in x and in y separately (maximizing sets,
+|| |x| |y| || = ||x|| ||y||) are read at their own unit scale, so a small
+but nonzero partner is judged relatively.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -532,27 +535,6 @@ def _gram_pencil(
     return gram
 
 
-def _compressed_pencil(pair: Pair, lams: np.ndarray) -> np.ndarray:
-    """The Gram pencil of the pair compressed to the smaller of its joint row
-    and column spaces, stacked over ``lams``.
-
-    On the row space Q, (x + lam y) Q has the nonzero singular values of
-    x + lam y, so its Gram matrix has the top eigenvalue of G(lam).  On the
-    column space Q, Q^H (x + lam y) has them, and its left Gram matrix is the
-    Gram matrix of (x^H + conj(lam) y^H) Q.  Where the row space is taken
-    and is the whole domain, G is formed from the Grams the pair holds.
-    """
-    rows, cols = pair.row_space, pair.column_space
-    if rows.shape[1] <= cols.shape[1]:
-        if rows.shape[1] == pair.x.shape[1]:
-            return _gram_pencil(pair.gx, pair.gy, pair.inner, lams)
-        a, b = pair.x @ rows, pair.y @ rows
-    else:
-        a, b, lams = pair.x.conj().T @ cols, pair.y.conj().T @ cols, np.conjugate(lams)
-    ah = a.conj().T
-    return _gram_pencil(ah @ a, b.conj().T @ b, ah @ b, lams)
-
-
 def _top_eigenvalues(gram: np.ndarray) -> np.ndarray:
     """The largest eigenvalue of each Hermitian matrix in the stack, read from
     its lower triangle as ``eigvalsh`` reads it: in closed form for a 1 x 1
@@ -568,22 +550,169 @@ def _top_eigenvalues(gram: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(gram)[:, -1]
 
 
+# Coefficients (a, b, d) of the Hermitian mix
+# gx' + a gy' + (b + i d) C' + (b - i d) C'^H whose eigenvectors split the
+# pencil into joint blocks: fixed irrationals, so that no structure the
+# deciders build gives two blocks a common eigenvalue of the mix by design.
+_MIX = (np.sqrt(2.0) - 1.0, (np.sqrt(5.0) - 1.0) / 2.0, np.pi / 7.0)
+# Rounding band of the split, on the three matrices read at unit scale: an
+# entry above it joins two eigenvectors of the mix into one block, and a
+# split is used only when the entries it drops stay within it in Frobenius
+# norm.
+_BLOCK_BAND = 2.0**-40
+
+
+class _Pencil(NamedTuple):
+    """The Gram pencil G(lam) = g + |lam|^2 h + lam c + conj(lam) c^H of a
+    pair, compressed to its joint row or column space and split into joint
+    blocks.
+
+    Each entry of ``blocks`` is the (g, h, c) of one block of size at least
+    2; ``singles`` holds the 1 x 1 blocks as three vectors, or is None when
+    there are none.  An unsplit pencil is one block, the compressed x^H x,
+    y^H y and x^H y themselves.  On the column space lam enters conjugated
+    (``conjugate``).
+    """
+
+    blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    singles: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+    conjugate: bool
+
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        ones = 0 if self.singles is None else self.singles[0].size
+        return tuple(block[0].shape[0] for block in self.blocks) + (1,) * ones
+
+    def top_eigenvalues(self, lams: np.ndarray) -> np.ndarray:
+        """The largest eigenvalue of G(lam) at each of ``lams``: the largest
+        over the blocks, each read by ``_top_eigenvalues``, and the 1 x 1
+        blocks from one (lattice x blocks) array."""
+        if self.conjugate:
+            lams = np.conjugate(lams)
+        tops = [_top_eigenvalues(_gram_pencil(*block, lams)) for block in self.blocks]
+        if self.singles is not None:
+            g, h, c = self.singles
+            lam = lams[:, None]
+            values = np.abs(lam) ** 2 * h + g
+            values += 2.0 * (lam * c).real
+            tops.append(values.max(axis=1))
+        return tops[0] if len(tops) == 1 else np.max(tops, axis=0)
+
+
+def _pencil(pair: Pair) -> _Pencil:
+    """The split pencil of ``pair``, built on first read and kept on it.
+
+    On the row space Q, (x + lam y) Q has the nonzero singular values of
+    x + lam y, so its Gram matrix has the top eigenvalue of G(lam).  On the
+    column space Q, Q^H (x + lam y) has them, and its left Gram matrix is the
+    Gram matrix of (x^H + conj(lam) y^H) Q.  Where the row space is taken
+    and is the whole domain, G is formed from the Grams the pair holds.  A
+    compressed size k >= 3 is then split (``_joint_blocks``); k <= 2 has
+    closed forms whole.
+    """
+
+    def build() -> _Pencil:
+        rows, cols = pair.row_space, pair.column_space
+        conjugate = rows.shape[1] > cols.shape[1]
+        if not conjugate and rows.shape[1] == pair.x.shape[1]:
+            grams = pair.gx, pair.gy, pair.inner
+        else:
+            if conjugate:
+                a, b = pair.x.conj().T @ cols, pair.y.conj().T @ cols
+            else:
+                a, b = pair.x @ rows, pair.y @ rows
+            ah = a.conj().T
+            grams = tuple(read_only(m) for m in (ah @ a, b.conj().T @ b, ah @ b))
+        split = _joint_blocks(grams, pair.nx, pair.ny) if grams[0].shape[0] >= 3 else None
+        return _Pencil(*split, conjugate) if split else _Pencil((grams,), None, conjugate)
+
+    return pair.memo("pencil", build)
+
+
+def _joint_blocks(
+    grams: tuple[np.ndarray, np.ndarray, np.ndarray], nx: float, ny: float
+) -> tuple[tuple, tuple | None] | None:
+    """The (blocks, singles) of a ``_Pencil`` for the compressed (g, h, c),
+    or None when they form one block.
+
+    If a unitary Q block-diagonalizes g, h and c at once, the pencil is a
+    direct sum and its top eigenvalue the largest of the blocks' (Murota,
+    Kanno, Kojima & Kojima, Japan J. Indust. Appl. Math. 27, 2010).  The
+    eigenvectors of a generic Hermitian combination of the three (the mix of
+    ``_MIX``) are such a Q up to rounding, wherever the blocks give the mix
+    distinct eigenvalues; where they do not, those blocks come out merged,
+    which is still a joint split.  Each matrix is read at its own scale,
+    g / nx^2, h / ny^2 and c / (nx ny), so the split does not depend on
+    (alpha x, beta y).  Rotated to that basis, the blocks are the connected
+    components of the entries above ``_BLOCK_BAND`` (``_components``),
+    trusted only when the entries they drop stay within the band.
+    """
+    g, h, c = grams
+    scales = np.array([nx * nx, ny * ny, nx * ny])
+    scales[scales == 0.0] = 1.0  # a zero matrix is read as it is
+    a, b, d = _MIX
+    cross = (b + 1j * d) * (c / scales[2])
+    _, q = np.linalg.eigh(g / scales[0] + a * (h / scales[1]) + cross + cross.conj().T)
+    rotated = q.conj().T @ np.stack(grams) @ q
+    weight = np.abs(rotated) / scales[:, None, None]
+    labels = _components(weight.max(axis=0), _BLOCK_BAND)
+    if not labels.any():
+        return None
+    dropped = weight[:, labels[:, None] != labels]
+    if np.sum(dropped * dropped) > _BLOCK_BAND * _BLOCK_BAND:
+        return None
+    roots, sizes = np.unique(labels, return_counts=True)
+    blocks = []
+    for root in roots[sizes > 1]:
+        members = np.flatnonzero(labels == root)
+        blocks.append(tuple(read_only(m[np.ix_(members, members)]) for m in rotated))
+    single = np.isin(labels, roots[sizes == 1])
+    singles = None
+    if single.any():
+        g, h, c = (m.diagonal()[single] for m in rotated)
+        singles = read_only(g.real), read_only(h.real), read_only(c)
+    return tuple(blocks), singles
+
+
+def _components(weight: np.ndarray, cut: float) -> np.ndarray:
+    """The component of each index in the graph whose edges are the entries
+    of the square ``weight`` above ``cut``, labelled by its smallest index."""
+    k = weight.shape[0]
+    linked = weight > cut
+    linked |= linked.T
+    if linked[0].all():  # one index linked to all others: one component
+        return np.zeros(k, dtype=np.intp)
+    linked |= np.eye(k, dtype=bool)
+    labels = np.arange(k)
+    while True:
+        spread = np.where(linked, labels, k).min(axis=1)
+        if np.array_equal(spread, labels):
+            return labels
+        labels = spread
+
+
 class LatticeProfile:
     """||x + lam y||^2 over the lambda lattice, the top eigenvalues of the
-    Gram pencil of the normalized ``Pair`` compressed to its joint row or
-    column space.
+    Gram pencil of the normalized ``Pair``, compressed to its joint row or
+    column space and read per joint block.
 
     ||x + lam y||^2 is the largest eigenvalue of
     G(lam) = x^H x + |lam|^2 y^H y + lam x^H y + conj(lam) y^H x.  A common
     kernel of the pair is a zero block of every G(lam), so the pencil is
     formed on the smaller of the pair's joint row space and joint column
-    space (``_compressed_pencil``), of dimension k.  The whole lattice then
-    costs four broadcast adds and one stacked top-eigenvalue solve
-    (``_top_eigenvalues``): closed forms at k <= 2, one batched ``eigvalsh``
-    otherwise.  A pair whose row space is the whole domain, and no larger
-    than its column space, forms G from the three Gram matrices it already
-    holds.  ``norms2`` keeps those eigenvalues, clipped at 0, and ``norms``
-    their square roots.
+    space, of dimension k.  At k >= 3 it is split once into the joint blocks
+    of the three compressed matrices (``_joint_blocks``), and G(lam)'s top
+    eigenvalue is the largest of the blocks'.  The pair keeps the split
+    pencil (``_pencil``), and ``block_sizes`` lists its block sizes.  The
+    whole lattice then costs, per block of size at least 2, four broadcast
+    adds and one stacked top-eigenvalue solve (``_top_eigenvalues``: closed
+    forms at size <= 2, one batched ``eigvalsh`` otherwise), and for all the
+    1 x 1 blocks together one (lattice x blocks) array.  A pencil of one
+    block, as every generic pair's is, is read exactly as it is formed; one
+    whose row space is the whole domain, and no larger than its column space,
+    is formed from the three Gram matrices the pair already holds.
+    ``norms2`` keeps the top eigenvalues, clipped at 0, and ``norms`` their
+    square roots.
     Each lattice-quantified statement about the pair reads this one profile.
     The lattice is closed under negation, so ||x - lam_i y|| is entry
     ``cfg.lattice_negation[i]`` of the same profile.
@@ -596,7 +725,8 @@ class LatticeProfile:
     |lam|^2 ||y||^2 holds for every lam iff |c|^2 <= a b for every unit eta.
     The candidate etas are the right singular vectors at the lattice points
     nearest to violating it, and the best one is confirmed by one norm.
-    ``rank_gate`` takes the SVDs of its own lattice points.
+    ``rank_gate`` takes the SVDs of its own lattice points, unless the
+    pair's joint row or column space is at most a line.
 
     ``LatticeProfile(pair, cfg)`` builds a profile; the deciders read the one
     a shared ``Pair`` keeps per config (``_lattice_profile``).  A kept profile
@@ -609,8 +739,10 @@ class LatticeProfile:
         self.x, self.y, self.nx, self.ny = pair.x, pair.y, pair.nx, pair.ny
         self.cfg = cfg
         self.lams = cfg.lambda_lattice
-        gram = _compressed_pencil(pair, self.lams)
-        self.norms2 = read_only(np.maximum(_top_eigenvalues(gram), 0.0))
+        self._joint_rank = min(pair.row_space.shape[1], pair.column_space.shape[1])
+        pencil = _pencil(pair)
+        self.block_sizes = pencil.sizes
+        self.norms2 = read_only(np.maximum(pencil.top_eigenvalues(self.lams), 0.0))
         self.norms = read_only(np.sqrt(self.norms2))
         self._definition: tuple[StatementResult, complex] | None = None
         self._rank_gate: bool | None = None
@@ -698,12 +830,17 @@ class LatticeProfile:
     def rank_gate(self) -> bool:
         """Some x + lam y on the four innermost magnitude rings has numeric rank > 1.
 
-        The rings are read from SVDs of their own, the innermost point first:
+        When the joint row space or the joint column space of the pair has
+        dimension at most 1, every x + lam y has rank at most 1 (all its rows,
+        or all its columns, lie on one line), and no SVD is taken.  Otherwise
+        the rings are read from SVDs of their own, the innermost point first:
         the other points are factored only when it has rank at most 1.
         """
         if self._rank_gate is None:
             rings = self.lams[: 4 * self.cfg.lattice_phases]
-            self._rank_gate = self._rank_above_one(rings[:1]) or self._rank_above_one(rings[1:])
+            self._rank_gate = self._joint_rank > 1 and (
+                self._rank_above_one(rings[:1]) or self._rank_above_one(rings[1:])
+            )
         return self._rank_gate
 
     def _rank_above_one(self, lams: np.ndarray) -> bool:

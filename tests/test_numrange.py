@@ -250,10 +250,12 @@ def test_zero_unit_vector_traceless():
     assert abs(np.vdot(xi, a @ xi)) <= 1e-6 * 2
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e60, 1e80, 1e100])
+@pytest.mark.parametrize("scale", [1.0, 1e60, 1e80, 1e100, 1e150, 1e155, 1e200])
 def test_zero_unit_vector_of_a_traceless_matrix_at_large_scale(scale):
-    # 0 = tr c / 3 lies in W(c) at every scale; the zero in the chord's span
-    # takes d - a at unit modulus, so no term of order ||c||^2 is squared
+    # 0 = tr c / 3 lies in W(c) at every scale; c is read divided by the power
+    # of two nearest its norm, so no square of an entry overflows (a warning
+    # would fail the test), and the zero in the chord's span takes d - a at
+    # unit modulus, so no term of order ||c||^2 is squared
     c = rand_complex(np.random.default_rng(1), 3, 3)
     c = scale * (c - np.trace(c) / 3 * np.eye(3))
     out = zero_unit_vector(c, CFG)

@@ -41,6 +41,7 @@ from modnorm.closedforms import (
     bj_engineered_true,
     corner_block_pair,
     gate_pair,
+    rand_complex,
     rand_unitary,
     triangle_pair,
 )
@@ -611,10 +612,12 @@ def test_lattice_profile_agrees_with_a_batched_svd():
 
 def _deflation_pairs():
     """Seeded pairs with a common kernel or a small joint range, each with the
-    compressed size the lattice pencil must take: corner blocks
-    [[S, 0], [0, 0]], [[0, T], [0, 0]], gate pairs, rank-one pairs, pairs
-    padded with zero rows and columns, tall and wide pairs, y = 0, and the
-    zero pair."""
+    sizes of the joint blocks its compressed lattice pencil must split into:
+    corner blocks [[S, 0], [0, 0]], [[0, T], [0, 0]], gate pairs, rank-one
+    pairs, pairs padded with zero rows and columns, tall and wide pairs,
+    y = 0, and the zero pair.  A compressed size k <= 2 stays one block; at
+    k >= 3 a gate pair splits into three 1 x 1 blocks, and x beside y = 0
+    into the eigenvectors of x^H x."""
     rng = np.random.default_rng(111)
 
     def rand(m, n):
@@ -622,24 +625,44 @@ def _deflation_pairs():
 
     for n in (2, 4, 8):
         x, y, _ = corner_block_pair(rand(n // 2, n // 2), rand(n // 2, n // 2), 1.0)
-        yield x, y, n // 2
+        yield x, y, (n // 2,)
     for n in (4, 6, 8):
-        yield (*gate_pair(rng, n, True), 3)
-        yield (*gate_pair(rng, n, False), 3)
+        yield (*gate_pair(rng, n, True), (1, 1, 1))
+        yield (*gate_pair(rng, n, False), (1, 1, 1))
     for n in (2, 5, 8):
-        yield rand(n, 1) @ rand(1, n), rand(n, 1) @ rand(1, n), 2
+        yield rand(n, 1) @ rand(1, n), rand(n, 1) @ rand(1, n), (2,)
         column = rand(n, 1)
-        yield column @ rand(1, n), column @ rand(1, n), 1
+        yield column @ rand(1, n), column @ rand(1, n), (1,)
         padded = [np.zeros((n + 3, n + 2), dtype=complex) for _ in range(2)]
         for m in padded:
             m[1 : n + 1, 2:] = rand(n, n)
-        yield (*padded, n)
-        yield rand(n + 3, n), rand(n + 3, n), n
-        yield rand(n, n + 3), rand(n, n + 3), n
-        yield rand(2 * n, 1) @ rand(1, n), rand(2 * n, 1) @ rand(1, n), 2
-        yield rand(n, n), np.zeros((n, n), dtype=complex), n
-        yield rand(n, 1) @ rand(1, n + 1), np.zeros((n, n + 1), dtype=complex), 1
-        yield np.zeros((n + 1, n), dtype=complex), np.zeros((n + 1, n), dtype=complex), 0
+        yield (*padded, (n,))
+        yield rand(n + 3, n), rand(n + 3, n), (n,)
+        yield rand(n, n + 3), rand(n, n + 3), (n,)
+        yield rand(2 * n, 1) @ rand(1, n), rand(2 * n, 1) @ rand(1, n), (2,)
+        yield rand(n, n), np.zeros((n, n), dtype=complex), (n,) if n < 3 else (1,) * n
+        yield rand(n, 1) @ rand(1, n + 1), np.zeros((n, n + 1), dtype=complex), (1,)
+        yield np.zeros((n + 1, n), dtype=complex), np.zeros((n + 1, n), dtype=complex), (0,)
+
+
+def _gram_error(x, y):
+    """The lattice profile of (x, y), and the largest relative distance of its
+    ``norms2`` from the top eigenvalue of the full Gram matrix
+    (x + lam y)^H (x + lam y)."""
+    pair = Pair(x, y)
+    stack = pair.x[None] + CFG.lambda_lattice[:, None, None] * pair.y[None]
+    full = np.linalg.eigvalsh(stack.conj().swapaxes(1, 2) @ stack)[:, -1]
+    full = np.maximum(full, 0.0)
+    profile = LatticeProfile(pair, CFG)
+    return profile, float(np.max(np.abs(profile.norms2 - full) / (1.0 + full)))
+
+
+def _matches_the_full_gram(x, y):
+    """The lattice profile of (x, y), after checking that its ``norms2`` is
+    the top eigenvalue of the full Gram matrix within 1e-14 relative."""
+    profile, error = _gram_error(x, y)
+    assert error <= 1e-14
+    return profile
 
 
 def _compressed_profile(monkeypatch, x, y):
@@ -661,19 +684,60 @@ def _compressed_profile(monkeypatch, x, y):
     return profile, sizes[0]
 
 
-def test_deflated_lattice_profile_matches_the_full_gram(monkeypatch):
-    # the top eigenvalue of the compressed pencil is that of the full Gram
-    # matrix (x + lam y)^H (x + lam y), and the compressed size does not
-    # depend on the scale of x beside y
-    for x, y, k in _deflation_pairs():
+def test_deflated_lattice_profile_matches_the_full_gram():
+    # the top eigenvalue of the compressed pencil, read per joint block, is
+    # that of the full Gram matrix (x + lam y)^H (x + lam y), and neither the
+    # compressed size nor the split depends on the scale of x beside y
+    for x, y, sizes in _deflation_pairs():
         for scale in (1.0, 2.0**30, 2.0**-30):
-            pair = Pair(scale * x, y)
-            stack = pair.x[None] + CFG.lambda_lattice[:, None, None] * pair.y[None]
-            full = np.linalg.eigvalsh(stack.conj().swapaxes(1, 2) @ stack)[:, -1]
-            full = np.maximum(full, 0.0)
-            profile, size = _compressed_profile(monkeypatch, scale * x, y)
-            assert size == k
-            assert np.all(np.abs(profile.norms2 - full) <= 1e-14 * (1.0 + full))
+            profile = _matches_the_full_gram(scale * x, y)
+            assert sorted(profile.block_sizes) == sorted(sizes)
+
+
+def _direct_sum(rng, sizes, coupling=0.0):
+    """x = U (x_1 + ... + x_m) V and y = U (y_1 + ... + y_m) V for random
+    square blocks of ``sizes`` and seeded unitaries U, V; ``coupling`` times
+    a random matrix is added to x between its first two blocks."""
+    n = sum(sizes)
+    x, y = np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
+    ends = np.cumsum(sizes)
+    for end, size in zip(ends, sizes):
+        block = slice(end - size, end)
+        x[block, block] = rand_complex(rng, size, size)
+        y[block, block] = rand_complex(rng, size, size)
+    x[: ends[0], ends[0] : ends[1]] += coupling * rand_complex(rng, sizes[0], sizes[1])
+    u, v = rand_unitary(rng, n), rand_unitary(rng, n)
+    return u @ x @ v, u @ y @ v
+
+
+@pytest.mark.parametrize("sizes", [(1, 2), (2, 3), (1, 1, 1)])
+def test_a_direct_sum_splits_into_its_blocks_at_every_scale(sizes):
+    # the split reads x^H x, y^H y and x^H y each at its own scale, so it
+    # finds the same blocks for (2^k x, y)
+    x, y = _direct_sum(np.random.default_rng(113), sizes)
+    for scale in (1.0, 2.0**30, 2.0**-30):
+        profile = _matches_the_full_gram(scale * x, y)
+        assert sorted(profile.block_sizes) == sorted(sizes)
+
+
+def test_a_coupling_above_the_rounding_band_joins_the_blocks(monkeypatch):
+    import modnorm.orthogonality
+
+    x, y = _direct_sum(np.random.default_rng(114), (2, 3), coupling=1e-6)
+    assert _matches_the_full_gram(x, y).block_sizes == (5,)
+    # with entries up to 1e-3 left out of the graph, the blocks come apart;
+    # the trust test sees the 1e-6 it would drop and keeps one block
+    components = modnorm.orthogonality._components
+    monkeypatch.setattr(
+        modnorm.orthogonality, "_components", lambda weight, cut: components(weight, 1e-3)
+    )
+    assert _matches_the_full_gram(x, y).block_sizes == (5,)
+    # with the trust test off as well, the split is used, and ``norms2``
+    # fails the agreement with the full Gram matrix
+    monkeypatch.setattr(modnorm.orthogonality, "_BLOCK_BAND", 1.0)
+    profile, error = _gram_error(x, y)
+    assert sorted(profile.block_sizes) == [2, 3]
+    assert error > 1e-14
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (5, 5), (8, 8), (7, 4)])
@@ -693,8 +757,9 @@ def test_a_pair_without_a_common_kernel_keeps_the_full_pencil(monkeypatch, shape
 
 
 def test_rank_gate_reads_the_other_rings_only_after_a_rank_one_point(monkeypatch):
-    # e1 e1^T + lam e1 e2^T has rank one at every lam: all four innermost
-    # rings are read and the gate stays closed
+    # e1 e1^T + lam e1 e2^T has rank one at every lam: its joint column space
+    # is a line, so the gate stays closed without an SVD; a pair of rank one
+    # at the innermost point alone reads all four innermost rings
     x, y = _outer(0, 0, 3), _outer(0, 1, 3)
     generic = LatticeProfile(Pair(*_fresh_gate_pair(109)), CFG)
     rank_one = LatticeProfile(Pair(x, y), CFG)
@@ -704,11 +769,10 @@ def test_rank_gate_reads_the_other_rings_only_after_a_rank_one_point(monkeypatch
     stacked = _count_stacks(monkeypatch)
     assert generic.rank_gate() and stacked == [("svd", 1)]
     stacked.clear()
-    assert not rank_one.rank_gate()
-    assert stacked == [("svd", 1), others]
-    stacked.clear()
-    assert not rank_one.rank_gate() and stacked == []  # read once per profile
+    assert not rank_one.rank_gate() and stacked == []
     assert innermost.rank_gate() and stacked == [("svd", 1), others]
+    stacked.clear()
+    assert innermost.rank_gate() and stacked == []  # read once per profile
 
 
 def _violation(x, y, lam):

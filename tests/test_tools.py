@@ -1,5 +1,5 @@
-"""The A/B summary of ``tools/bench_ab.py`` and the suite comparison of
-``tools/suite_diff.py``, on synthetic inputs."""
+"""The A/B summaries of ``tools/bench_ab.py`` and ``tools/inproc_ab.py`` and
+the suite comparison of ``tools/suite_diff.py``, on synthetic inputs."""
 
 import copy
 import importlib.util
@@ -119,3 +119,39 @@ def test_suite_diff_reads_no_differences_flips_residuals_and_cases(tmp_path, cap
     failing = copy.deepcopy(RUN)
     failing["failures"] = ["pythagoras/pair-0"]
     assert _suite_diff(tmp_path, capsys, failing) == (1, ["failures: 0 -> 1"])
+
+
+def test_inproc_report_reads_quartiles_and_ops_per_family_and_size(monkeypatch):
+    # loading the tool pins the BLAS threads in the environment; the test
+    # gives those variables back afterwards
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    ab = _tool("inproc_ab")
+    pairs = [
+        ("gate_true", 4, 0.001, 0.0005),
+        ("generic", 8, 0.002, 0.002),
+        ("gate_true", 4, 0.003, 0.0015),
+        ("generic", 8, 0.004, 0.004),
+    ]
+    records = [
+        {
+            "cell": (family, n),
+            "seconds": {"parent": parent, "change": change},
+            "failed": {"parent": False, "change": False},
+            "calls": {side: dict.fromkeys(ab.LAPACK, 0) for side in ab.SIDES},
+            "differ": family == "gate_true",
+        }
+        for family, n, parent, change in pairs
+    ]
+    records[0]["calls"]["change"]["eigh"] = 2
+    lines = ab.report("all seeds", records).splitlines()
+    assert lines[0] == (
+        "all seeds: 4 pairs, ops/s parent 400.0 change 500.0 (+25.0%); outputs differ on 2; "
+        "ground-truth failures parent 0 change 0"
+    )
+    # parent minima 1, 2, 3, 4 ms; change 0.5, 1.5, 2, 4 ms
+    assert lines[1] == "  per-pair ms, parent: p25 1.750 p50 2.500 p75 3.250"
+    assert lines[2] == "  per-pair ms, change: p25 1.250 p50 1.750 p75 2.500"
+    assert lines[3] == "  gate_true n=4: 2 pairs, ops/s parent 500.0 change 1000.0 (+100.0%)"
+    assert lines[4] == "  generic n=8: 2 pairs, ops/s parent 333.3 change 333.3 (+0.0%)"
+    assert lines[6].endswith("eigh 0.50 eigvalsh 0.00 eigvals 0.00 solve 0.00 (all 0.50)")

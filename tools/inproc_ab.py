@@ -18,7 +18,9 @@ falls on both sides alike, which separate processes cannot promise.
 It prints, per seed and over all seeds, each side's ops/s (pairs over the sum
 of the per-pair minima), the change's gain, how many pair operations
 serialize differently between the sides, and each side's ground-truth
-failures (``workloads.check_pair``).  Then, for each side, the LAPACK calls
+failures (``workloads.check_pair``).  Then each side's p25, p50 and p75 of
+the per-pair minima, and both sides' ops/s per (family, n), so that a change
+in the median shows which families moved.  Then, for each side, the LAPACK calls
 per op by kind (``svd``, ``eigh``, ``eigvalsh``, ``eigvals``, ``solve``;
 a batched call counts once), from one more cold run of every pair with
 counting wrappers on ``numpy.linalg``, outside the timed runs.  These counts
@@ -119,36 +121,50 @@ def count_lapack(workloads, tables, pair, cfg, counts: dict) -> None:
             setattr(module, kind, original)
 
 
-def run_seed(sides: dict, workload: str, seed: int, repeats: int) -> dict:
+def run_seed(sides: dict, workload: str, seed: int, repeats: int) -> list[dict]:
+    """One record per pair of the seed's pool: its (family, n) ``cell``, each
+    side's least time, ground-truth failure and LAPACK calls by kind, and
+    whether the two sides' outputs differ."""
     pool = sides["parent"][0].make_pool(workload, seed)
-    totals = {side: 0.0 for side in SIDES}
-    failures = {side: 0 for side in SIDES}
-    calls = {side: dict.fromkeys(LAPACK, 0) for side in SIDES}
-    differ = 0
+    records = []
     for i, pair in enumerate(pool):
-        texts = {}
+        texts, seconds, failed = {}, {}, {}
+        calls = {side: dict.fromkeys(LAPACK, 0) for side in SIDES}
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
             workloads, tables, cfg = sides[side]
-            seconds, texts[side], raws = time_pair(workloads, tables, pair, cfg, repeats)
-            totals[side] += seconds
-            failures[side] += bool(workloads.check_pair(pair, raws, cfg))
+            seconds[side], texts[side], raws = time_pair(workloads, tables, pair, cfg, repeats)
+            failed[side] = bool(workloads.check_pair(pair, raws, cfg))
             count_lapack(workloads, tables, pair, cfg, calls[side])
-        differ += texts["parent"] != texts["change"]
-    return {"pairs": len(pool), "seconds": totals, "failures": failures, "differ": differ,
-            "calls": calls}
+        records.append({"cell": (pair.family, pair.n), "seconds": seconds, "failed": failed,
+                        "calls": calls, "differ": texts["parent"] != texts["change"]})
+    return records
 
 
-def report(label: str, result: dict) -> str:
-    rate = {side: result["pairs"] / result["seconds"][side] for side in SIDES}
+def rates(records: list[dict]) -> str:
+    """Each side's ops/s, pairs over the sum of its per-pair minima, and the
+    change's gain."""
+    rate = {side: len(records) / sum(r["seconds"][side] for r in records) for side in SIDES}
     gain = rate["change"] / rate["parent"] - 1.0
+    return f"ops/s parent {rate['parent']:.1f} change {rate['change']:.1f} ({gain:+.1%})"
+
+
+def report(label: str, records: list[dict]) -> str:
+    failures = {side: sum(r["failed"][side] for r in records) for side in SIDES}
     lines = [
-        f"{label}: {result['pairs']} pairs, ops/s parent {rate['parent']:.1f} "
-        f"change {rate['change']:.1f} ({gain:+.1%}); outputs differ on {result['differ']}; "
-        f"ground-truth failures parent {result['failures']['parent']} "
-        f"change {result['failures']['change']}"
+        f"{label}: {len(records)} pairs, {rates(records)}; "
+        f"outputs differ on {sum(r['differ'] for r in records)}; "
+        f"ground-truth failures parent {failures['parent']} change {failures['change']}"
     ]
     for side in SIDES:
-        per_op = {kind: n / result["pairs"] for kind, n in result["calls"][side].items()}
+        q1, q2, q3 = np.percentile([1e3 * r["seconds"][side] for r in records], [25, 50, 75])
+        lines.append(f"  per-pair ms, {side}: p25 {q1:.3f} p50 {q2:.3f} p75 {q3:.3f}")
+    for family, n in sorted({r["cell"] for r in records}):
+        rows = [r for r in records if r["cell"] == (family, n)]
+        lines.append(f"  {family} n={n}: {len(rows)} pairs, {rates(rows)}")
+    for side in SIDES:
+        per_op = {
+            kind: sum(r["calls"][side][kind] for r in records) / len(records) for kind in LAPACK
+        }
         shown = " ".join(f"{kind} {value:.2f}" for kind, value in per_op.items())
         lines.append(f"  LAPACK calls per op, {side}: {shown} (all {sum(per_op.values()):.2f})")
     return "\n".join(lines)
@@ -169,20 +185,12 @@ def main(argv: list[str] | None = None) -> int:
         for side, checkout in zip(SIDES, (args.parent, args.change)):
             package, workloads = load_side(checkout.resolve(), f"modnorm_{side}", Path(tmp))
             sides[side] = (workloads, shared_tables(package), package.ToleranceConfig())
-        total = {"pairs": 0, "seconds": dict.fromkeys(SIDES, 0.0),
-                 "failures": dict.fromkeys(SIDES, 0), "differ": 0,
-                 "calls": {side: dict.fromkeys(LAPACK, 0) for side in SIDES}}
+        records = []
         for seed in args.seeds:
-            result = run_seed(sides, args.workload, seed, args.repeats)
-            print(report(f"seed {seed}", result), flush=True)
-            total["pairs"] += result["pairs"]
-            total["differ"] += result["differ"]
-            for side in SIDES:
-                total["seconds"][side] += result["seconds"][side]
-                total["failures"][side] += result["failures"][side]
-                for kind in LAPACK:
-                    total["calls"][side][kind] += result["calls"][side][kind]
-        print(report("all seeds", total))
+            seed_records = run_seed(sides, args.workload, seed, args.repeats)
+            print(report(f"seed {seed}", seed_records), flush=True)
+            records += seed_records
+        print(report("all seeds", records))
     return 0
 
 
